@@ -28,7 +28,15 @@ from .hppk_kem import (
 )
 from .hidden_ring import RingOperator
 from .keystream import TAG_HPPK_HASH, TAG_HPPK_KEYGEN, TAG_HPPK_U, TAG_KAT, KeystreamState
-from .qpp import Permutation, PermutationPad, MODE_RANDOM, MODE_SEQUENTIAL
+from .qpp import (
+    MAX_BLOCK_BITS,
+    MAX_PAD_SIZE,
+    MIN_BLOCK_BITS,
+    MODE_RANDOM,
+    MODE_SEQUENTIAL,
+    Permutation,
+    PermutationPad,
+)
 from .ring_arith import WideUint
 
 MAGIC_HPPK = b"HPK1"
@@ -394,12 +402,38 @@ def decode_secret(data: bytes, params: KemParams) -> int:
 # QPP envelopes
 
 
+def _qpp_header(version: int, n: int, size: int) -> bytes:
+    if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
+        raise ParameterError(f"block size {n} does not fit the QPP1 header")
+    if not 1 <= size <= MAX_PAD_SIZE:
+        raise ParameterError(f"pad size {size} does not fit the QPP1 header")
+    return MAGIC_QPP + bytes([version, n]) + size.to_bytes(2, "big")
+
+
+def _read_qpp_header(r: _Reader, version: int, kind: str):
+    """Magic, version, block size n (offset 5) and pad size M (u16, offset 6)."""
+    at = r.pos
+    if r.take(4) != MAGIC_QPP:
+        raise FormatError("bad magic", offset=at)
+    at = r.pos
+    if r.u8() != version:
+        raise FormatError(f"not a {kind} file", offset=at)
+    at = r.pos
+    n = r.u8()
+    if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
+        raise FormatError(
+            f"block size {n} not in [{MIN_BLOCK_BITS}, {MAX_BLOCK_BITS}]", offset=at
+        )
+    at = r.pos
+    size = r.u16()
+    if size < 1:
+        raise FormatError("pad size must be at least 1", offset=at)
+    return n, size
+
+
 def encode_pad(pad: PermutationPad) -> bytes:
     width = _bytes_for(pad.n)
-    body = bytearray(MAGIC_QPP)
-    body.append(QPP_VERSION_PAD)
-    body.append(pad.n)
-    body += pad.size.to_bytes(2, "big")
+    body = bytearray(_qpp_header(QPP_VERSION_PAD, pad.n, pad.size))
     for perm in pad.perms:
         for value in perm.table:
             body += value.to_bytes(width, "big")
@@ -408,16 +442,7 @@ def encode_pad(pad: PermutationPad) -> bytes:
 
 def decode_pad(data: bytes) -> PermutationPad:
     r = _Reader(data)
-    at = r.pos
-    if r.take(4) != MAGIC_QPP:
-        raise FormatError("bad magic", offset=at)
-    at = r.pos
-    if r.u8() != QPP_VERSION_PAD:
-        raise FormatError("not a pad file", offset=at)
-    n = r.u8()
-    size = r.u16()
-    if not 1 <= n <= 16 or size < 1:
-        raise FormatError("invalid pad shape", offset=5)
+    n, size = _read_qpp_header(r, QPP_VERSION_PAD, "pad")
     width = _bytes_for(n)
     perms = []
     for _ in range(size):
@@ -434,33 +459,21 @@ def decode_pad(data: bytes) -> PermutationPad:
 def encode_qpp_stream(body: bytes, n: int, pad_size: int, mode: str) -> bytes:
     if mode not in _MODE_CODE:
         raise ParameterError(f"unknown dispatch mode {mode!r}")
+    header = _qpp_header(QPP_VERSION_STREAM, n, pad_size)
     if (8 * len(body)) % n:
         raise ParameterError("stream body is not a whole number of blocks")
-    return (
-        MAGIC_QPP
-        + bytes([QPP_VERSION_STREAM, n])
-        + pad_size.to_bytes(2, "big")
-        + bytes([_MODE_CODE[mode]])
-        + body
-    )
+    return header + bytes([_MODE_CODE[mode]]) + body
 
 
 def decode_qpp_stream(data: bytes):
     r = _Reader(data)
-    at = r.pos
-    if r.take(4) != MAGIC_QPP:
-        raise FormatError("bad magic", offset=at)
-    at = r.pos
-    if r.u8() != QPP_VERSION_STREAM:
-        raise FormatError("not a stream file", offset=at)
-    n = r.u8()
-    pad_size = r.u16()
+    n, pad_size = _read_qpp_header(r, QPP_VERSION_STREAM, "stream")
     at = r.pos
     mode_code = r.u8()
     if mode_code not in _MODE_FROM_CODE:
         raise FormatError(f"unknown dispatch mode code {mode_code}", offset=at)
     body = r.data[r.pos:]
-    if not 1 <= n <= 16 or (8 * len(body)) % n:
+    if (8 * len(body)) % n:
         raise FormatError("stream body is not a whole number of blocks", offset=r.pos)
     return body, n, pad_size, _MODE_FROM_CODE[mode_code]
 

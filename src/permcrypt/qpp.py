@@ -10,13 +10,21 @@ key space for a compact arithmetic form.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+import struct
+from functools import cached_property, lru_cache
+from itertools import chain, cycle, islice, repeat
+from operator import getitem
 
 from .errors import FormatError, ParameterError
 from .keystream import TAG_QPP_DISPATCH, TAG_QPP_PAD, TAG_QPP_PRERAND, KeystreamState
 
 MIN_BLOCK_BITS = 1
 MAX_BLOCK_BITS = 16
+MAX_PAD_SIZE = 0xFFFF  # the pad size is a u16 in the QPP1 header
+
+# Bytes per pipeline chunk (rounded down to whole blocks): bounds the
+# per-chunk working set while keeping the per-chunk overhead small.
+_CHUNK_BYTES = 8192
 
 MODE_RANDOM = "random"
 MODE_SEQUENTIAL = "sequential"
@@ -146,31 +154,65 @@ def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
     """
     if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
         raise ParameterError(f"block size must be in [1, {MAX_BLOCK_BITS}] bits")
-    if size < 1:
-        raise ParameterError("pad size must be at least 1")
+    if not 1 <= size <= MAX_PAD_SIZE:
+        raise ParameterError(f"pad size must be in [1, {MAX_PAD_SIZE}]")
     state = KeystreamState(seed, TAG_QPP_PAD)
     return PermutationPad(
         n, (Permutation(n, _shuffle_table(state, 1 << n)) for _ in range(size))
     )
 
 
+@lru_cache(maxsize=32)
+def _spread_masks(width: int, slot: int, steps: int) -> tuple:
+    # Step b (highest first) moves the upper half of every group of 2**(b+1)
+    # fields up by (slot - width) * 2**b bits.  Groups, counted from the
+    # least-significant end, are slot * 2**(b+1) bits apart after the higher
+    # steps, so each step's mask is one group pattern repeated.
+    masks = []
+    for b in reversed(range(steps)):
+        run = width << b
+        pattern = (((1 << run) - 1) << run).to_bytes(slot << b >> 2, "big")
+        mask = int.from_bytes(pattern * (1 << (steps - 1 - b)), "big")
+        masks.append((mask, (slot - width) << b))
+    return tuple(masks)
+
+
+def _split(data: bytes, width: int):
+    """The width-bit fields of data, most-significant first.
+
+    Returns bytes for width <= 8 and a tuple of ints above.  The fields are
+    moved into 8- or 16-bit slots by a logarithmic number of whole-integer
+    mask-and-shift steps instead of a loop over fields.
+    """
+    slot = 8 if width <= 8 else 16
+    count = 8 * len(data) // width
+    if width != slot:
+        value = int.from_bytes(data, "big")
+        for mask, shift in _spread_masks(width, slot, (count - 1).bit_length()):
+            high = value & mask
+            value ^= high ^ (high << shift)
+        data = value.to_bytes(count * slot // 8, "big")
+    return data if slot == 8 else struct.unpack(f">{count}H", data)
+
+
+def _join(fields, width: int, count: int) -> bytes:
+    """Pack `count` width-bit fields into bytes; the inverse of _split."""
+    slot = 8 if width <= 8 else 16
+    data = bytes(fields) if slot == 8 else struct.pack(f">{count}H", *fields)
+    if width == slot:
+        return data
+    value = int.from_bytes(data, "big")
+    for mask, shift in reversed(_spread_masks(width, slot, (count - 1).bit_length())):
+        high = value & (mask << shift)
+        value ^= high ^ (high >> shift)
+    return value.to_bytes(count * width // 8, "big")
+
+
 def blocks_from_bytes(data: bytes, n: int) -> list:
     """Split data into n-bit blocks, most-significant bit first."""
     if (8 * len(data)) % n:
         raise ParameterError("data length is not a whole number of blocks")
-    if n == 8:
-        return list(data)
-    blocks = []
-    acc = 0
-    acc_bits = 0
-    for byte in data:
-        acc = (acc << 8) | byte
-        acc_bits += 8
-        while acc_bits >= n:
-            acc_bits -= n
-            blocks.append(acc >> acc_bits)
-            acc &= (1 << acc_bits) - 1
-    return blocks
+    return list(_split(data, n))
 
 
 def bytes_from_blocks(blocks, n: int) -> bytes:
@@ -179,39 +221,76 @@ def bytes_from_blocks(blocks, n: int) -> bytes:
         return bytes(blocks)
     if (n * len(blocks)) % 8:
         raise ParameterError("block count does not fill whole bytes")
-    out = bytearray()
-    acc = 0
-    acc_bits = 0
-    for b in blocks:
-        acc = (acc << n) | b
-        acc_bits += n
-        while acc_bits >= 8:
-            acc_bits -= 8
-            out.append(acc >> acc_bits)
-            acc &= (1 << acc_bits) - 1
-    return bytes(out)
+    return _join(blocks, n, len(blocks))
 
 
-def _cipher_blocks(pad, blocks, prerand, dispatch, mode, decrypt):
-    size = pad.size
-    sequential = mode == MODE_SEQUENTIAL
-    if decrypt:
-        tables = [p._inverse_table for p in pad.perms]
-    else:
-        tables = [p.table for p in pad.perms]
+@lru_cache(maxsize=32)
+def _byte_table(table: tuple, n: int) -> bytes:
+    """Applies table to every n-bit block of a byte at once; n must divide 8."""
+    blocks = _split(bytes(range(256)), n)
+    return _join(map(table.__getitem__, blocks), n, len(blocks))
+
+
+def _dispatch(tables: list, seed: bytes, mode: str):
+    """Endless iterator over the table that substitutes each block, in order.
+
+    Random mode reproduces one next_index(M) call per block in bulk: the
+    dispatch stream is consecutive ceil(log2 M)-bit fields, and rejection
+    sampling only drops the fields >= M.  Each draw reads _CHUNK_BYTES fields;
+    fields a chunk does not use stay in the iterator for the next one.
+    """
+    size = len(tables)
+    if mode == MODE_SEQUENTIAL or size == 1:
+        return cycle(tables)
+    stream = KeystreamState(seed, TAG_QPP_DISPATCH)
+    k = (size - 1).bit_length()
+    fields = chain.from_iterable(
+        _split(stream.next_bytes(k * _CHUNK_BYTES // 8), k) for _ in repeat(None)
+    )
+    if size != 1 << k:
+        fields = filter(size.__gt__, fields)
+    return map(tables.__getitem__, fields)
+
+
+def _xor(chunk: bytes, mask: bytes) -> bytes:
+    return (int.from_bytes(chunk, "big") ^ int.from_bytes(mask, "big")).to_bytes(
+        len(chunk), "big"
+    )
+
+
+def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
     n = pad.n
-    out = []
-    append = out.append
-    for t, block in enumerate(blocks):
-        # One mask and one dispatch draw per block, in this order, on both
-        # the encrypt and decrypt side.
-        r = prerand.next_bits(n)
-        i = t % size if sequential else dispatch.next_index(size)
+    tables = [p._inverse_table if decrypt else p.table for p in pad.perms]
+    if len(tables) == 1 and 8 % n == 0:
+        byte_table = _byte_table(tables[0], n)
+
+        def substitute(chunk):
+            return chunk.translate(byte_table)
+
+    else:
+        dispatched = _dispatch(tables, seed, mode)
+
+        def substitute(chunk):
+            count = 8 * len(chunk) // n
+            # islice stops the draw at the chunk's last block; map alone
+            # would consume one more table before noticing the end.
+            chosen = islice(dispatched, count)
+            return _join(map(getitem, chosen, _split(chunk, n)), n, count)
+
+    granule = math.lcm(n, 8) // 8  # bytes holding a whole number of blocks
+    step = _CHUNK_BYTES - _CHUNK_BYTES % granule
+    prerand = KeystreamState(seed, TAG_QPP_PRERAND)
+    out = bytearray()
+    for start in range(0, len(data), step):
+        chunk = data[start:start + step]
+        # Chunks start on block boundaries, so the chunk's mask is exactly
+        # the next n bits of the stream for each of its blocks.
+        mask = prerand.next_bytes(len(chunk))
         if decrypt:
-            append(tables[i][block] ^ r)
+            out += _xor(substitute(chunk), mask)
         else:
-            append(tables[i][block ^ r])
-    return out
+            out += substitute(_xor(chunk, mask))
+    return bytes(out)
 
 
 def encrypt_stream(
@@ -222,17 +301,18 @@ def encrypt_stream(
     Per block: XOR with the next n prerandomization bits, pick a pad
     permutation from the dispatch stream (or round-robin in sequential
     mode), and substitute through its table.
+
+    The input is processed in chunks of about 8 KiB of whole blocks: one
+    integer XOR masks a chunk, its dispatch indices are read in bulk, and
+    one pass over its blocks substitutes them.  The working set per chunk
+    is fixed, but the keystream buffers and the output still grow with the
+    input.
     """
     if mode not in _MODES:
         raise ParameterError(f"unknown dispatch mode {mode!r}")
     if (8 * len(plaintext)) % pad.n:
         raise ParameterError("plaintext is not a whole number of blocks")
-    prerand = KeystreamState(seed, TAG_QPP_PRERAND)
-    dispatch = KeystreamState(seed, TAG_QPP_DISPATCH)
-    blocks = blocks_from_bytes(plaintext, pad.n)
-    return bytes_from_blocks(
-        _cipher_blocks(pad, blocks, prerand, dispatch, mode, decrypt=False), pad.n
-    )
+    return _run_pipeline(pad, seed, plaintext, mode, decrypt=False)
 
 
 def decrypt_stream(
@@ -243,12 +323,7 @@ def decrypt_stream(
         raise ParameterError(f"unknown dispatch mode {mode!r}")
     if (8 * len(ciphertext)) % pad.n:
         raise FormatError("ciphertext is not a whole number of blocks")
-    prerand = KeystreamState(seed, TAG_QPP_PRERAND)
-    dispatch = KeystreamState(seed, TAG_QPP_DISPATCH)
-    blocks = blocks_from_bytes(ciphertext, pad.n)
-    return bytes_from_blocks(
-        _cipher_blocks(pad, blocks, prerand, dispatch, mode, decrypt=True), pad.n
-    )
+    return _run_pipeline(pad, seed, ciphertext, mode, decrypt=True)
 
 
 def pad_entropy(n: int, size: int, kind: str = "matrix") -> float:

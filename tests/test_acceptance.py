@@ -210,16 +210,11 @@ def test_c08_qpp_pipeline():
 
     # Single-bit blocks with one identity table reduce to the XOR one-time pad.
     from permcrypt.keystream import TAG_QPP_PRERAND
-    from permcrypt.qpp import _cipher_blocks
 
     otp = PermutationPad(1, [Permutation.identity(1)])
-    for block in (0, 1):  # exhaustive one-block inputs
-        mask_bit = KeystreamState(b"c08-otp", TAG_QPP_PRERAND).next_bits(1)
-        out = _cipher_blocks(
-            otp, [block], KeystreamState(b"c08-otp", TAG_QPP_PRERAND),
-            KeystreamState(b"c08-otp", b"unused"), MODE_RANDOM, False,
-        )
-        assert out == [block ^ mask_bit]
+    mask_byte = KeystreamState(b"c08-otp", TAG_QPP_PRERAND).next_bytes(1)[0]
+    for byte in range(256):  # exhaustive inputs of eight one-bit blocks
+        assert encrypt_stream(otp, b"c08-otp", bytes([byte])) == bytes([byte ^ mask_byte])
     plain = bytes(range(256))
     mask = KeystreamState(b"c08-otp", TAG_QPP_PRERAND).next_bytes(len(plain))
     assert encrypt_stream(otp, b"c08-otp", plain) == bytes(

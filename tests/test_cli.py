@@ -1,6 +1,6 @@
 import pytest
 
-from permcrypt import codec
+from permcrypt import codec, qpp
 from permcrypt.cli import main
 from permcrypt.hppk_ds import ds_keygen, ds_params
 from permcrypt.keystream import TAG_HPPK_KEYGEN, KeystreamState
@@ -105,6 +105,16 @@ def test_qpp_file_round_trip(tmp_path, mode):
     assert run("qpp-decrypt", "--pad", pad, "--key-hex", "c0ffee",
                "--in", enc, "--out", dec) == 0
     assert dec.read_bytes() == src.read_bytes()
+
+
+def test_qpp_keygen_rejects_oversized_pad_before_drawing(tmp_path, monkeypatch):
+    def no_draws(state, size):
+        raise AssertionError("drew a table for an oversized pad")
+
+    monkeypatch.setattr(qpp, "_shuffle_table", no_draws)
+    out = tmp_path / "pad.bin"
+    assert run("qpp-keygen", "--out", out, "--n", 8, "--M", 70000) == 2
+    assert not out.exists()
 
 
 def test_qpp_pad_matches_library_under_same_seed(tmp_path):

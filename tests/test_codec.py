@@ -10,7 +10,13 @@ from permcrypt.keystream import (
     TAG_HPPK_U,
     KeystreamState,
 )
-from permcrypt.qpp import MODE_SEQUENTIAL, generate_pad
+from permcrypt.qpp import (
+    MAX_PAD_SIZE,
+    MODE_SEQUENTIAL,
+    Permutation,
+    PermutationPad,
+    generate_pad,
+)
 
 HEADER = 11  # magic, kind, level, two field-bit bytes, three shape bytes
 
@@ -166,6 +172,39 @@ def test_decode_rejects_non_bijective_pad_table():
     data[8] = data[9]  # duplicate one table entry
     with pytest.raises(FormatError):
         codec.decode_pad(bytes(data))
+
+
+def test_encode_rejects_qpp_shapes_the_header_cannot_hold():
+    too_many = PermutationPad(1, [Permutation.identity(1)] * (MAX_PAD_SIZE + 1))
+    with pytest.raises(ParameterError):
+        codec.encode_pad(too_many)
+    for n, size in ((0, 4), (17, 4), (8, 0), (8, MAX_PAD_SIZE + 1)):
+        with pytest.raises(ParameterError):
+            codec.encode_qpp_stream(b"", n, size, MODE_SEQUENTIAL)
+
+
+def test_decode_stream_rejects_zero_pad_size_at_its_field():
+    data = bytearray(codec.encode_qpp_stream(bytes(6), 8, 64, MODE_SEQUENTIAL))
+    data[6:8] = b"\x00\x00"
+    with pytest.raises(FormatError, match="pad size") as err:
+        codec.decode_qpp_stream(bytes(data))
+    assert err.value.offset == 6
+
+
+def test_decode_stream_rejects_zero_block_size_at_its_field():
+    data = bytearray(codec.encode_qpp_stream(bytes(6), 8, 64, MODE_SEQUENTIAL))
+    data[5] = 0
+    with pytest.raises(FormatError, match="block size") as err:
+        codec.decode_qpp_stream(bytes(data))
+    assert err.value.offset == 5
+
+
+def test_decode_pad_rejects_zero_pad_size_at_its_field():
+    data = bytearray(codec.encode_pad(generate_pad(b"pad-empty", 2, 1)))
+    data[6:8] = b"\x00\x00"
+    with pytest.raises(FormatError, match="pad size") as err:
+        codec.decode_pad(bytes(data))
+    assert err.value.offset == 6
 
 
 def test_decode_rejects_zero_signature():

@@ -1,15 +1,26 @@
+import functools
+import hashlib
+import math
+import random
+
 import pytest
 from conftest import ZeroEntropy
 
+from permcrypt import qpp
 from permcrypt.errors import FormatError, ParameterError
-from permcrypt.keystream import TAG_QPP_PAD, TAG_QPP_PRERAND, KeystreamState
+from permcrypt.keystream import (
+    TAG_QPP_DISPATCH,
+    TAG_QPP_PAD,
+    TAG_QPP_PRERAND,
+    KeystreamState,
+)
 from permcrypt.qpp import (
+    MAX_PAD_SIZE,
     MODE_RANDOM,
     MODE_SEQUENTIAL,
     AffinePermutation,
     Permutation,
     PermutationPad,
-    _cipher_blocks,
     _shuffle_table,
     blocks_from_bytes,
     bytes_from_blocks,
@@ -106,13 +117,19 @@ def test_generate_pad_is_deterministic():
     assert all(x == y for x, y in zip(a.perms, b.perms))
 
 
-def test_generate_pad_validates_shape():
+def test_generate_pad_validates_shape(monkeypatch):
+    def no_draws(state, size):
+        raise AssertionError("drew a table for an invalid shape")
+
+    monkeypatch.setattr(qpp, "_shuffle_table", no_draws)
     with pytest.raises(ParameterError):
         generate_pad(b"s", 0, 1)
     with pytest.raises(ParameterError):
         generate_pad(b"s", 17, 1)
     with pytest.raises(ParameterError):
         generate_pad(b"s", 8, 0)
+    with pytest.raises(ParameterError):
+        generate_pad(b"s", 8, MAX_PAD_SIZE + 1)
 
 
 def test_nominal_key_bits():
@@ -123,13 +140,43 @@ def test_nominal_key_bits():
 # --- block packing ----------------------------------------------------------
 
 
+def _reference_blocks(data, n):
+    blocks = []
+    acc = 0
+    acc_bits = 0
+    for byte in data:
+        acc = (acc << 8) | byte
+        acc_bits += 8
+        while acc_bits >= n:
+            acc_bits -= n
+            blocks.append(acc >> acc_bits)
+            acc &= (1 << acc_bits) - 1
+    return blocks
+
+
+def _reference_bytes(blocks, n):
+    out = bytearray()
+    acc = 0
+    acc_bits = 0
+    for b in blocks:
+        acc = (acc << n) | b
+        acc_bits += n
+        while acc_bits >= 8:
+            acc_bits -= 8
+            out.append(acc >> acc_bits)
+            acc &= (1 << acc_bits) - 1
+    return bytes(out)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 16])
 def test_block_packing_round_trip(n):
     state = KeystreamState(b"packing", b"test")
-    data = state.next_bytes(3 * n)  # 24n bits, always a whole block count
-    blocks = blocks_from_bytes(data, n)
-    assert all(b < (1 << n) for b in blocks)
-    assert bytes_from_blocks(blocks, n) == data
+    for length in (0, 3 * n, 3000 * n):  # 24n bits: always a whole block count
+        data = state.next_bytes(length)
+        blocks = blocks_from_bytes(data, n)
+        assert blocks == _reference_blocks(data, n)
+        assert all(b < (1 << n) for b in blocks)
+        assert bytes_from_blocks(blocks, n) == data == _reference_bytes(blocks, n)
 
 
 def test_block_packing_rejects_misalignment():
@@ -140,6 +187,101 @@ def test_block_packing_rejects_misalignment():
 # --- stream cipher ----------------------------------------------------------
 
 
+def _reference_cipher(pad, seed, data, mode, decrypt):
+    """The per-block pipeline: one mask draw and one dispatch draw per block."""
+    prerand = KeystreamState(seed, TAG_QPP_PRERAND)
+    dispatch = KeystreamState(seed, TAG_QPP_DISPATCH)
+    if decrypt:
+        tables = [p._inverse_table for p in pad.perms]
+    else:
+        tables = [p.table for p in pad.perms]
+    out = []
+    for t, block in enumerate(_reference_blocks(data, pad.n)):
+        r = prerand.next_bits(pad.n)
+        if mode == MODE_SEQUENTIAL:
+            i = t % pad.size
+        else:
+            i = dispatch.next_index(pad.size)
+        if decrypt:
+            out.append(tables[i][block] ^ r)
+        else:
+            out.append(tables[i][block ^ r])
+    return _reference_bytes(out, pad.n)
+
+
+@functools.lru_cache(maxsize=None)
+def _table_pool(n):
+    rnd = random.Random(n)
+    return tuple(Permutation(n, rnd.sample(range(1 << n), 1 << n)) for _ in range(7))
+
+
+def _pool_pad(n, size):
+    # Seven random tables reused round-robin keep large pads cheap to build.
+    pool = _table_pool(n)
+    return PermutationPad(n, [pool[i % len(pool)] for i in range(size)])
+
+
+def _assert_matches_reference(pad, data, mode):
+    ct = encrypt_stream(pad, b"diff", data, mode)
+    assert ct == _reference_cipher(pad, b"diff", data, mode, decrypt=False)
+    assert decrypt_stream(pad, b"diff", data, mode) == _reference_cipher(
+        pad, b"diff", data, mode, decrypt=True
+    )
+    assert decrypt_stream(pad, b"diff", ct, mode) == data
+
+
+@pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_SEQUENTIAL])
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 64, 100, 300])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 16])
+def test_stream_matches_per_block_reference(n, size, mode, monkeypatch):
+    # A 48-byte chunk puts chunk and dispatch-draw boundaries inside short
+    # inputs; the longest input is two whole chunks and a partial third.
+    monkeypatch.setattr(qpp, "_CHUNK_BYTES", 48)
+    granule = math.lcm(n, 8) // 8
+    step = 48 - 48 % granule
+    pad = _pool_pad(n, size)
+    for length in (0, granule, 2 * step + granule):
+        data = KeystreamState(b"diff-%d" % length, b"test").next_bytes(length)
+        _assert_matches_reference(pad, data, mode)
+
+
+@pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_SEQUENTIAL])
+@pytest.mark.parametrize("n,size", [(5, 300), (16, 3)])
+def test_stream_matches_per_block_reference_over_full_chunks(n, size, mode):
+    granule = math.lcm(n, 8) // 8
+    step = qpp._CHUNK_BYTES - qpp._CHUNK_BYTES % granule
+    length = 2 * step + 7 * granule
+    data = KeystreamState(b"diff-full", b"test").next_bytes(length)
+    _assert_matches_reference(_pool_pad(n, size), data, mode)
+
+
+# SHA-256 of the ciphertext of 20481 seeded bytes (2.5 pipeline chunks),
+# computed with the per-block implementation the pipeline replaced.
+PINNED_CIPHERTEXTS = {
+    (8, 64, MODE_RANDOM):
+        "656d3d839a2cee4c9b28ef28441925b16c8715f4f6a878e91a58ec7fe976be07",
+    (8, 64, MODE_SEQUENTIAL):
+        "e4d4e90d2b0878143220d79cd59c4945d3b48ea0767f72fa1d7f5b509e736200",
+    (12, 3, MODE_RANDOM):
+        "005f446aad9d04f8608a231089acf15526d4a94406cf56de62bff38603f611e3",
+    (12, 3, MODE_SEQUENTIAL):
+        "c309b6d019c1a7d9b82128bf82bc8ffa01a6714114c40083921fca4321c52c60",
+    (1, 1, MODE_RANDOM):
+        "c31b98a3b6c15773c063eaf05811cb01852120ccd5616eea28baf1b94151ae27",
+    (1, 1, MODE_SEQUENTIAL):
+        "c31b98a3b6c15773c063eaf05811cb01852120ccd5616eea28baf1b94151ae27",
+}
+
+
+@pytest.mark.parametrize("n,size,mode", list(PINNED_CIPHERTEXTS))
+def test_ciphertext_is_pinned(n, size, mode):
+    pad = generate_pad(b"qpp-pin-pad", n, size)
+    data = KeystreamState(b"qpp-pin-data", b"test").next_bytes(20481)
+    ct = encrypt_stream(pad, b"qpp-pin-session", data, mode)
+    assert hashlib.sha256(ct).hexdigest() == PINNED_CIPHERTEXTS[n, size, mode]
+    assert decrypt_stream(pad, b"qpp-pin-session", ct, mode) == data
+
+
 def test_encrypt_empty_is_empty():
     pad = generate_pad(b"empty", 8, 4)
     assert encrypt_stream(pad, b"k", b"") == b""
@@ -147,11 +289,13 @@ def test_encrypt_empty_is_empty():
 
 
 def test_identity_pad_and_zero_streams_pass_through():
-    pad = PermutationPad(8, [Permutation.identity(8)])
-    blocks = list(b"plain text blocks")
-    out = _cipher_blocks(pad, blocks, ZeroEntropy(), ZeroEntropy(),
-                         MODE_RANDOM, decrypt=False)
-    assert out == blocks
+    # Identity tables leave only the mask layer, whatever the dispatch.
+    data = b"plain text blocks"
+    mask = KeystreamState(b"k", TAG_QPP_PRERAND).next_bytes(len(data))
+    masked = bytes(a ^ b for a, b in zip(data, mask))
+    for size, mode in ((1, MODE_RANDOM), (3, MODE_RANDOM), (3, MODE_SEQUENTIAL)):
+        pad = PermutationPad(8, [Permutation.identity(8)] * size)
+        assert encrypt_stream(pad, b"k", data, mode) == masked
 
 
 @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_SEQUENTIAL])
@@ -197,12 +341,9 @@ def test_single_bit_pipeline_equals_xor_otp():
     # With one identity permutation the dispatch layer is forced and the
     # substitution vanishes, leaving exactly the XOR of the mask stream.
     pad = PermutationPad(1, [Permutation.identity(1)])
-    for m in (0, 1):  # exhaustive single-block inputs
-        prerand = KeystreamState(b"otp", TAG_QPP_PRERAND)
-        dispatch = KeystreamState(b"otp", b"unused")
-        r = KeystreamState(b"otp", TAG_QPP_PRERAND).next_bits(1)
-        out = _cipher_blocks(pad, [m], prerand, dispatch, MODE_RANDOM, False)
-        assert out == [m ^ r]
+    r = KeystreamState(b"otp", TAG_QPP_PRERAND).next_bytes(1)[0]
+    for m in range(256):  # exhaustive eight-block inputs
+        assert encrypt_stream(pad, b"otp", bytes([m])) == bytes([m ^ r])
     data = b"byte-level check"
     mask = KeystreamState(b"otp", TAG_QPP_PRERAND).next_bytes(len(data))
     expected = bytes(a ^ b for a, b in zip(data, mask))
@@ -214,9 +355,7 @@ def test_single_bit_ciphertext_uniform_over_seeds():
     # bit must be balanced, as a one-time pad demands.
     pad = PermutationPad(1, [Permutation.identity(1)])
     ones = sum(
-        _cipher_blocks(pad, [1], KeystreamState(b"u%d" % i, TAG_QPP_PRERAND),
-                       ZeroEntropy(), MODE_RANDOM, False)[0]
-        for i in range(2000)
+        encrypt_stream(pad, b"u%d" % i, b"\x80")[0] >> 7 for i in range(2000)
     )
     assert abs(ones - 1000) < 3 * (2000 * 0.25) ** 0.5
 
