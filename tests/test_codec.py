@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from permcrypt import codec
@@ -297,3 +299,25 @@ def test_kat_rejects_unknown_label():
         codec.kat_params("KEM-IX-m9")
     with pytest.raises(FormatError):
         codec.check_kat("alg = nope\nvectors = 0\nseed = 00\n")
+
+
+# SHA-256 of emit_kat(b"c10-kat-seed", label, 5), computed before the number
+# layer moved to plain ints; any change to key, ciphertext or signature bytes
+# shows up here.
+PINNED_KAT_SHA256 = {
+    "KEM-I-m2": "a04bfcd370f81f7c66889727916b31c083536922518f81cfa1f44a48c4d222df",
+    "KEM-I-m3": "a89ce18aa9b4cafc0650d3f2a8b8587b13df1aad81a40d0480ff2352800d0a81",
+    "KEM-III-m2": "e0f1b6acb2af2bb0c2defea48e41199b1c341ab1b9a41fbb91855d67e3733d4d",
+    "KEM-III-m3": "2cf2338fdb688b2b5324bc963bc3198b84b165172a536b5ce9bdf7dbd729f101",
+    "KEM-V-m2": "393a8f6da00b3470a2cc93bffe7a0d31e7e0b44a79836a909702322d07554ad0",
+    "KEM-V-m3": "ed59c374232fb4a09bba3f154f3545718a208d8f1a9f97ea77d6b5d6bb160cae",
+    "DS-I": "c570d1ca3d91957b0f012432fcd24ae84bea68b0cf5d83ad9a504c3f5196e9e2",
+    "DS-III": "ab50ea83692b7c6c2efc00ada004d650da39a7bf8774800843e1e38ef5cf261a",
+    "DS-V": "4b3040b9449eec347c86e1fb09d46d7b298befff55007b4975febabc39c4534d",
+}
+
+
+@pytest.mark.parametrize("label", list(codec.KAT_CONFIGS))
+def test_kat_bytes_are_pinned(label):
+    text = codec.emit_kat(b"c10-kat-seed", label, 5)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_KAT_SHA256[label]
