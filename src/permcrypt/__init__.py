@@ -6,7 +6,6 @@ encryption, encapsulation is IND-CPA only.
 """
 
 from .errors import (
-    CapacityError,
     DecapsulationError,
     FormatError,
     GenerationError,
@@ -38,14 +37,6 @@ from .qpp import (
     generate_pad,
     pad_entropy,
 )
-from .ring_arith import (
-    BarrettContext,
-    WideUint,
-    barrett_mu,
-    barrett_reduce,
-    gcd,
-    inv_mod,
-    mul_mod,
-)
+from .ring_arith import inv_mod, mul_mod
 
 __version__ = "0.1.0"

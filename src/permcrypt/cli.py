@@ -219,6 +219,8 @@ def _cmd_qpp_decrypt(args) -> int:
 
 def _cmd_kat(args) -> int:
     if args.kat_command == "emit":
+        if args.count < 1:
+            raise ParameterError("--count must be at least 1")
         seed = _seed_material(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -235,7 +237,11 @@ def _cmd_kat(args) -> int:
         raise ParameterError(f"no .kat files under {path}")
     failed = False
     for file in files:
-        report = codec.check_kat(file.read_text())
+        try:
+            text = file.read_text()
+        except UnicodeDecodeError:
+            raise FormatError(f"{file} is not a text KAT file") from None
+        report = codec.check_kat(text)
         if report.ok:
             print(f"{report.label}: ok ({report.total} vectors)")
         else:

@@ -37,7 +37,6 @@ from .qpp import (
     Permutation,
     PermutationPad,
 )
-from .ring_arith import WideUint
 
 MAGIC_HPPK = b"HPK1"
 MAGIC_QPP = b"QPP1"
@@ -47,7 +46,6 @@ KIND_KEM_PRIVATE = 0x02
 KIND_KEM_CIPHERTEXT = 0x03
 KIND_DS_VERIFICATION = 0x04
 KIND_DS_SIGNATURE = 0x05
-KIND_KEY_TRIPLE = 0x06
 
 QPP_VERSION_PAD = 0x01
 QPP_VERSION_STREAM = 0x02
@@ -131,12 +129,12 @@ class _Reader:
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
 
-    def uint(self, width: int, bound: int, what: str) -> WideUint:
+    def uint(self, width: int, bound: int, what: str) -> int:
         at = self.pos
         value = int.from_bytes(self.take(width), "big")
         if value >= bound:
             raise FormatError(f"{what} out of range", offset=at)
-        return WideUint(value)
+        return value
 
     def finish(self):
         if self.pos != len(self.data):
@@ -144,9 +142,7 @@ class _Reader:
 
 
 def _matrix_bytes(matrix, width: int) -> bytes:
-    return b"".join(
-        int(v).to_bytes(width, "big") for row in matrix for v in row
-    )
+    return b"".join(v.to_bytes(width, "big") for row in matrix for v in row)
 
 
 def _read_matrix(r: _Reader, params: KemParams, width: int, bound: int, what: str):
@@ -232,11 +228,11 @@ def decode_kem_public(data: bytes):
 def encode_kem_private(sk: KemPrivateKey, params: KemParams) -> bytes:
     fw = _bytes_for(params.field_bits)
     rw = _bytes_for(params.ring_bits)
-    body = b"".join(int(c).to_bytes(fw, "big") for c in sk.numer_coeffs)
-    body += b"".join(int(c).to_bytes(fw, "big") for c in sk.denom_coeffs)
+    body = b"".join(c.to_bytes(fw, "big") for c in sk.numer_coeffs)
+    body += b"".join(c.to_bytes(fw, "big") for c in sk.denom_coeffs)
     for op in (sk.ring1, sk.ring2):
-        body += int(op.multiplier).to_bytes(rw, "big")
-        body += int(op.modulus).to_bytes(rw, "big")
+        body += op.multiplier.to_bytes(rw, "big")
+        body += op.modulus.to_bytes(rw, "big")
     return _params_header(KIND_KEM_PRIVATE, params) + body
 
 
@@ -246,15 +242,15 @@ def decode_kem_private(data: bytes):
     fw = _bytes_for(params.field_bits)
     rw = _bytes_for(params.ring_bits)
     ncoeff = params.factor_order + 1
-    numer = tuple(int(r.uint(fw, params.prime, "factor coefficient")) for _ in range(ncoeff))
-    denom = tuple(int(r.uint(fw, params.prime, "factor coefficient")) for _ in range(ncoeff))
+    numer = tuple(r.uint(fw, params.prime, "factor coefficient") for _ in range(ncoeff))
+    denom = tuple(r.uint(fw, params.prime, "factor coefficient") for _ in range(ncoeff))
     if numer[-1] == 0 or denom[-1] == 0:
         raise FormatError("leading factor coefficient is zero")
     rings = []
     for _ in range(2):
         at = r.pos
-        multiplier = int(r.uint(rw, 1 << params.ring_bits, "ring multiplier"))
-        modulus = int(r.uint(rw, 1 << params.ring_bits, "ring modulus"))
+        multiplier = r.uint(rw, 1 << params.ring_bits, "ring multiplier")
+        modulus = r.uint(rw, 1 << params.ring_bits, "ring modulus")
         if modulus.bit_length() != params.ring_bits:
             raise FormatError("ring modulus has the wrong bit length", offset=at)
         try:
@@ -269,8 +265,8 @@ def encode_kem_ciphertext(ct: KemCiphertext, params: KemParams) -> bytes:
     width = ciphertext_word_size(params)
     return (
         _params_header(KIND_KEM_CIPHERTEXT, params)
-        + int(ct.numer_eval).to_bytes(width, "big")
-        + int(ct.denom_eval).to_bytes(width, "big")
+        + ct.numer_eval.to_bytes(width, "big")
+        + ct.denom_eval.to_bytes(width, "big")
     )
 
 
@@ -307,18 +303,12 @@ def decode_verification_key(data: bytes):
     qw = _bytes_for(params.shift_bits)
     p = params.prime
     qbound = 1 << params.shift_bits
-    numer_resid = tuple(
-        tuple(int(v) for v in row)
-        for row in _read_matrix(r, params, fw, p, "residue entry")
-    )
-    denom_resid = tuple(
-        tuple(int(v) for v in row)
-        for row in _read_matrix(r, params, fw, p, "residue entry")
-    )
+    numer_resid = _read_matrix(r, params, fw, p, "residue entry")
+    denom_resid = _read_matrix(r, params, fw, p, "residue entry")
     numer_quot = _read_matrix(r, params, qw, qbound, "quotient entry")
     denom_quot = _read_matrix(r, params, qw, qbound, "quotient entry")
-    ring1_resid = int(r.uint(fw, p, "ring residue"))
-    ring2_resid = int(r.uint(fw, p, "ring residue"))
+    ring1_resid = r.uint(fw, p, "ring residue")
+    ring2_resid = r.uint(fw, p, "ring residue")
     at = r.pos
     shift_bits = r.u16()
     if shift_bits != params.shift_bits:
@@ -335,8 +325,8 @@ def encode_signature(sig: Signature, params: KemParams) -> bytes:
     width = _bytes_for(params.ring_bits)
     return (
         _params_header(KIND_DS_SIGNATURE, params)
-        + int(sig.numer_tag).to_bytes(width, "big")
-        + int(sig.denom_tag).to_bytes(width, "big")
+        + sig.numer_tag.to_bytes(width, "big")
+        + sig.denom_tag.to_bytes(width, "big")
     )
 
 
@@ -352,34 +342,6 @@ def decode_signature(data: bytes):
         raise FormatError("zero signature value", offset=at)
     r.finish()
     return Signature(numer_tag, denom_tag), params
-
-
-def encode_key_triple(
-    sk: KemPrivateKey, pk: KemPublicKey, vk: DsVerificationKey, params: KemParams
-) -> bytes:
-    parts = (
-        encode_kem_private(sk, params),
-        encode_kem_public(pk, params),
-        encode_verification_key(vk, params),
-    )
-    body = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
-    return _params_header(KIND_KEY_TRIPLE, params) + body
-
-
-def decode_key_triple(data: bytes):
-    r = _Reader(data)
-    params = _read_params_header(r, KIND_KEY_TRIPLE)
-    envelopes = []
-    for _ in range(3):
-        length = r.u32()
-        envelopes.append(r.take(length))
-    r.finish()
-    sk, p1 = decode_kem_private(envelopes[0])
-    pk, p2 = decode_kem_public(envelopes[1])
-    vk, p3 = decode_verification_key(envelopes[2])
-    if not p1 == p2 == p3 == params:
-        raise FormatError("triple members disagree on parameters")
-    return sk, pk, vk, params
 
 
 def encode_secret(secret: int, params: KemParams) -> bytes:
@@ -447,7 +409,7 @@ def decode_pad(data: bytes) -> PermutationPad:
     perms = []
     for _ in range(size):
         at = r.pos
-        table = [int(r.uint(width, 1 << n, "pad table entry")) for _ in range(1 << n)]
+        table = [r.uint(width, 1 << n, "pad table entry") for _ in range(1 << n)]
         try:
             perms.append(Permutation(n, table))
         except ParameterError as exc:
@@ -587,6 +549,13 @@ def emit_kat(seed: bytes, label: str, count: int = 25) -> str:
     return "\n".join(lines)
 
 
+def _kat_field(convert, value: str, name: str):
+    try:
+        return convert(value)
+    except ValueError:
+        raise FormatError(f"malformed KAT field {name!r}: {value!r}") from None
+
+
 def _parse_kat(text: str):
     header: dict = {}
     vectors: list = []
@@ -599,7 +568,7 @@ def _parse_kat(text: str):
             raise FormatError(f"malformed KAT line: {raw!r}")
         key, value = line.split(" = ", 1)
         if key == "count":
-            current = {"count": int(value)}
+            current = {"count": _kat_field(int, value, "count")}
             vectors.append(current)
         elif current is None:
             header[key] = value
@@ -616,13 +585,13 @@ def check_kat(text: str) -> KatReport:
     header, vectors = _parse_kat(text)
     label = header["alg"]
     params = kat_params(label)
-    count = int(header["vectors"])
-    seed = bytes.fromhex(header["seed"])
+    count = _kat_field(int, header["vectors"], "vectors")
+    seed = _kat_field(bytes.fromhex, header["seed"], "seed")
     report = KatReport(label=label, total=count)
-    expected_seeds = _vector_seeds(seed, label, count)
     if len(vectors) != count:
         report.failures.append((-1, "vectors"))
         return report
+    expected_seeds = _vector_seeds(seed, label, count)
     for i, vector in enumerate(vectors):
         try:
             vseed = bytes.fromhex(vector.get("seed", ""))

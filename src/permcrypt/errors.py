@@ -5,10 +5,6 @@ class PermcryptError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class CapacityError(PermcryptError):
-    """A value or intermediate result exceeds the fixed arithmetic width."""
-
-
 class NotInvertibleError(PermcryptError):
     """Modular inverse requested for a non-coprime pair."""
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GenerationError, ParameterError
-from .ring_arith import WideUint, inv_mod, mul_mod
+from .ring_arith import inv_mod, mul_mod
 
 _COPRIME_RETRIES = 256
 
@@ -26,9 +26,9 @@ class RingOperator:
     quoted in security estimates is literal.
     """
 
-    multiplier: WideUint
-    modulus: WideUint
-    multiplier_inv: WideUint
+    multiplier: int
+    modulus: int
+    multiplier_inv: int
     bits: int
 
     @classmethod
@@ -40,17 +40,17 @@ class RingOperator:
         if math.gcd(multiplier, modulus) != 1:
             raise ParameterError("multiplier and modulus must be coprime")
         return cls(
-            multiplier=WideUint(multiplier),
-            modulus=WideUint(modulus),
+            multiplier=multiplier,
+            modulus=modulus,
             multiplier_inv=inv_mod(multiplier, modulus),
             bits=modulus.bit_length(),
         )
 
-    def apply(self, a: int) -> WideUint:
+    def apply(self, a: int) -> int:
         """multiplier * a mod modulus."""
         return mul_mod(self.multiplier, a, self.modulus)
 
-    def invert(self, c: int) -> WideUint:
+    def invert(self, c: int) -> int:
         """Inverse of apply: multiplier_inv * c mod modulus."""
         return mul_mod(self.multiplier_inv, c, self.modulus)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .errors import DecapsulationError, GenerationError, ParameterError
 from .hidden_ring import RingOperator, encrypt_coefficients, new_operator
 from .keystream import SystemEntropy
-from .ring_arith import WideUint
 
 # Largest prime below 2**bits for every shipped field width, pinned so key
 # material and test vectors stay stable across builds.  A regeneration test
@@ -124,8 +123,8 @@ class KemPublicKey:
 class KemCiphertext:
     """Plain-integer evaluations of the two public polynomials."""
 
-    numer_eval: WideUint
-    denom_eval: WideUint
+    numer_eval: int
+    denom_eval: int
 
 
 def _sample_factor(rng, prime: int, order: int) -> tuple:
@@ -227,7 +226,7 @@ def _evaluate(pk: KemPublicKey, params: KemParams, secret: int, noise) -> KemCip
             xij = powers[i] * noise[j] % p
             numer_eval += nrow[j] * xij
             denom_eval += drow[j] * xij
-    return KemCiphertext(WideUint(numer_eval), WideUint(denom_eval))
+    return KemCiphertext(numer_eval, denom_eval)
 
 
 def encapsulate(pk: KemPublicKey, params: KemParams, rng=None):
@@ -254,8 +253,8 @@ def decapsulate(sk: KemPrivateKey, ct: KemCiphertext, params: KemParams) -> int:
         raise ParameterError("secret extraction is implemented for linear factors")
     p = params.prime
     r1, r2 = sk.ring1, sk.ring2
-    numer_lift = r1.invert(int(ct.numer_eval) % r1.modulus) % p
-    denom_lift = r2.invert(int(ct.denom_eval) % r2.modulus) % p
+    numer_lift = r1.invert(ct.numer_eval % r1.modulus) % p
+    denom_lift = r2.invert(ct.denom_eval % r2.modulus) % p
     f0, f1 = sk.numer_coeffs
     h0, h1 = sk.denom_coeffs
     denominator = (f1 * denom_lift - h1 * numer_lift) % p

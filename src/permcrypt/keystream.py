@@ -31,7 +31,7 @@ class KeystreamState:
 
     Equal (seed, tag) pairs yield the same infinite stream; distinct tags
     yield independent streams from one seed.  A state is single-owner and
-    mutable; `clone` forks the stream at the current position.
+    mutable.
     """
 
     def __init__(self, seed: bytes, domain_tag: bytes):
@@ -47,15 +47,6 @@ class KeystreamState:
     def consumed_bytes(self) -> int:
         """Bytes drawn from the underlying stream so far."""
         return self._pos
-
-    def clone(self) -> "KeystreamState":
-        other = object.__new__(KeystreamState)
-        other._material = self._material
-        other._buf = self._buf
-        other._pos = self._pos
-        other._acc = self._acc
-        other._acc_bits = self._acc_bits
-        return other
 
     def _take_bytes(self, n: int) -> bytes:
         end = self._pos + n

@@ -64,9 +64,6 @@ class Permutation:
             raise ParameterError("block out of range")
         return self._inverse_table[c]
 
-    def inverse(self) -> "Permutation":
-        return Permutation(self.n, self._inverse_table)
-
     def compose(self, other: "Permutation") -> "Permutation":
         """Permutation applying `other` first, then self."""
         if self.n != other.n:

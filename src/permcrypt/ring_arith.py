@@ -1,130 +1,30 @@
-"""Fixed-width unsigned integers and the modular toolkit built on them.
+"""Modular multiplication and inversion on plain integers.
 
-All values live in [0, 2**512).  Intermediate products may grow to twice
-that width; anything beyond is rejected with `CapacityError` rather than
-silently wrapped.
+Python's `int` is exact at any width, so these helpers only check their
+operands' preconditions and name the non-invertible case.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-from .errors import CapacityError, NotInvertibleError, ParameterError
-
-WIDTH_BITS = 512
-INTERMEDIATE_BITS = 2 * WIDTH_BITS
+from .errors import NotInvertibleError, ParameterError
 
 
-class WideUint(int):
-    """Unsigned integer constrained to [0, 2**512).
-
-    Construction validates the range; arithmetic helpers in this module
-    re-wrap their results so overflow is always detected at a boundary.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value: int) -> "WideUint":
-        v = int(value)
-        if v < 0:
-            raise CapacityError("negative value cannot be represented")
-        if v.bit_length() > WIDTH_BITS:
-            raise CapacityError(
-                f"value needs {v.bit_length()} bits, usable width is {WIDTH_BITS}"
-            )
-        return super().__new__(cls, v)
-
-    def to_be_bytes(self, length: int | None = None) -> bytes:
-        """Big-endian encoding, `length` bytes (defaults to the full width)."""
-        if length is None:
-            length = WIDTH_BITS // 8
-        try:
-            return self.to_bytes(length, "big")
-        except OverflowError as exc:
-            raise CapacityError(f"value does not fit in {length} bytes") from exc
-
-    @classmethod
-    def from_be_bytes(cls, data: bytes) -> "WideUint":
-        return cls(int.from_bytes(data, "big"))
-
-
-def _check_intermediate(value: int) -> int:
-    if value.bit_length() > INTERMEDIATE_BITS:
-        raise CapacityError("intermediate product exceeds arithmetic capacity")
-    return value
-
-
-def mul_mod(a: int, b: int, s: int) -> WideUint:
+def mul_mod(a: int, b: int, s: int) -> int:
     """a*b mod s, exact.  Requires a, b < s and s > 0."""
     if s <= 0:
         raise ParameterError("modulus must be positive")
     if not 0 <= a < s or not 0 <= b < s:
         raise ParameterError("operands must lie in [0, modulus)")
-    return WideUint(_check_intermediate(a * b) % s)
+    return a * b % s
 
 
-def inv_mod(a: int, s: int) -> WideUint:
+def inv_mod(a: int, s: int) -> int:
     """Multiplicative inverse of a modulo s; requires gcd(a, s) = 1, s > 1."""
     if s <= 1:
         raise ParameterError("modulus must exceed 1")
     if a < 0:
         raise ParameterError("operand must be non-negative")
     try:
-        return WideUint(pow(a, -1, s))
+        return pow(a, -1, s)
     except ValueError as exc:
         raise NotInvertibleError(f"gcd({a}, {s}) != 1") from exc
-
-
-def gcd(a: int, b: int) -> WideUint:
-    """Greatest common divisor; the operands may not both be zero."""
-    if a == 0 and b == 0:
-        raise ParameterError("gcd(0, 0) is undefined")
-    if a < 0 or b < 0:
-        raise ParameterError("operands must be non-negative")
-    return WideUint(math.gcd(a, b))
-
-
-@dataclass(frozen=True)
-class BarrettContext:
-    """Precomputed reduction context for a modulus and radix 2**shift_bits.
-
-    The shift must exceed the modulus width by at least 32 bits; that slack
-    is what pushes the estimated quotient's error rate down to ~2**-32.
-    """
-
-    modulus: int
-    shift_bits: int
-
-    def __post_init__(self):
-        if self.modulus <= 0:
-            raise ParameterError("modulus must be positive")
-        if self.shift_bits < self.modulus.bit_length() + 32:
-            raise ParameterError(
-                "shift_bits must be at least bit_length(modulus) + 32"
-            )
-
-    @property
-    def barrett_radix(self) -> WideUint:
-        return WideUint(1 << self.shift_bits)
-
-
-def barrett_mu(b: int, ctx: BarrettContext) -> WideUint:
-    """floor(radix * b / modulus) for b < modulus."""
-    if not 0 <= b < ctx.modulus:
-        raise ParameterError("operand must lie in [0, modulus)")
-    shifted = _check_intermediate(b << ctx.shift_bits)
-    return WideUint(shifted // ctx.modulus)
-
-
-def barrett_reduce(a: int, b: int, mu: int, ctx: BarrettContext) -> WideUint:
-    """a*b - modulus*floor(a*mu / radix), with mu = barrett_mu(b, ctx).
-
-    The result is congruent to a*b modulo the modulus and lies in
-    [0, 2*modulus); callers subtract the final modulus only where they know
-    it, never on the verifier side.
-    """
-    if a < 0 or a >= (1 << ctx.shift_bits):
-        raise ParameterError("multiplier must lie in [0, radix)")
-    quotient = _check_intermediate(a * mu) >> ctx.shift_bits
-    return WideUint(_check_intermediate(a * b) - ctx.modulus * quotient)

@@ -179,6 +179,38 @@ def test_kat_check_flags_corruption(tmp_path, capsys):
     assert "field=sig" in capsys.readouterr().err
 
 
+def test_kat_emit_rejects_count_below_one(tmp_path, capsys):
+    out = tmp_path / "kats"
+    assert run("kat", "emit", "--out", out, "--config", "DS-I", "--count", 0,
+               "--seed-hex", "5678", "--unsafe-seed") == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("vectors = 1", "vectors = one"),
+    ("count = 0", "count = zero"),
+    ("seed = 5678", "seed = 56zz"),
+])
+def test_kat_check_rejects_malformed_fields_as_format_errors(tmp_path, capsys, old, new):
+    out = tmp_path / "kats"
+    run("kat", "emit", "--out", out, "--config", "DS-I", "--count", 1,
+        "--seed-hex", "5678", "--unsafe-seed")
+    path = out / "DS-I.kat"
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    assert run("kat", "check", "--in", path) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_kat_check_rejects_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "bad.kat"
+    path.write_bytes(b"alg = DS-I\n\xff\xfe\n")
+    assert run("kat", "check", "--in", path) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_info_entropy_prints_rounded_bits(capsys):
     assert run("info", "entropy", "--n", 8, "--M", 64) == 0
     assert capsys.readouterr().out.strip() == "107776"

@@ -1,5 +1,5 @@
 import pytest
-from conftest import toy_params
+from conftest import ScriptedEntropy, toy_params
 
 from permcrypt.errors import FormatError, ParameterError, SigningError
 from permcrypt.hidden_ring import new_operator
@@ -20,7 +20,6 @@ from permcrypt.keystream import (
     KeystreamState,
     hash_to_field,
 )
-from permcrypt.ring_arith import WideUint
 
 
 def seeded_triple(params, label: bytes):
@@ -156,9 +155,32 @@ def test_signature_swap_rejected():
     assert not verify(vk, params, b"message b", sig_a)
 
 
+@pytest.mark.parametrize("level", ["I", "III", "V"])
+def test_self_check_redraws_a_signature_that_fails_verification(level):
+    # With alpha = f(x)^-1 the numerator tag is the inverse ring-2
+    # multiplier, so each f_tag * P mod s2 is a plain entry far below s2:
+    # every denominator fold sits just above a floor boundary, and the
+    # verifier's quotient estimate lands one below it.
+    params = ds_params(level)
+    sk, _, vk = seeded_triple(params, b"boundary-" + level.encode())
+    p = params.prime
+    message = b"floor boundary"
+    x = hash_to_field(message, p, params.hash_bytes)
+    fx = sum(c * pow(x, i, p) for i, c in enumerate(sk.numer_coeffs)) % p
+    boundary_draw = pow(fx, -1, p) - 1  # sign draws alpha = 1 + next_index(p - 1)
+
+    unchecked = sign(sk, params, message, ScriptedEntropy([boundary_draw]))
+    assert not verify(vk, params, message, unchecked)
+
+    rng = ScriptedEntropy([boundary_draw, 12345])
+    checked = sign(sk, params, message, rng, vk=vk)
+    assert rng.pos == 2
+    assert verify(vk, params, message, checked)
+
+
 def test_zero_signature_values_unconstructible():
     with pytest.raises(ParameterError):
-        Signature(WideUint(0), WideUint(1))
+        Signature(0, 1)
 
 
 def test_degenerate_hash_is_unsignable():
@@ -184,7 +206,7 @@ def test_verify_rejects_malformed_inputs():
     sk, _, vk = seeded_triple(params, b"malformed")
     sig = sign(sk, params, b"msg", sign_rng(b"m"), vk=vk)
     with pytest.raises(FormatError):
-        verify(vk, params, b"msg", Signature(WideUint(1 << 200), sig.denom_tag))
+        verify(vk, params, b"msg", Signature(1 << 200, sig.denom_tag))
     squeezed = DsVerificationKey(
         vk.numer_resid[:2], vk.denom_resid, vk.numer_quot, vk.denom_quot,
         vk.ring1_resid, vk.ring2_resid, vk.shift_bits,

@@ -22,13 +22,6 @@ def test_equal_seed_and_tag_repeat_exactly():
         assert a.next_bits(k) == b.next_bits(k)
 
 
-def test_clone_forks_the_stream():
-    a = KeystreamState(b"seed", b"tag")
-    a.next_bits(37)
-    b = a.clone()
-    assert a.next_bits(101) == b.next_bits(101)
-
-
 def test_distinct_tags_diverge_within_128_bits():
     a = KeystreamState(b"seed", TAG_QPP_PAD)
     b = KeystreamState(b"seed", TAG_QPP_DISPATCH)

@@ -73,7 +73,8 @@ def test_compose_identity_and_inverse():
     p = pad.perms[0]
     ident = Permutation.identity(4)
     assert p.compose(ident) == p
-    assert p.compose(p.inverse()) == ident
+    inverse = Permutation(4, [p.invert(c) for c in range(16)])
+    assert p.compose(inverse) == ident
 
 
 def test_compose_order_matters():

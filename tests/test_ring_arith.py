@@ -1,18 +1,12 @@
+import math
+
 import pytest
 
-from permcrypt.errors import CapacityError, NotInvertibleError, ParameterError
+from permcrypt.errors import NotInvertibleError, ParameterError
+from permcrypt.hppk_ds import ds_keygen, ds_params
 from permcrypt.hppk_kem import kem_params, keygen
 from permcrypt.keystream import TAG_HPPK_KEYGEN, KeystreamState
-from permcrypt.ring_arith import (
-    WIDTH_BITS,
-    BarrettContext,
-    WideUint,
-    barrett_mu,
-    barrett_reduce,
-    gcd,
-    inv_mod,
-    mul_mod,
-)
+from permcrypt.ring_arith import inv_mod, mul_mod
 
 
 def subtractive_mod(value: int, modulus: int) -> int:
@@ -42,28 +36,6 @@ def level1_key():
     params = kem_params("I", 2)
     rng = KeystreamState(b"ring-arith-fixture", TAG_HPPK_KEYGEN)
     return keygen(params, rng)
-
-
-# --- WideUint ---------------------------------------------------------------
-
-
-def test_wideuint_range():
-    assert WideUint(0) == 0
-    top = WideUint((1 << WIDTH_BITS) - 1)
-    assert top.bit_length() == WIDTH_BITS
-    with pytest.raises(CapacityError):
-        WideUint(1 << WIDTH_BITS)
-    with pytest.raises(CapacityError):
-        WideUint(-1)
-
-
-def test_wideuint_byte_round_trip():
-    for value in (0, 1, 255, 256, 7**30, (1 << WIDTH_BITS) - 1):
-        x = WideUint(value)
-        assert WideUint.from_be_bytes(x.to_be_bytes()) == x
-    assert WideUint(0x1234).to_be_bytes(3) == b"\x00\x12\x34"
-    with pytest.raises(CapacityError):
-        WideUint(0x123456).to_be_bytes(2)
 
 
 # --- mul_mod ----------------------------------------------------------------
@@ -116,88 +88,22 @@ def test_inv_mod_rejects_non_coprime():
         inv_mod(3, 1)
 
 
-# --- gcd --------------------------------------------------------------------
-
-
-def test_gcd_basics():
-    assert gcd(12, 0) == 12
-    assert gcd(12, 18) == 6
-    with pytest.raises(ParameterError):
-        gcd(0, 0)
-
-
-def test_gcd_matches_trial_division_on_truncations():
-    state = KeystreamState(b"gcd-oracle", b"test")
-    for _ in range(50):
-        a = state.next_bits(72) & 0xFFFF
-        b = state.next_bits(72) & 0xFFFF
-        if a == 0 and b == 0:
-            continue
-        expected = max(
-            d for d in range(1, max(a, b) + 1)
-            if (a % d == 0 if a else True) and (b % d == 0 if b else True)
-        )
-        assert gcd(a, b) == expected
-
-
-# --- Barrett ----------------------------------------------------------------
-
-
-def test_barrett_context_requires_slack():
-    BarrettContext(modulus=7, shift_bits=35)
-    with pytest.raises(ParameterError):
-        BarrettContext(modulus=7, shift_bits=34)
-
-
-def test_barrett_mu_trivial():
-    ctx = BarrettContext(modulus=7, shift_bits=8 + 32)
-    assert barrett_mu(0, ctx) == 0
-
-
-def test_barrett_mu_small_division():
-    # With an 8-bit radix: floor(256*3/7) = 109.  The context demands more
-    # slack, so the small case is checked against the raw formula instead.
-    assert (3 << 8) // 7 == 109
-    ctx = BarrettContext(modulus=7, shift_bits=40)
-    assert barrett_mu(3, ctx) == (3 << 40) // 7
+# --- Barrett quotients -----------------------------------------------------
 
 
 def test_barrett_mu_matches_long_division_on_level1_values():
-    sk, pk = level1_key()
-    s2 = int(sk.ring2.modulus)
-    ctx = BarrettContext(modulus=s2, shift_bits=s2.bit_length() + 32)
-    for row in pk.denom_matrix:
-        for q in row:
-            assert barrett_mu(int(q), ctx) == long_division_quotient(
-                int(q) << ctx.shift_bits, s2
-            )
-
-
-def test_barrett_reduce_small():
-    ctx = BarrettContext(modulus=7, shift_bits=40)
-    mu = barrett_mu(3, ctx)
-    assert barrett_reduce(0, 3, mu, ctx) == 0
-    assert barrett_reduce(5, 3, mu, ctx) == 5 * 3 % 7
-
-
-def test_barrett_reduce_random_trials():
-    state = KeystreamState(b"barrett-trials", b"test")
-    modulus = (1 << 71) | state.next_bits(71)
-    ctx = BarrettContext(modulus=modulus, shift_bits=104)
-    for _ in range(2000):
-        a = state.next_index(modulus)
-        b = state.next_index(modulus)
-        mu = barrett_mu(b, ctx)
-        got = barrett_reduce(a, b, mu, ctx)
-        assert got < 2 * modulus
-        assert got % modulus == a * b % modulus
-
-
-def test_barrett_reduce_rejects_wide_multiplier():
-    ctx = BarrettContext(modulus=7, shift_bits=40)
-    mu = barrett_mu(3, ctx)
-    with pytest.raises(ParameterError):
-        barrett_reduce(1 << 40, 3, mu, ctx)
+    # The verification key's quotients are the Barrett constants
+    # floor(P * 2**shift_bits / s) of each public entry P.
+    params = ds_params("I")
+    sk, pk, vk = ds_keygen(params, KeystreamState(b"ring-arith-fixture", TAG_HPPK_KEYGEN))
+    for matrix, quot, modulus in (
+        (pk.numer_matrix, vk.numer_quot, sk.ring1.modulus),
+        (pk.denom_matrix, vk.denom_quot, sk.ring2.modulus),
+    ):
+        assert [len(row) for row in quot] == [len(row) for row in matrix]
+        for row, qrow in zip(matrix, quot):
+            for entry, q in zip(row, qrow):
+                assert q == long_division_quotient(entry << params.shift_bits, modulus)
 
 
 # --- properties -------------------------------------------------------------
@@ -212,5 +118,5 @@ def test_mul_mod_commutes_and_cancels():
         assert mul_mod(a, mul_mod(b, 1, s), s) == mul_mod(b, a, s)
     for _ in range(100):
         a = state.next_index(s)
-        if a and gcd(a, s) == 1:
+        if a and math.gcd(a, s) == 1:
             assert mul_mod(a, inv_mod(a, s), s) == 1
