@@ -298,9 +298,9 @@ def test_kat_rejects_unknown_label():
         codec.check_kat("alg = nope\nvectors = 0\nseed = 00\n")
 
 
-# SHA-256 of emit_kat(b"c10-kat-seed", label, 5), computed before the number
-# layer moved to plain ints; any change to key, ciphertext or signature bytes
-# shows up here.
+# SHA-256 of emit_kat(b"c10-kat-seed", label, 5).  Seeded KAT bytes are a
+# compatibility invariant: any change to key generation, encapsulation,
+# signing or their encodings shows up here.
 PINNED_KAT_SHA256 = {
     "KEM-I-m2": "a04bfcd370f81f7c66889727916b31c083536922518f81cfa1f44a48c4d222df",
     "KEM-I-m3": "a89ce18aa9b4cafc0650d3f2a8b8587b13df1aad81a40d0480ff2352800d0a81",
