@@ -6,7 +6,7 @@ import random
 import pytest
 from conftest import ZeroEntropy
 
-from permcrypt import qpp
+from permcrypt import codec, qpp
 from permcrypt.errors import FormatError, ParameterError
 from permcrypt.keystream import (
     TAG_QPP_DISPATCH,
@@ -110,6 +110,45 @@ def test_generate_pad_hand_trace():
         j = i + state.next_index(4 - i)
         table[i], table[j] = table[j], table[i]
     assert list(pad.perms[0].table) == table
+
+
+def _reference_pad_tables(seed, n, size):
+    """The per-draw shuffle: one next_index call per Fisher-Yates swap."""
+    state = KeystreamState(seed, TAG_QPP_PAD)
+    tables = []
+    for _ in range(size):
+        table = list(range(1 << n))
+        for i in range(len(table) - 1):
+            j = i + state.next_index(len(table) - i)
+            table[i], table[j] = table[j], table[i]
+        tables.append(tuple(table))
+    return tables
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_generate_pad_matches_per_draw_reference(n):
+    for seed in (b"", b"ref-a", b"ref-b" * 20):
+        for size in (1, 2, 3, 7):
+            pad = generate_pad(seed, n, size)
+            assert [p.table for p in pad.perms] == _reference_pad_tables(seed, n, size)
+
+
+# SHA-256 of encode_pad(generate_pad(b"pad-pin-seed", n, M)), computed with
+# one next_index call per Fisher-Yates swap.
+PINNED_PADS = {
+    (8, 64): "1ef1e9da792a8264e42229198f32e5a77e1bf3622f3032f2c28aeadf0ceb0528",
+    (12, 3): "f6e92d262f87431954ac590649936d051f9d2b2fcb45ad24b0b5c050587cfe08",
+    (1, 1): "780f9a5272e93118d34cfa4491ad36841f48ddd8d9cdce4919f87521b9689853",
+    (5, 300): "3bcf1e98995567c80f3c5ffff6ee364908d65283da7dd6fb917cb7259a70628b",
+    (16, 1): "7959e6318a80fd648511c95d4ce753b341899f7c54dfcbefdea3e499421c7e01",
+    (3, 7): "e96a9e1d12314d4eb085111db9ba965fb28b7b5cdb266f01f0e0b464253a19fe",
+}
+
+
+@pytest.mark.parametrize("n,size", list(PINNED_PADS))
+def test_pad_bytes_are_pinned(n, size):
+    encoded = codec.encode_pad(generate_pad(b"pad-pin-seed", n, size))
+    assert hashlib.sha256(encoded).hexdigest() == PINNED_PADS[n, size]
 
 
 def test_generate_pad_is_deterministic():
