@@ -586,6 +586,8 @@ def check_kat(text: str) -> KatReport:
     label = header["alg"]
     params = kat_params(label)
     count = _kat_field(int, header["vectors"], "vectors")
+    if count < 1:
+        raise FormatError(f"KAT field 'vectors' must be at least 1, got {count}")
     seed = _kat_field(bytes.fromhex, header["seed"], "seed")
     report = KatReport(label=label, total=count)
     if len(vectors) != count:
@@ -593,6 +595,9 @@ def check_kat(text: str) -> KatReport:
         return report
     expected_seeds = _vector_seeds(seed, label, count)
     for i, vector in enumerate(vectors):
+        if vector["count"] != i:
+            report.failures.append((i, "count"))
+            continue
         try:
             vseed = bytes.fromhex(vector.get("seed", ""))
         except ValueError:

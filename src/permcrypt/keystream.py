@@ -43,11 +43,6 @@ class KeystreamState:
         self._acc = 0  # unconsumed bits carried between calls
         self._acc_bits = 0
 
-    @property
-    def consumed_bytes(self) -> int:
-        """Bytes drawn from the underlying stream so far."""
-        return self._pos
-
     def _take_bytes(self, n: int) -> bytes:
         end = self._pos + n
         if end > len(self._buf):
@@ -97,6 +92,37 @@ class KeystreamState:
             v = self.next_bits(k)
             if v < bound:
                 return v
+
+    def next_indices(self, bounds) -> list:
+        """[self.next_index(b) for b in bounds], with the same stream use.
+
+        The rejection loop runs on a local accumulator refilled from the
+        stream in whole 64-byte pieces, instead of one next_bits call per
+        draw; the bits it leaves over go back to the state's accumulator,
+        so later draws read exactly the stream next_index would leave.
+        """
+        acc, acc_bits = self._acc, self._acc_bits
+        out = []
+        append = out.append
+        try:
+            for bound in bounds:
+                if bound < 1:
+                    raise ParameterError("bound must be positive")
+                k = (bound - 1).bit_length()
+                while True:
+                    if acc_bits < k:
+                        piece = self._take_bytes(64)
+                        acc = (acc << 512) | int.from_bytes(piece, "big")
+                        acc_bits += 512
+                    acc_bits -= k
+                    v = acc >> acc_bits
+                    acc &= (1 << acc_bits) - 1
+                    if v < bound:
+                        break
+                append(v)
+        finally:
+            self._acc, self._acc_bits = acc, acc_bits
+        return out
 
 
 class SystemEntropy:

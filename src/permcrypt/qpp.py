@@ -136,8 +136,8 @@ def _shuffle_table(state, size: int) -> list:
     # Forward Fisher-Yates: position i swaps with a uniform j in [i, size),
     # so all-zero draws leave the identity arrangement in place.
     table = list(range(size))
-    for i in range(size - 1):
-        j = i + state.next_index(size - i)
+    for i, r in enumerate(state.next_indices(range(size, 1, -1))):
+        j = i + r
         table[i], table[j] = table[j], table[i]
     return table
 
@@ -147,7 +147,9 @@ def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
 
     Each table is an unbiased Fisher-Yates shuffle of the ordered block
     range, with index draws taken from the pad-tagged keystream; the result
-    is a pure function of the seed.
+    is a pure function of the seed.  A table's 2**n - 1 swap indices are
+    drawn by one next_indices call, which yields the same indices as one
+    next_index call per swap.
     """
     if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
         raise ParameterError(f"block size must be in [1, {MAX_BLOCK_BITS}] bits")

@@ -29,6 +29,9 @@ class ZeroEntropy:
     def next_index(self, bound):
         return 0
 
+    def next_indices(self, bounds):
+        return [0 for _ in bounds]
+
 
 def toy_params(prime: int, noise_count: int = 1, ring_bits: int | None = None,
                shift_bits: int | None = None) -> KemParams:

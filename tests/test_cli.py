@@ -204,6 +204,23 @@ def test_kat_check_rejects_malformed_fields_as_format_errors(tmp_path, capsys, o
     assert "error:" in capsys.readouterr().err
 
 
+def test_kat_check_rejects_empty_vector_list(tmp_path, capsys):
+    path = tmp_path / "empty.kat"
+    path.write_text("alg = DS-I\nvectors = 0\nseed = 00\n")
+    assert run("kat", "check", "--in", path) == 2
+    assert "vectors" in capsys.readouterr().err
+
+
+def test_kat_check_flags_a_renumbered_vector(tmp_path, capsys):
+    out = tmp_path / "kats"
+    run("kat", "emit", "--out", out, "--config", "DS-I", "--count", 2,
+        "--seed-hex", "5678", "--unsafe-seed")
+    path = out / "DS-I.kat"
+    path.write_text(path.read_text().replace("count = 0\n", "count = 7\n", 1))
+    assert run("kat", "check", "--in", path) == 1
+    assert "count=0 field=count" in capsys.readouterr().err
+
+
 def test_kat_check_rejects_non_utf8_file(tmp_path, capsys):
     path = tmp_path / "bad.kat"
     path.write_bytes(b"alg = DS-I\n\xff\xfe\n")

@@ -285,6 +285,19 @@ def test_kat_detects_edited_seed_line():
     assert (0, "seed") in report.failures
 
 
+def test_kat_detects_a_count_out_of_position():
+    text = codec.emit_kat(b"kat-seed", "DS-I", count=2)
+    mangled = text.replace("count = 0\n", "count = 7\n", 1)
+    assert mangled != text
+    assert codec.check_kat(mangled).failures == [(0, "count")]
+
+
+@pytest.mark.parametrize("vectors", ["0", "-3"])
+def test_kat_rejects_a_file_with_no_vectors(vectors):
+    with pytest.raises(FormatError, match="vectors"):
+        codec.check_kat(f"alg = DS-I\nvectors = {vectors}\nseed = 00\n")
+
+
 def test_kat_all_configurations_smoke():
     for label in codec.KAT_CONFIGS:
         report = codec.check_kat(codec.emit_kat(b"matrix-seed", label, count=1))

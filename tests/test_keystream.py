@@ -52,7 +52,7 @@ def test_next_bits_requires_positive_count():
 def test_next_index_bound_one_consumes_nothing():
     state = KeystreamState(b"s", b"t")
     assert state.next_index(1) == 0
-    assert state.consumed_bytes == 0
+    assert state.next_bits(64) == KeystreamState(b"s", b"t").next_bits(64)
 
 
 def test_next_index_power_of_two_is_a_raw_draw():
@@ -78,6 +78,53 @@ def test_next_index_uniformity_chi_square():
     expected = draws / bound
     stat = sum((c - expected) ** 2 / expected for c in counts)
     assert stat < CHI2_999_DF51
+
+
+BULK_BOUNDS = [
+    [1],
+    [2] * 100,
+    [1 << k for k in range(1, 17)] * 3,
+    [3] * 200,
+    [300] * 50,
+    [65536] * 9,
+    list(range(4096, 0, -1)),
+    [1, 2, 3, 4, 5, 300, 1, 65536, 255, 7, 1] * 20,
+]
+
+
+@pytest.mark.parametrize("bounds", BULK_BOUNDS, ids=lambda b: f"{len(b)}-draws")
+@pytest.mark.parametrize("lead_bits", [0, 3, 13])
+def test_next_indices_matches_next_index(bounds, lead_bits):
+    bulk = KeystreamState(b"bulk", b"test")
+    single = KeystreamState(b"bulk", b"test")
+    if lead_bits:  # start the draws off a byte boundary
+        assert bulk.next_bits(lead_bits) == single.next_bits(lead_bits)
+    assert bulk.next_indices(bounds) == [single.next_index(b) for b in bounds]
+    # Both states must now sit at the same place in the stream.
+    assert bulk.next_bits(13) == single.next_bits(13)
+    assert bulk.next_bytes(5) == single.next_bytes(5)
+    assert bulk.next_index(300) == single.next_index(300)
+    assert bulk.next_bytes(700) == single.next_bytes(700)
+
+
+def test_next_indices_accepts_any_iterable():
+    a = KeystreamState(b"s", b"t")
+    b = KeystreamState(b"s", b"t")
+    assert a.next_indices(range(256, 1, -1)) == b.next_indices(list(range(256, 1, -1)))
+    assert a.next_indices(iter([5, 6])) == b.next_indices((5, 6))
+    assert a.next_indices([]) == []
+    assert a.next_bits(64) == b.next_bits(64)
+
+
+def test_next_indices_rejects_bad_bound_where_next_index_would():
+    bulk = KeystreamState(b"s", b"t")
+    single = KeystreamState(b"s", b"t")
+    with pytest.raises(ParameterError):
+        bulk.next_indices([7, 300, 0, 5])
+    single.next_index(7)
+    single.next_index(300)
+    # The draws made before the bad bound stay consumed, as with next_index.
+    assert bulk.next_bits(32) == single.next_bits(32)
 
 
 def test_next_bytes_matches_bitwise_reads():
