@@ -11,7 +11,7 @@ import secrets
 import sys
 from pathlib import Path
 
-from . import codec
+from . import codec, kat
 from .errors import FormatError, ParameterError, PermcryptError
 from .hppk_ds import ds_keygen, ds_params, sign, verify
 from .hppk_kem import attack_complexity, decapsulate, encapsulate
@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = kat_sub.add_parser("emit")
     pe.add_argument("--out", required=True, help="output directory")
     pe.add_argument("--config", default="all",
-                    choices=("all", *codec.KAT_CONFIGS), help="configuration label")
+                    choices=("all", *kat.KAT_CONFIGS), help="configuration label")
     pe.add_argument("--count", type=int, default=25)
     add_seed_flags(pe)
     pc = kat_sub.add_parser("check")
@@ -107,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--M", type=int, required=True)
     pe.add_argument("--kind", choices=("matrix", "arithmetic"), default="matrix")
-    pc = info_sub.add_parser("complexity")
+    pc = info_sub.add_parser("complexity", help="log2 of a brute-force search over both rings' "
+                             "(multiplier, modulus) pairs; not a lattice-attack bound")
     pc.add_argument("--L", type=int, required=True)
 
     return parser
@@ -224,10 +225,10 @@ def _cmd_kat(args) -> int:
         seed = _seed_material(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        labels = list(codec.KAT_CONFIGS) if args.config == "all" else [args.config]
+        labels = list(kat.KAT_CONFIGS) if args.config == "all" else [args.config]
         for label in labels:
             path = out_dir / f"{label}.kat"
-            path.write_text(codec.emit_kat(seed, label, args.count))
+            path.write_text(kat.emit_kat(seed, label, args.count))
             print(f"wrote {path}")
         return 0
 
@@ -241,7 +242,7 @@ def _cmd_kat(args) -> int:
             text = file.read_text()
         except UnicodeDecodeError:
             raise FormatError(f"{file} is not a text KAT file") from None
-        report = codec.check_kat(text)
+        report = kat.check_kat(text)
         if report.ok:
             print(f"{report.label}: ok ({report.total} vectors)")
         else:

@@ -3,31 +3,26 @@
 Every envelope is magic + kind + a parameter header + a fixed-width
 big-endian payload whose length is fully determined by the parameters;
 decoding rejects trailing bytes and out-of-range fields with the offending
-byte offset.  The module also owns the known-answer-test (KAT) files:
-line-oriented ASCII with lowercase hex fields, one blank line between
-vectors.
+byte offset.  Pad and stream files use the `QPP1` envelope, and bit
+padding fills a message out to whole blocks.  The known-answer-test files,
+which run the schemes, live in `permcrypt.kat`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .errors import FormatError, ParameterError, PermcryptError
-from .hppk_ds import DsVerificationKey, Signature, ds_keygen, ds_params, sign, verify
+from .errors import FormatError, ParameterError
+from .hppk_ds import DsVerificationKey, Signature, ds_params
 from .hppk_kem import (
     KemCiphertext,
     KemParams,
     KemPrivateKey,
     KemPublicKey,
     ciphertext_bound,
-    decapsulate,
-    encapsulate,
     kem_params,
-    keygen,
 )
 from .hidden_ring import RingOperator
-from .keystream import TAG_HPPK_HASH, TAG_HPPK_KEYGEN, TAG_HPPK_U, TAG_KAT, KeystreamState
 from .qpp import (
     MAX_BLOCK_BITS,
     MAX_PAD_SIZE,
@@ -242,10 +237,13 @@ def decode_kem_private(data: bytes):
     fw = _bytes_for(params.field_bits)
     rw = _bytes_for(params.ring_bits)
     ncoeff = params.factor_order + 1
-    numer = tuple(r.uint(fw, params.prime, "factor coefficient") for _ in range(ncoeff))
-    denom = tuple(r.uint(fw, params.prime, "factor coefficient") for _ in range(ncoeff))
-    if numer[-1] == 0 or denom[-1] == 0:
-        raise FormatError("leading factor coefficient is zero")
+    factors = []
+    for _ in range(2):
+        coeffs = tuple(r.uint(fw, params.prime, "factor coefficient") for _ in range(ncoeff))
+        if coeffs[-1] == 0:
+            raise FormatError("leading factor coefficient is zero", offset=r.pos - fw)
+        factors.append(coeffs)
+    numer, denom = factors
     rings = []
     for _ in range(2):
         at = r.pos
@@ -459,158 +457,3 @@ def unpad_bits(data: bytes, n: int) -> bytes:
     if i < 0 or data[i] != 0x80:
         raise FormatError("missing bit-padding marker", offset=max(i, 0))
     return data[:i]
-
-
-# ---------------------------------------------------------------------------
-# known-answer tests
-
-KAT_CONFIGS = {
-    "KEM-I-m2": ("kem", "I", 2),
-    "KEM-I-m3": ("kem", "I", 3),
-    "KEM-III-m2": ("kem", "III", 2),
-    "KEM-III-m3": ("kem", "III", 3),
-    "KEM-V-m2": ("kem", "V", 2),
-    "KEM-V-m3": ("kem", "V", 3),
-    "DS-I": ("ds", "I", 1),
-    "DS-III": ("ds", "III", 1),
-    "DS-V": ("ds", "V", 1),
-}
-
-_KAT_MESSAGE_LEN = 32
-
-
-def kat_params(label: str) -> KemParams:
-    try:
-        scheme, level, noise = KAT_CONFIGS[label]
-    except KeyError:
-        raise FormatError(f"unknown KAT configuration {label!r}") from None
-    return ds_params(level) if scheme == "ds" else kem_params(level, noise)
-
-
-@dataclass
-class KatReport:
-    """Outcome of re-running a KAT file; failures are (count, field) pairs."""
-
-    label: str
-    total: int
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _kat_vector(label: str, params: KemParams, vseed: bytes) -> dict:
-    scheme = KAT_CONFIGS[label][0]
-    fields: dict = {"seed": vseed}
-    if scheme == "kem":
-        sk, pk = keygen(params, KeystreamState(vseed, TAG_HPPK_KEYGEN))
-        secret, ct = encapsulate(pk, params, KeystreamState(vseed, TAG_HPPK_U))
-        if decapsulate(sk, ct, params) != secret:
-            raise PermcryptError("internal: KAT round trip failed")
-        fields["pk"] = encode_kem_public(pk, params)
-        fields["sk"] = encode_kem_private(sk, params)
-        fields["ct"] = encode_kem_ciphertext(ct, params)
-        fields["ss"] = encode_secret(secret, params)
-    else:
-        sk, pk, vk = ds_keygen(params, KeystreamState(vseed, TAG_HPPK_KEYGEN))
-        msg = KeystreamState(vseed, TAG_KAT).next_bytes(_KAT_MESSAGE_LEN)
-        sig = sign(sk, params, msg, KeystreamState(vseed, TAG_HPPK_HASH), vk=vk)
-        if not verify(vk, params, msg, sig):
-            raise PermcryptError("internal: KAT signature did not verify")
-        fields["pk"] = encode_verification_key(vk, params)
-        fields["sk"] = encode_kem_private(sk, params)
-        fields["msg"] = msg
-        fields["sig"] = encode_signature(sig, params)
-    return fields
-
-
-def _vector_seeds(seed: bytes, label: str, count: int) -> list:
-    state = KeystreamState(seed + b"|" + label.encode("ascii"), TAG_KAT)
-    return [state.next_bytes(32) for _ in range(count)]
-
-
-def emit_kat(seed: bytes, label: str, count: int = 25) -> str:
-    """Deterministic KAT file text for one configuration."""
-    params = kat_params(label)
-    lines = [
-        "# permcrypt known-answer tests",
-        f"alg = {label}",
-        f"vectors = {count}",
-        f"seed = {seed.hex()}",
-        "",
-    ]
-    for i, vseed in enumerate(_vector_seeds(seed, label, count)):
-        fields = _kat_vector(label, params, vseed)
-        lines.append(f"count = {i}")
-        for name, value in fields.items():
-            lines.append(f"{name} = {value.hex()}")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def _kat_field(convert, value: str, name: str):
-    try:
-        return convert(value)
-    except ValueError:
-        raise FormatError(f"malformed KAT field {name!r}: {value!r}") from None
-
-
-def _parse_kat(text: str):
-    header: dict = {}
-    vectors: list = []
-    current: dict | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if " = " not in line:
-            raise FormatError(f"malformed KAT line: {raw!r}")
-        key, value = line.split(" = ", 1)
-        if key == "count":
-            current = {"count": _kat_field(int, value, "count")}
-            vectors.append(current)
-        elif current is None:
-            header[key] = value
-        else:
-            current[key] = value
-    for need in ("alg", "vectors", "seed"):
-        if need not in header:
-            raise FormatError(f"KAT header is missing {need!r}")
-    return header, vectors
-
-
-def check_kat(text: str) -> KatReport:
-    """Re-run a KAT file and compare every field byte-exactly."""
-    header, vectors = _parse_kat(text)
-    label = header["alg"]
-    params = kat_params(label)
-    count = _kat_field(int, header["vectors"], "vectors")
-    if count < 1:
-        raise FormatError(f"KAT field 'vectors' must be at least 1, got {count}")
-    seed = _kat_field(bytes.fromhex, header["seed"], "seed")
-    report = KatReport(label=label, total=count)
-    if len(vectors) != count:
-        report.failures.append((-1, "vectors"))
-        return report
-    expected_seeds = _vector_seeds(seed, label, count)
-    for i, vector in enumerate(vectors):
-        if vector["count"] != i:
-            report.failures.append((i, "count"))
-            continue
-        try:
-            vseed = bytes.fromhex(vector.get("seed", ""))
-        except ValueError:
-            report.failures.append((i, "seed"))
-            continue
-        if vseed != expected_seeds[i]:
-            report.failures.append((i, "seed"))
-            continue
-        fields = _kat_vector(label, params, vseed)
-        for name, value in fields.items():
-            if name == "seed":
-                continue
-            if vector.get(name, "") != value.hex():
-                report.failures.append((i, name))
-                break
-    return report

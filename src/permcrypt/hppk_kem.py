@@ -265,7 +265,10 @@ def decapsulate(sk: KemPrivateKey, ct: KemCiphertext, params: KemParams) -> int:
 
 
 def attack_complexity(ring_bits: int) -> float:
-    """log2 of the coprime-pair search space for both hidden rings."""
+    """log2 of a brute-force search over both hidden rings' (multiplier, modulus) pairs.
+
+    Counts only that search over coprime pairs; it is not a bound on lattice attacks.
+    """
     if ring_bits < 2:
         raise ParameterError("ring size must be at least 2 bits")
     return 2 * ring_bits + math.log2(9 / (2 * math.pi**2))

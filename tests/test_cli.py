@@ -221,6 +221,16 @@ def test_kat_check_flags_a_renumbered_vector(tmp_path, capsys):
     assert "count=0 field=count" in capsys.readouterr().err
 
 
+def test_kat_check_rejects_a_repeated_field(tmp_path, capsys):
+    out = tmp_path / "kats"
+    run("kat", "emit", "--out", out, "--config", "DS-I", "--count", 1,
+        "--seed-hex", "5678", "--unsafe-seed")
+    path = out / "DS-I.kat"
+    path.write_text(path.read_text().replace("seed = 5678\n", "seed = 5678\nseed = ffff\n"))
+    assert run("kat", "check", "--in", path) == 2
+    assert "'seed' is repeated" in capsys.readouterr().err
+
+
 def test_kat_check_rejects_non_utf8_file(tmp_path, capsys):
     path = tmp_path / "bad.kat"
     path.write_bytes(b"alg = DS-I\n\xff\xfe\n")
