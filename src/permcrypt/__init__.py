@@ -29,7 +29,6 @@ from .hppk_kem import (
 )
 from .keystream import KeystreamState, SystemEntropy, hash_to_field
 from .qpp import (
-    AffinePermutation,
     Permutation,
     PermutationPad,
     decrypt_stream,

@@ -26,6 +26,7 @@ KAT_CONFIGS = {
 }
 
 _KAT_MESSAGE_LEN = 32
+_HEADER_FIELDS = ("alg", "vectors", "seed")
 
 
 def kat_params(label: str) -> KemParams:
@@ -101,6 +102,14 @@ def _kat_field(convert, value: str, name: str):
         raise FormatError(f"malformed KAT field {name!r}: {value!r}") from None
 
 
+def _lower_hex(value: str) -> bytes:
+    """Hex as emit_kat writes it: lowercase, no separators."""
+    data = bytes.fromhex(value)
+    if data.hex() != value:
+        raise ValueError(value)
+    return data
+
+
 def _parse_kat(text: str):
     """Header dict and one dict per vector; `count` is parsed as an int."""
     header: dict = {}
@@ -120,9 +129,12 @@ def _parse_kat(text: str):
             raise FormatError(f"KAT field {key!r} is repeated: {raw!r}")
         else:
             current[key] = value
-    for need in ("alg", "vectors", "seed"):
+    for need in _HEADER_FIELDS:
         if need not in header:
             raise FormatError(f"KAT header is missing {need!r}")
+    for name in header:
+        if name not in _HEADER_FIELDS:
+            raise FormatError(f"unexpected KAT header field {name!r}")
     return header, vectors
 
 
@@ -134,15 +146,17 @@ def check_kat(text: str) -> KatReport:
     count = _kat_field(int, header["vectors"], "vectors")
     if count < 1:
         raise FormatError(f"KAT field 'vectors' must be at least 1, got {count}")
-    seed = _kat_field(bytes.fromhex, header["seed"], "seed")
+    seed = _kat_field(_lower_hex, header["seed"], "seed")
     report = KatReport(label=label, total=count)
     if len(vectors) != count:
         report.failures.append((-1, "vectors"))
         return report
     _, expected = _parse_kat(emit_kat(seed, label, count))
     for i, (got, want) in enumerate(zip(vectors, expected)):
-        for name, value in want.items():
-            if got.get(name) != value:
+        # The emitted fields in order, then any field emit never writes.
+        for name in {**want, **got}:
+            if got.get(name) != want.get(name):
                 report.failures.append((i, name))
                 break
     return report
+

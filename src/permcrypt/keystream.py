@@ -8,7 +8,11 @@ Streams are consumed most-significant-bit first.
 from __future__ import annotations
 
 import hashlib
+import math
 import secrets
+import struct
+from functools import lru_cache
+from operator import length_hint
 
 from .errors import ParameterError
 
@@ -24,6 +28,44 @@ TAG_HPPK_KEYGEN = b"HPPK-keygen"
 TAG_KAT = b"KAT-vectors"
 
 _DIGESTS = {32: hashlib.sha3_256, 48: hashlib.sha3_384, 64: hashlib.sha3_512}
+
+# next_indices splits runs of bounds up to this bit width into fields, at
+# most _READ_FIELDS fields (and the carried bits) at a time.
+_MAX_FIELD_BITS = 16
+_READ_FIELDS = 1024
+
+
+@lru_cache(maxsize=64)  # the pipeline's shapes and every draw width
+def _spread_masks(width: int, slot: int, steps: int) -> tuple:
+    # Step b (highest first) moves the upper half of every group of 2**(b+1)
+    # fields up by (slot - width) * 2**b bits.  Groups, counted from the
+    # least-significant end, are slot * 2**(b+1) bits apart after the higher
+    # steps, so each step's mask is one group pattern repeated.
+    masks = []
+    for b in reversed(range(steps)):
+        run = width << b
+        pattern = (((1 << run) - 1) << run).to_bytes(slot << b >> 2, "big")
+        mask = int.from_bytes(pattern * (1 << (steps - 1 - b)), "big")
+        masks.append((mask, (slot - width) << b))
+    return tuple(masks)
+
+
+def _split(data: bytes, width: int):
+    """The width-bit fields of data, most-significant first; 1 <= width <= 16.
+
+    Returns bytes for width <= 8 and a tuple of ints above.  The fields are
+    moved into 8- or 16-bit slots by a logarithmic number of whole-integer
+    mask-and-shift steps instead of a loop over fields.
+    """
+    slot = 8 if width <= 8 else 16
+    count = 8 * len(data) // width
+    if width != slot:
+        value = int.from_bytes(data, "big")
+        for mask, shift in _spread_masks(width, slot, (count - 1).bit_length()):
+            high = value & mask
+            value ^= high ^ (high << shift)
+        data = value.to_bytes(count * slot // 8, "big")
+    return data if slot == 8 else struct.unpack(f">{count}H", data)
 
 
 class KeystreamState:
@@ -96,33 +138,74 @@ class KeystreamState:
     def next_indices(self, bounds) -> list:
         """[self.next_index(b) for b in bounds], with the same stream use.
 
-        The rejection loop runs on a local accumulator refilled from the
-        stream in whole 64-byte pieces, instead of one next_bits call per
-        draw; the bits it leaves over go back to the state's accumulator,
-        so later draws read exactly the stream next_index would leave.
+        Consecutive bounds of one bit width k (1 to 16) form a run.  A run
+        reads the stream as k-bit fields, split from the accumulator and new
+        bytes by one whole-integer pass, and rejection sampling walks those
+        fields.  It first reads about 2**k fields and, each time they run
+        out, twice as many, never more than _READ_FIELDS at once.  When the
+        width changes, and on exit, the bits of the unused fields go back to
+        the state's accumulator, so later draws read exactly the stream
+        next_index would leave.  Other widths draw one next_index at a time.
         """
-        acc, acc_bits = self._acc, self._acc_bits
         out = []
         append = out.append
+        lo = hi = 0  # the current run's bounds lie in (lo, hi]
+        run = None  # (k, value, rest, fields) while a run holds stream bits
         try:
             for bound in bounds:
-                if bound < 1:
-                    raise ParameterError("bound must be positive")
-                k = (bound - 1).bit_length()
+                if not lo < bound <= hi:
+                    if run is not None:
+                        self._give_back(*run)
+                        run = None
+                    if bound < 1:
+                        raise ParameterError("bound must be positive")
+                    k = (bound - 1).bit_length()
+                    lo, hi = (1 << k) >> 1, 1 << k
+                    if 0 < k <= _MAX_FIELD_BITS:
+                        # A Fisher-Yates run of width k uses about 2**k fields.
+                        want = min(1 << k, _READ_FIELDS)
+                        run = self._read_fields(k, want)
+                        fields = run[-1]
+                if run is None:
+                    append(self.next_index(bound))
+                    continue
                 while True:
-                    if acc_bits < k:
-                        piece = self._take_bytes(64)
-                        acc = (acc << 512) | int.from_bytes(piece, "big")
-                        acc_bits += 512
-                    acc_bits -= k
-                    v = acc >> acc_bits
-                    acc &= (1 << acc_bits) - 1
-                    if v < bound:
-                        break
+                    for v in fields:
+                        if v < bound:
+                            break
+                    else:  # out of fields: read twice as many and go on
+                        self._give_back(*run)
+                        want = min(2 * want, _READ_FIELDS)
+                        run = self._read_fields(k, want)
+                        fields = run[-1]
+                        continue
+                    break
                 append(v)
         finally:
-            self._acc, self._acc_bits = acc, acc_bits
+            if run is not None:
+                self._give_back(*run)
         return out
+
+    def _read_fields(self, k: int, want: int) -> tuple:
+        """Move the accumulator and new bytes into at least `want` k-bit fields.
+
+        The fields cover the whole accumulator and end on a byte boundary;
+        the `rest` bits past them stay at the bottom of `value`.
+        """
+        group = math.lcm(k, 8)  # bits in whole fields and whole bytes
+        need = -(-max(want * k, self._acc_bits) // group) * group
+        nbytes = (need - self._acc_bits + 7) // 8
+        piece = self._take_bytes(nbytes)
+        value = (self._acc << (8 * nbytes)) | int.from_bytes(piece, "big")
+        rest = self._acc_bits + 8 * nbytes - need
+        self._acc, self._acc_bits = 0, 0
+        data = (value >> rest).to_bytes(need // 8, "big")
+        return k, value, rest, iter(_split(data, k))
+
+    def _give_back(self, k, value, rest, fields) -> None:
+        """Return the bits of a run's unused fields to the accumulator."""
+        left = rest + length_hint(fields) * k
+        self._acc, self._acc_bits = value & ((1 << left) - 1), left
 
 
 class SystemEntropy:

@@ -3,8 +3,8 @@
 A pad is an ordered list of secret bijections on [0, 2**n).  Encryption
 XOR-masks each block with keystream bits, dispatches it to one of the pad's
 permutations, and substitutes through its table; decryption inverts the two
-layers in reverse order.  An affine variant trades the full permutation
-key space for a compact arithmetic form.
+layers in reverse order.  For comparison, pad_entropy also gives the far
+smaller key space of affine maps x -> (a*x + b) mod 2**n with odd a.
 """
 
 from __future__ import annotations
@@ -16,7 +16,14 @@ from itertools import chain, cycle, islice, repeat
 from operator import getitem
 
 from .errors import FormatError, ParameterError
-from .keystream import TAG_QPP_DISPATCH, TAG_QPP_PAD, TAG_QPP_PRERAND, KeystreamState
+from .keystream import (
+    TAG_QPP_DISPATCH,
+    TAG_QPP_PAD,
+    TAG_QPP_PRERAND,
+    KeystreamState,
+    _split,
+    _spread_masks,
+)
 
 MIN_BLOCK_BITS = 1
 MAX_BLOCK_BITS = 16
@@ -42,6 +49,14 @@ class Permutation:
             raise ParameterError("table is not a bijection on the block range")
         self.n = n
         self.table = table
+
+    @classmethod
+    def _unchecked(cls, n: int, table) -> "Permutation":
+        """A permutation from a table already known to be a bijection."""
+        perm = cls.__new__(cls)
+        perm.n = n
+        perm.table = tuple(table)
+        return perm
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -103,35 +118,6 @@ class PermutationPad:
         return self.size * self.n * (1 << self.n)
 
 
-class AffinePermutation:
-    """x -> (mult*x + offset) mod 2**n; bijective because mult is odd."""
-
-    __slots__ = ("n", "mult", "offset", "_mult_inv")
-
-    def __init__(self, n: int, mult: int, offset: int):
-        if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
-            raise ParameterError(f"block size must be in [1, {MAX_BLOCK_BITS}] bits")
-        size = 1 << n
-        if not 0 < mult < size or mult % 2 == 0:
-            raise ParameterError("multiplier must be odd and in [1, 2**n)")
-        if not 0 <= offset < size:
-            raise ParameterError("offset out of range")
-        self.n = n
-        self.mult = mult
-        self.offset = offset
-        self._mult_inv = pow(mult, -1, size)
-
-    def apply(self, m: int) -> int:
-        if not 0 <= m < (1 << self.n):
-            raise ParameterError("block out of range")
-        return (self.mult * m + self.offset) & ((1 << self.n) - 1)
-
-    def invert(self, c: int) -> int:
-        if not 0 <= c < (1 << self.n):
-            raise ParameterError("block out of range")
-        return (self._mult_inv * (c - self.offset)) & ((1 << self.n) - 1)
-
-
 def _shuffle_table(state, size: int) -> list:
     # Forward Fisher-Yates: position i swaps with a uniform j in [i, size),
     # so all-zero draws leave the identity arrangement in place.
@@ -148,50 +134,18 @@ def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
     Each table is an unbiased Fisher-Yates shuffle of the ordered block
     range, with index draws taken from the pad-tagged keystream; the result
     is a pure function of the seed.  A table's 2**n - 1 swap indices are
-    drawn by one next_indices call, which yields the same indices as one
-    next_index call per swap.
+    drawn by one next_indices call, which splits the stream into fields a
+    width-run at a time and yields the same indices as one next_index call
+    per swap.  The shuffled tables are bijections by construction, so they
+    are not checked again.
     """
     if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
         raise ParameterError(f"block size must be in [1, {MAX_BLOCK_BITS}] bits")
     if not 1 <= size <= MAX_PAD_SIZE:
         raise ParameterError(f"pad size must be in [1, {MAX_PAD_SIZE}]")
     state = KeystreamState(seed, TAG_QPP_PAD)
-    return PermutationPad(
-        n, (Permutation(n, _shuffle_table(state, 1 << n)) for _ in range(size))
-    )
-
-
-@lru_cache(maxsize=32)
-def _spread_masks(width: int, slot: int, steps: int) -> tuple:
-    # Step b (highest first) moves the upper half of every group of 2**(b+1)
-    # fields up by (slot - width) * 2**b bits.  Groups, counted from the
-    # least-significant end, are slot * 2**(b+1) bits apart after the higher
-    # steps, so each step's mask is one group pattern repeated.
-    masks = []
-    for b in reversed(range(steps)):
-        run = width << b
-        pattern = (((1 << run) - 1) << run).to_bytes(slot << b >> 2, "big")
-        mask = int.from_bytes(pattern * (1 << (steps - 1 - b)), "big")
-        masks.append((mask, (slot - width) << b))
-    return tuple(masks)
-
-
-def _split(data: bytes, width: int):
-    """The width-bit fields of data, most-significant first.
-
-    Returns bytes for width <= 8 and a tuple of ints above.  The fields are
-    moved into 8- or 16-bit slots by a logarithmic number of whole-integer
-    mask-and-shift steps instead of a loop over fields.
-    """
-    slot = 8 if width <= 8 else 16
-    count = 8 * len(data) // width
-    if width != slot:
-        value = int.from_bytes(data, "big")
-        for mask, shift in _spread_masks(width, slot, (count - 1).bit_length()):
-            high = value & mask
-            value ^= high ^ (high << shift)
-        data = value.to_bytes(count * slot // 8, "big")
-    return data if slot == 8 else struct.unpack(f">{count}H", data)
+    tables = (_shuffle_table(state, 1 << n) for _ in range(size))
+    return PermutationPad(n, (Permutation._unchecked(n, t) for t in tables))
 
 
 def _join(fields, width: int, count: int) -> bytes:

@@ -231,6 +231,28 @@ def test_kat_check_rejects_a_repeated_field(tmp_path, capsys):
     assert "'seed' is repeated" in capsys.readouterr().err
 
 
+def test_kat_check_flags_a_field_emit_never_writes(tmp_path, capsys):
+    out = tmp_path / "kats"
+    run("kat", "emit", "--out", out, "--config", "DS-I", "--count", 2,
+        "--seed-hex", "5678", "--unsafe-seed")
+    path = out / "DS-I.kat"
+    text = path.read_text()
+    sig_line = [l for l in text.splitlines() if l.startswith("sig = ")][1]
+    path.write_text(text.replace(sig_line, f"{sig_line}\njunk = zz\nct = 00"))
+    assert run("kat", "check", "--in", path) == 1
+    assert "count=1 field=junk" in capsys.readouterr().err
+
+
+def test_kat_check_rejects_a_spaced_header_seed(tmp_path, capsys):
+    out = tmp_path / "kats"
+    run("kat", "emit", "--out", out, "--config", "DS-I", "--count", 1,
+        "--seed-hex", "00112233", "--unsafe-seed")
+    path = out / "DS-I.kat"
+    path.write_text(path.read_text().replace("seed = 00112233\n", "seed = 0011 22 33\n"))
+    assert run("kat", "check", "--in", path) == 2
+    assert "'seed'" in capsys.readouterr().err
+
+
 def test_kat_check_rejects_non_utf8_file(tmp_path, capsys):
     path = tmp_path / "bad.kat"
     path.write_bytes(b"alg = DS-I\n\xff\xfe\n")

@@ -54,6 +54,31 @@ def test_kat_rejects_an_uppercase_vector_seed():
     assert kat.check_kat(text.replace(value, value.upper())).failures == [(1, "seed")]
 
 
+@pytest.mark.parametrize("line,name", [("junk = zz", "junk"), ("ct = 00", "ct")])
+def test_kat_reports_a_field_emit_never_writes(line, name):
+    # DS vectors carry no `ct`; neither field may pass unchecked.
+    text = kat.emit_kat(b"kat-seed", "DS-I", count=2)
+    sig_line = _lines(text, "sig = ")[1]
+    extended = text.replace(sig_line, f"{sig_line}\n{line}")
+    assert kat.check_kat(extended).failures == [(1, name)]
+
+
+def test_kat_rejects_an_unexpected_header_field():
+    text = kat.emit_kat(b"kat-seed", "DS-I", count=1)
+    with pytest.raises(FormatError, match="'junk'"):
+        kat.check_kat(text.replace("alg = ", "junk = zz\nalg = ", 1))
+
+
+@pytest.mark.parametrize("value", ["00ab 22 cd", "00AB22CD", "00aB22cd"])
+def test_kat_header_seed_must_be_lowercase_hex(value):
+    # emit_kat writes seed.hex(); bytes.fromhex would also take these.
+    text = kat.emit_kat(bytes.fromhex("00ab22cd"), "DS-I", count=1)
+    mangled = text.replace("seed = 00ab22cd\n", f"seed = {value}\n", 1)
+    assert mangled != text
+    with pytest.raises(FormatError, match="'seed'"):
+        kat.check_kat(mangled)
+
+
 @pytest.mark.parametrize("name,nth", [("seed", 0), ("sig", 1)])  # header seed, vector 1's sig
 def test_kat_rejects_a_repeated_field(name, nth):
     # A later line must not silently override an earlier, corrupted one.

@@ -89,6 +89,12 @@ BULK_BOUNDS = [
     [65536] * 9,
     list(range(4096, 0, -1)),
     [1, 2, 3, 4, 5, 300, 1, 65536, 255, 7, 1] * 20,
+    # One width run that reads fields several times.
+    pytest.param([3] * 5000, id="one-run-5000-draws"),
+    # The bounds of every Fisher-Yates table size.
+    *(pytest.param(list(range(1 << k, 1, -1)), id=f"table-{1 << k}") for k in range(1, 17)),
+    pytest.param([2, 65536] * 50, id="width-changes-every-draw"),
+    pytest.param([70000, 3, 1 << 20, 1 << 20, 5] * 4, id="widths-above-16-bits"),
 ]
 
 
@@ -125,6 +131,19 @@ def test_next_indices_rejects_bad_bound_where_next_index_would():
     single.next_index(300)
     # The draws made before the bad bound stay consumed, as with next_index.
     assert bulk.next_bits(32) == single.next_bits(32)
+
+
+def test_next_indices_bad_bound_after_a_long_run():
+    bulk = KeystreamState(b"s", b"t")
+    single = KeystreamState(b"s", b"t")
+    bulk.next_bits(5)
+    single.next_bits(5)
+    with pytest.raises(ParameterError):
+        bulk.next_indices([300] * 200 + [0])
+    for _ in range(200):
+        single.next_index(300)
+    assert bulk.next_bits(13) == single.next_bits(13)
+    assert bulk.next_bytes(700) == single.next_bytes(700)
 
 
 def test_next_bytes_matches_bitwise_reads():

@@ -18,7 +18,6 @@ from permcrypt.qpp import (
     MAX_PAD_SIZE,
     MODE_RANDOM,
     MODE_SEQUENTIAL,
-    AffinePermutation,
     Permutation,
     PermutationPad,
     _shuffle_table,
@@ -149,6 +148,13 @@ PINNED_PADS = {
 def test_pad_bytes_are_pinned(n, size):
     encoded = codec.encode_pad(generate_pad(b"pad-pin-seed", n, size))
     assert hashlib.sha256(encoded).hexdigest() == PINNED_PADS[n, size]
+
+
+@pytest.mark.parametrize("n,size", list(PINNED_PADS))
+def test_generate_pad_tables_are_bijections(n, size):
+    # generate_pad builds its tables without the constructor's check.
+    pad = generate_pad(b"pad-pin-seed", n, size)
+    assert all(sorted(p.table) == list(range(1 << n)) for p in pad.perms)
 
 
 def test_generate_pad_is_deterministic():
@@ -398,29 +404,6 @@ def test_single_bit_ciphertext_uniform_over_seeds():
         encrypt_stream(pad, b"u%d" % i, b"\x80")[0] >> 7 for i in range(2000)
     )
     assert abs(ones - 1000) < 3 * (2000 * 0.25) ** 0.5
-
-
-# --- affine variant ---------------------------------------------------------
-
-
-def test_affine_identity():
-    a = AffinePermutation(4, 1, 0)
-    assert all(a.apply(m) == m for m in range(16))
-
-
-def test_affine_small_case():
-    a = AffinePermutation(4, 3, 5)
-    assert a.apply(2) == 11
-
-
-def test_affine_round_trip_exhaustive():
-    a = AffinePermutation(8, 77, 131)
-    assert all(a.invert(a.apply(m)) == m for m in range(256))
-
-
-def test_affine_rejects_even_multiplier():
-    with pytest.raises(ParameterError):
-        AffinePermutation(4, 2, 0)
 
 
 # --- entropy ----------------------------------------------------------------
