@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -154,6 +155,62 @@ def test_next_bytes_matches_bitwise_reads():
     a.next_bits(3)
     b.next_bits(3)
     assert a.next_bytes(5) == b.next_bits(40).to_bytes(5, "big")
+
+
+class _ShakeBits:
+    """The stream by its definition: SHAKE-256 of len(tag) || tag || seed,
+    read most-significant bit first, with rejection-sampled indices."""
+
+    def __init__(self, seed: bytes, tag: bytes, nbytes: int):
+        digest = hashlib.shake_256(bytes([len(tag)]) + tag + seed).digest(nbytes)
+        self.value = int.from_bytes(digest, "big")
+        self.nbits = 8 * nbytes
+        self.pos = 0
+
+    def bits(self, k: int) -> int:
+        self.pos += k
+        assert self.pos <= self.nbits
+        return (self.value >> (self.nbits - self.pos)) & ((1 << k) - 1)
+
+    def index(self, bound: int) -> int:
+        k = (bound - 1).bit_length()
+        while k:
+            v = self.bits(k)
+            if v < bound:
+                return v
+        return 0
+
+
+def test_stream_matches_shake256_definition():
+    # A seeded mix of every draw, read past the 256-, 512- and 1024-byte
+    # re-squeeze sizes, against the SHAKE-256 output bits themselves.
+    seed, tag = b"definition", TAG_QPP_PAD
+    ref = _ShakeBits(seed, tag, 4096)
+    state = KeystreamState(seed, tag)
+    rng = random.Random(2024)
+    seen = set()
+    while ref.pos < 8 * 2400:
+        op = rng.choice(("bits", "bytes", "aligned bytes", "index", "indices"))
+        if op == "aligned bytes" and ref.pos % 8:
+            skip = -ref.pos % 8
+            assert state.next_bits(skip) == ref.bits(skip)
+        if op == "bytes" and ref.pos % 8 == 0:
+            op = "aligned bytes"
+        seen.add(op)
+        if op == "bits":
+            k = rng.randint(1, 70)
+            assert state.next_bits(k) == ref.bits(k)
+        elif op.endswith("bytes"):
+            n = rng.randint(1, 40)
+            assert state.next_bytes(n) == ref.bits(8 * n).to_bytes(n, "big")
+        elif op == "index":
+            bound = rng.randint(1, 1 << rng.randint(1, 40))
+            assert state.next_index(bound) == ref.index(bound)
+        else:
+            top = rng.randint(1, 300)
+            bounds = rng.choice((range(top, 0, -1), [top] * 20, [rng.randint(1, 99) for _ in range(9)]))
+            assert state.next_indices(bounds) == [ref.index(b) for b in bounds]
+    assert seen == {"bits", "bytes", "aligned bytes", "index", "indices"}
 
 
 def test_system_entropy_interface():
