@@ -121,9 +121,6 @@ class _Reader:
     def u16(self) -> int:
         return int.from_bytes(self.take(2), "big")
 
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
-
     def uint(self, width: int, bound: int, what: str) -> int:
         at = self.pos
         value = int.from_bytes(self.take(width), "big")

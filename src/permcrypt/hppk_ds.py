@@ -140,6 +140,8 @@ def sign(
     tag * entry lands just above a multiple of the hidden modulus, closer
     than the radix quotient's rounding error.
     """
+    if vk is not None:
+        _check_verification_key(vk, params)
     rng = rng if rng is not None else SystemEntropy()
     p = params.prime
     x = hash_to_field(message, p, params.hash_bytes)
@@ -155,7 +157,7 @@ def sign(
             numer_tag=sk.ring2.invert(alpha * fx % p),
             denom_tag=sk.ring1.invert(alpha * hx % p),
         )
-        if vk is None or verify(vk, params, message, sig):
+        if vk is None or _identity_holds(vk, params, x, sig):
             return sig
     raise GenerationError("signer self-check kept failing")
 
@@ -167,14 +169,7 @@ def _check_shape(matrix, params: KemParams, what: str):
         raise FormatError(f"{what} has the wrong shape for these parameters")
 
 
-def verify(
-    vk: DsVerificationKey, params: KemParams, message: bytes, sig: Signature
-) -> bool:
-    """Check a signature; True on accept.
-
-    Malformed inputs (wrong shapes, out-of-range values) raise FormatError
-    so callers can distinguish garbage from a cryptographic reject.
-    """
+def _check_verification_key(vk: DsVerificationKey, params: KemParams):
     for matrix, name in (
         (vk.numer_resid, "numer_resid"),
         (vk.denom_resid, "denom_resid"),
@@ -184,14 +179,13 @@ def verify(
         _check_shape(matrix, params, name)
     if vk.shift_bits < params.ring_bits + 32:
         raise FormatError("verification key radix shift is too small")
-    limit = 1 << params.ring_bits
-    f_tag, h_tag = sig.numer_tag, sig.denom_tag
-    if not 0 < f_tag < limit or not 0 < h_tag < limit:
-        raise FormatError("signature values out of range")
 
+
+def _identity_holds(vk: DsVerificationKey, params: KemParams, x: int, sig: Signature) -> bool:
+    """The cross-multiplied identity at the message hash x, on a checked vk."""
     p = params.prime
     shift = vk.shift_bits
-    x = hash_to_field(message, p, params.hash_bytes)
+    f_tag, h_tag = sig.numer_tag, sig.denom_tag
     for j in range(params.noise_count):
         lhs = 0
         rhs = 0
@@ -207,3 +201,19 @@ def verify(
         if lhs != rhs:
             return False
     return True
+
+
+def verify(
+    vk: DsVerificationKey, params: KemParams, message: bytes, sig: Signature
+) -> bool:
+    """Check a signature; True on accept.
+
+    Malformed inputs (wrong shapes, out-of-range values) raise FormatError
+    so callers can distinguish garbage from a cryptographic reject.
+    """
+    _check_verification_key(vk, params)
+    limit = 1 << params.ring_bits
+    if not 0 < sig.numer_tag < limit or not 0 < sig.denom_tag < limit:
+        raise FormatError("signature values out of range")
+    x = hash_to_field(message, params.prime, params.hash_bytes)
+    return _identity_holds(vk, params, x, sig)

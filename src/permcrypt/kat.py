@@ -110,6 +110,14 @@ def _lower_hex(value: str) -> bytes:
     return data
 
 
+def _decimal(value: str) -> int:
+    """An integer as emit_kat writes it: canonical decimal, no "+" or padding."""
+    number = int(value)
+    if str(number) != value:
+        raise ValueError(value)
+    return number
+
+
 def _parse_kat(text: str):
     """Header dict and one dict per vector; `count` is parsed as an int."""
     header: dict = {}
@@ -123,7 +131,7 @@ def _parse_kat(text: str):
             raise FormatError(f"malformed KAT line: {raw!r}")
         key, value = line.split(" = ", 1)
         if key == "count":
-            current = {"count": _kat_field(int, value, "count")}
+            current = {"count": _kat_field(_decimal, value, "count")}
             vectors.append(current)
         elif key in current:
             raise FormatError(f"KAT field {key!r} is repeated: {raw!r}")
@@ -143,7 +151,7 @@ def check_kat(text: str) -> KatReport:
     header, vectors = _parse_kat(text)
     label = header["alg"]
     kat_params(label)  # an unknown label is reported before the count checks
-    count = _kat_field(int, header["vectors"], "vectors")
+    count = _kat_field(_decimal, header["vectors"], "vectors")
     if count < 1:
         raise FormatError(f"KAT field 'vectors' must be at least 1, got {count}")
     seed = _kat_field(_lower_hex, header["seed"], "seed")

@@ -30,7 +30,7 @@ TAG_KAT = b"KAT-vectors"
 _DIGESTS = {32: hashlib.sha3_256, 48: hashlib.sha3_384, 64: hashlib.sha3_512}
 
 # next_indices splits runs of bounds up to this bit width into fields, at
-# most _READ_FIELDS fields (and the carried bits) at a time.
+# most _READ_FIELDS fields at a time.
 _MAX_FIELD_BITS = 16
 _READ_FIELDS = 1024
 
@@ -73,7 +73,8 @@ class KeystreamState:
 
     Equal (seed, tag) pairs yield the same infinite stream; distinct tags
     yield independent streams from one seed.  A state is single-owner and
-    mutable.
+    mutable; its only position is the count of stream bits consumed, and
+    every draw reads the squeezed bytes that cover the bits it takes.
     """
 
     def __init__(self, seed: bytes, domain_tag: bytes):
@@ -81,43 +82,37 @@ class KeystreamState:
             raise ParameterError("domain tag longer than 255 bytes")
         self._material = bytes([len(domain_tag)]) + domain_tag + seed
         self._buf = b""
-        self._pos = 0  # bytes consumed from the squeezed stream
-        self._acc = 0  # unconsumed bits carried between calls
-        self._acc_bits = 0
+        self._bit = 0  # stream bits consumed
 
-    def _take_bytes(self, n: int) -> bytes:
-        end = self._pos + n
-        if end > len(self._buf):
-            # Re-squeezing from scratch with a doubled length keeps the
-            # stream identical to one long squeeze at amortized linear cost.
-            size = max(len(self._buf), 256)
-            while size < end:
-                size *= 2
-            self._buf = hashlib.shake_256(self._material).digest(size)
-        chunk = self._buf[self._pos:end]
-        self._pos = end
-        return chunk
+    def _squeeze(self, end: int) -> None:
+        # Re-squeezing from scratch with a doubled length keeps the stream
+        # identical to one long squeeze at amortized linear cost.
+        size = max(len(self._buf), 256)
+        while size < end:
+            size *= 2
+        self._buf = hashlib.shake_256(self._material).digest(size)
 
     def next_bits(self, k: int) -> int:
         """The next k bits of the stream as an unsigned integer."""
         if k < 1:
             raise ParameterError("bit count must be positive")
-        short = k - self._acc_bits
-        if short > 0:
-            nbytes = (short + 7) // 8
-            chunk = self._take_bytes(nbytes)
-            self._acc = (self._acc << (8 * nbytes)) | int.from_bytes(chunk, "big")
-            self._acc_bits += 8 * nbytes
-        self._acc_bits -= k
-        out = self._acc >> self._acc_bits
-        self._acc &= (1 << self._acc_bits) - 1
-        return out
+        end = self._bit + k
+        last = (end + 7) >> 3
+        if last > len(self._buf):
+            self._squeeze(last)
+        value = int.from_bytes(self._buf[self._bit >> 3:last], "big")
+        self._bit = end
+        return (value >> (-end & 7)) & ((1 << k) - 1)
 
     def next_bytes(self, n: int) -> bytes:
         """The next 8*n bits, packed big-endian."""
-        if self._acc_bits == 0:
-            return self._take_bytes(n)
-        return self.next_bits(8 * n).to_bytes(n, "big")
+        if self._bit & 7:
+            return self.next_bits(8 * n).to_bytes(n, "big")
+        start = self._bit >> 3
+        if start + n > len(self._buf):
+            self._squeeze(start + n)
+        self._bit += 8 * n
+        return self._buf[start:start + n]
 
     def next_index(self, bound: int) -> int:
         """Uniform draw from [0, bound) by rejection sampling.
@@ -139,24 +134,24 @@ class KeystreamState:
         """[self.next_index(b) for b in bounds], with the same stream use.
 
         Consecutive bounds of one bit width k (1 to 16) form a run.  A run
-        reads the stream as k-bit fields, split from the accumulator and new
-        bytes by one whole-integer pass, and rejection sampling walks those
-        fields.  It first reads about 2**k fields and, each time they run
-        out, twice as many, never more than _READ_FIELDS at once.  When the
-        width changes, and on exit, the bits of the unused fields go back to
-        the state's accumulator, so later draws read exactly the stream
-        next_index would leave.  Other widths draw one next_index at a time.
+        reads the stream ahead as k-bit fields, split by one whole-integer
+        pass, and rejection sampling walks those fields.  It first reads
+        about 2**k fields and, each time they run out, twice as many, never
+        more than _READ_FIELDS at once.  When the width changes, and on
+        exit, the bit position steps back over the unused fields, so later
+        draws read exactly the stream next_index would leave.  Other widths
+        draw one next_index at a time.
         """
         out = []
         append = out.append
         lo = hi = 0  # the current run's bounds lie in (lo, hi]
-        run = None  # (k, value, rest, fields) while a run holds stream bits
+        fields = None  # the run's fields read ahead of the position
         try:
             for bound in bounds:
                 if not lo < bound <= hi:
-                    if run is not None:
-                        self._give_back(*run)
-                        run = None
+                    if fields is not None:
+                        self._bit -= length_hint(fields) * k
+                        fields = None
                     if bound < 1:
                         raise ParameterError("bound must be positive")
                     k = (bound - 1).bit_length()
@@ -164,9 +159,8 @@ class KeystreamState:
                     if 0 < k <= _MAX_FIELD_BITS:
                         # A Fisher-Yates run of width k uses about 2**k fields.
                         want = min(1 << k, _READ_FIELDS)
-                        run = self._read_fields(k, want)
-                        fields = run[-1]
-                if run is None:
+                        fields = self._read_fields(k, want)
+                if fields is None:
                     append(self.next_index(bound))
                     continue
                 while True:
@@ -174,38 +168,20 @@ class KeystreamState:
                         if v < bound:
                             break
                     else:  # out of fields: read twice as many and go on
-                        self._give_back(*run)
                         want = min(2 * want, _READ_FIELDS)
-                        run = self._read_fields(k, want)
-                        fields = run[-1]
+                        fields = self._read_fields(k, want)
                         continue
                     break
                 append(v)
         finally:
-            if run is not None:
-                self._give_back(*run)
+            if fields is not None:
+                self._bit -= length_hint(fields) * k
         return out
 
-    def _read_fields(self, k: int, want: int) -> tuple:
-        """Move the accumulator and new bytes into at least `want` k-bit fields.
-
-        The fields cover the whole accumulator and end on a byte boundary;
-        the `rest` bits past them stay at the bottom of `value`.
-        """
+    def _read_fields(self, k: int, want: int):
+        """An iterator over at least `want` next k-bit fields, in whole bytes."""
         group = math.lcm(k, 8)  # bits in whole fields and whole bytes
-        need = -(-max(want * k, self._acc_bits) // group) * group
-        nbytes = (need - self._acc_bits + 7) // 8
-        piece = self._take_bytes(nbytes)
-        value = (self._acc << (8 * nbytes)) | int.from_bytes(piece, "big")
-        rest = self._acc_bits + 8 * nbytes - need
-        self._acc, self._acc_bits = 0, 0
-        data = (value >> rest).to_bytes(need // 8, "big")
-        return k, value, rest, iter(_split(data, k))
-
-    def _give_back(self, k, value, rest, fields) -> None:
-        """Return the bits of a run's unused fields to the accumulator."""
-        left = rest + length_hint(fields) * k
-        self._acc, self._acc_bits = value & ((1 << left) - 1), left
+        return iter(_split(self.next_bytes(-(-want * k // group) * group // 8), k))
 
 
 class SystemEntropy:

@@ -112,11 +112,6 @@ class PermutationPad:
     def size(self) -> int:
         return len(self.perms)
 
-    @property
-    def nominal_key_bits(self) -> int:
-        """Classical key length this pad nominally represents."""
-        return self.size * self.n * (1 << self.n)
-
 
 def _shuffle_table(state, size: int) -> list:
     # Forward Fisher-Yates: position i swaps with a uniform j in [i, size),

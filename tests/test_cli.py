@@ -191,6 +191,8 @@ def test_kat_emit_rejects_count_below_one(tmp_path, capsys):
     ("vectors = 1", "vectors = one"),
     ("count = 0", "count = zero"),
     ("seed = 5678", "seed = 56zz"),
+    ("vectors = 1", "vectors = 01"),
+    ("count = 0", "count = +0"),
 ])
 def test_kat_check_rejects_malformed_fields_as_format_errors(tmp_path, capsys, old, new):
     out = tmp_path / "kats"
@@ -201,7 +203,8 @@ def test_kat_check_rejects_malformed_fields_as_format_errors(tmp_path, capsys, o
     assert old in text
     path.write_text(text.replace(old, new, 1))
     assert run("kat", "check", "--in", path) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and repr(old.split(" = ")[0]) in err
 
 
 def test_kat_check_rejects_empty_vector_list(tmp_path, capsys):

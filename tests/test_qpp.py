@@ -178,11 +178,6 @@ def test_generate_pad_validates_shape(monkeypatch):
         generate_pad(b"s", 8, MAX_PAD_SIZE + 1)
 
 
-def test_nominal_key_bits():
-    pad = generate_pad(b"nominal", 4, 8)
-    assert pad.nominal_key_bits == 8 * 4 * 16
-
-
 # --- block packing ----------------------------------------------------------
 
 
