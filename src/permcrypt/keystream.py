@@ -179,9 +179,10 @@ class KeystreamState:
         return out
 
     def _read_fields(self, k: int, want: int):
-        """An iterator over at least `want` next k-bit fields, in whole bytes."""
+        """An iterator over the next k-bit fields, at least `want` of them."""
         group = math.lcm(k, 8)  # bits in whole fields and whole bytes
-        return iter(_split(self.next_bytes(-(-want * k // group) * group // 8), k))
+        nbytes = -(-want * k // group) * group // 8
+        return iter(_split(self.next_bytes(nbytes), k))
 
 
 class SystemEntropy:

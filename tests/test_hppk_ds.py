@@ -213,18 +213,8 @@ def test_verify_rejects_malformed_inputs():
     )
     with pytest.raises(FormatError):
         verify(squeezed, params, b"msg", sig)
-
-
-def test_sign_rejects_a_malformed_verification_key_before_drawing():
-    params = ds_params("I")
-    sk, _, vk = seeded_triple(params, b"malformed")
-    squeezed = DsVerificationKey(
-        vk.numer_resid[:2], vk.denom_resid, vk.numer_quot, vk.denom_quot,
-        vk.ring1_resid, vk.ring2_resid, vk.shift_bits,
-    )
-    rng = ScriptedEntropy([])
-    with pytest.raises(FormatError):
-        sign(sk, params, b"msg", rng, vk=squeezed)
+    with pytest.raises(FormatError):  # sign checks the vk before any draw
+        sign(sk, params, b"msg", ScriptedEntropy([]), vk=squeezed)
 
 
 def test_barrett_split_matches_secret_side():
