@@ -1,16 +1,20 @@
 """Bit-exact serialization for keys, ciphertexts, signatures, and pads.
 
 Every envelope is magic + kind + a parameter header + a fixed-width
-big-endian payload whose length is fully determined by the parameters;
-decoding rejects trailing bytes and out-of-range fields with the offending
-byte offset.  Pad and stream files use the `QPP1` envelope, and bit
-padding fills a message out to whole blocks.  The known-answer-test files,
+big-endian payload whose length is fully determined by the parameters.
+Each HPPK kind's payload is laid out once, in `_payload`, and that one
+layout drives its encoder, its decoder and its size formula.  A decode
+checks the length once, after the header: truncation is reported at the
+first missing byte, trailing bytes at the expected end, and an
+out-of-range field at its own offset.  Pad and stream files use the
+`QPP1` envelope, and bit padding fills a message out to whole blocks.  The known-answer-test files,
 which run the schemes, live in `permcrypt.kat`.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .errors import FormatError, ParameterError
 from .hppk_ds import DsVerificationKey, Signature, ds_params
@@ -31,6 +35,8 @@ from .qpp import (
     MODE_SEQUENTIAL,
     Permutation,
     PermutationPad,
+    blocks_from_bytes,
+    bytes_from_blocks,
 )
 
 MAGIC_HPPK = b"HPK1"
@@ -51,48 +57,74 @@ _MODE_CODE = {MODE_RANDOM: 0, MODE_SEQUENTIAL: 1}
 _MODE_FROM_CODE = {v: k for k, v in _MODE_CODE.items()}
 
 HEADER_LEN = 11  # magic, kind, level, field_bits (2), orders, noise count
+_QPP_HEADER_LEN = 8  # magic, version, block size n, pad size M (2)
 
 
 # ---------------------------------------------------------------------------
-# size formulas
+# HPPK payload layouts
 
 
 def _bytes_for(bits: int) -> int:
     return (bits + 7) // 8
 
 
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length()
+def ciphertext_word_size(params: KemParams) -> int:
+    """Fixed width of one ciphertext evaluation."""
+    return _bytes_for(params.ring_bits + params.field_bits + (params.terms - 1).bit_length())
+
+
+@lru_cache(maxsize=64)  # five kinds over the shipped parameter sets
+def _payload(kind: int, params: KemParams) -> tuple:
+    """The payload of an HPPK envelope as ordered (name, count, width, bound) runs.
+
+    Each run is `count` big-endian fields of `width` bytes, every one below
+    `bound`; matrices are stored row by row.  The encoder, the decoder and
+    the size formulas all walk this one description.
+    """
+    fw, rw = _bytes_for(params.field_bits), _bytes_for(params.ring_bits)
+    p, ring, terms = params.prime, 1 << params.ring_bits, params.terms
+    if kind == KIND_KEM_PUBLIC:
+        return (("public matrix entry", terms, rw, ring),) * 2
+    if kind == KIND_KEM_PRIVATE:
+        factor = ("factor coefficient", params.factor_order + 1, fw, p)
+        operator = ("ring multiplier", 1, rw, ring), ("ring modulus", 1, rw, ring)
+        return (factor, factor) + operator * 2
+    if kind == KIND_KEM_CIPHERTEXT:
+        return (("ciphertext evaluation", 2, ciphertext_word_size(params),
+                 ciphertext_bound(params)),)
+    if kind == KIND_DS_VERIFICATION:
+        quot = ("quotient entry", terms, _bytes_for(params.shift_bits), 1 << params.shift_bits)
+        return (
+            ("residue entry", terms, fw, p), ("residue entry", terms, fw, p), quot, quot,
+            ("ring residue", 2, fw, p), ("radix shift", 1, 2, 1 << 16),
+        )
+    return (("signature value", 2, rw, ring),)  # KIND_DS_SIGNATURE
+
+
+def _size(kind: int, params: KemParams) -> int:
+    return sum(count * width for _, count, width, _ in _payload(kind, params))
 
 
 def kem_public_size(params: KemParams) -> int:
     """Payload bytes of an encapsulation public key."""
-    return 2 * params.terms * _bytes_for(params.ring_bits)
+    return _size(KIND_KEM_PUBLIC, params)
 
 
 def kem_private_size(params: KemParams) -> int:
     """Payload bytes of a private key."""
-    return 2 * (params.factor_order + 1) * _bytes_for(params.field_bits) + 4 * _bytes_for(
-        params.ring_bits
-    )
-
-
-def ciphertext_word_size(params: KemParams) -> int:
-    """Fixed width of one ciphertext evaluation."""
-    return _bytes_for(params.ring_bits + params.field_bits + _ceil_log2(params.terms))
+    return _size(KIND_KEM_PRIVATE, params)
 
 
 def kem_ciphertext_size(params: KemParams) -> int:
-    return 2 * ciphertext_word_size(params)
+    return _size(KIND_KEM_CIPHERTEXT, params)
 
 
 def ds_signature_size(params: KemParams) -> int:
-    return 2 * _bytes_for(params.ring_bits)
+    return _size(KIND_DS_SIGNATURE, params)
 
 
 def ds_verification_size(params: KemParams) -> int:
-    fb = _bytes_for(params.field_bits)
-    return 2 * params.terms * fb + 2 * params.terms * _bytes_for(params.shift_bits) + 2 * fb + 2
+    return _size(KIND_DS_VERIFICATION, params)
 
 
 def shared_secret_size(params: KemParams) -> int:
@@ -100,52 +132,23 @@ def shared_secret_size(params: KemParams) -> int:
 
 
 # ---------------------------------------------------------------------------
-# primitive readers/writers
+# headers and the length check
 
 
-class _Reader:
-    def __init__(self, data: bytes, offset: int = 0):
-        self.data = data
-        self.pos = offset
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError("truncated input", offset=self.pos)
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
-
-    def uint(self, width: int, bound: int, what: str) -> int:
-        at = self.pos
-        value = int.from_bytes(self.take(width), "big")
-        if value >= bound:
-            raise FormatError(f"{what} out of range", offset=at)
-        return value
-
-    def finish(self):
-        if self.pos != len(self.data):
-            raise FormatError("trailing bytes after payload", offset=self.pos)
+def _check_magic(data: bytes, magic: bytes, header_len: int) -> None:
+    # A prefix of the magic is a truncated envelope, not a foreign one.
+    if not magic.startswith(data[:4]):
+        raise FormatError("bad magic", offset=0)
+    if len(data) < header_len:
+        raise FormatError("truncated input", offset=len(data))
 
 
-def _matrix_bytes(matrix, width: int) -> bytes:
-    return b"".join(v.to_bytes(width, "big") for row in matrix for v in row)
-
-
-def _read_matrix(r: _Reader, params: KemParams, width: int, bound: int, what: str):
-    return tuple(
-        tuple(r.uint(width, bound, what) for _ in range(params.noise_count))
-        for _ in range(params.rows)
-    )
-
-
-# ---------------------------------------------------------------------------
-# parameter header
+def _check_length(data: bytes, size: int) -> None:
+    """The one length check once a header has fixed the envelope's size."""
+    if len(data) < size:
+        raise FormatError("truncated input", offset=len(data))
+    if len(data) > size:
+        raise FormatError("trailing bytes after payload", offset=size)
 
 
 def _params_header(kind: int, params: KemParams) -> bytes:
@@ -159,37 +162,23 @@ def _params_header(kind: int, params: KemParams) -> bytes:
     )
 
 
-def _read_params_header(r: _Reader, expect_kind: int) -> KemParams:
-    at = r.pos
-    if r.take(4) != MAGIC_HPPK:
-        raise FormatError("bad magic", offset=at)
-    at = r.pos
-    kind = r.u8()
-    if kind != expect_kind:
-        raise FormatError(f"unexpected kind byte {kind:#04x}", offset=at)
-    at = r.pos
-    level_code = r.u8()
-    if level_code not in _LEVEL_FROM_CODE:
-        raise FormatError(f"unknown level code {level_code}", offset=at)
-    level = _LEVEL_FROM_CODE[level_code]
-    at = r.pos
-    field_bits = r.u16()
-    base_order = r.u8()
-    factor_order = r.u8()
-    noise_count = r.u8()
+def _read_params_header(data: bytes, expect_kind: int) -> KemParams:
+    _check_magic(data, MAGIC_HPPK, HEADER_LEN)
+    if data[4] != expect_kind:
+        raise FormatError(f"unexpected kind byte {data[4]:#04x}", offset=4)
+    level = _LEVEL_FROM_CODE.get(data[5])
+    if level is None:
+        raise FormatError(f"unknown level code {data[5]}", offset=5)
+    field_bits = int.from_bytes(data[6:8], "big")
+    base_order, factor_order, noise_count = data[8:11]
     try:
-        if noise_count == 1:
-            candidate = ds_params(level)
-        else:
-            candidate = kem_params(level, noise_count)
+        candidate = ds_params(level) if noise_count == 1 else kem_params(level, noise_count)
     except ParameterError as exc:
-        raise FormatError(str(exc), offset=at) from exc
+        raise FormatError(str(exc), offset=6) from exc
     if (field_bits, base_order, factor_order) != (
-        candidate.field_bits,
-        candidate.base_order,
-        candidate.factor_order,
+        candidate.field_bits, candidate.base_order, candidate.factor_order
     ):
-        raise FormatError("parameter header does not match a shipped set", offset=at)
+        raise FormatError("parameter header does not match a shipped set", offset=6)
     return candidate
 
 
@@ -197,145 +186,118 @@ def _read_params_header(r: _Reader, expect_kind: int) -> KemParams:
 # HPPK envelopes
 
 
+def _encode(kind: int, params: KemParams, runs) -> bytes:
+    """The header, then each run's values at the width its layout gives."""
+    out = _params_header(kind, params)
+    for (what, count, width, _), values in zip(_payload(kind, params), runs):
+        if len(values) != count:
+            raise ParameterError(f"expected {count} values for {what}, got {len(values)}")
+        for v in values:
+            out += v.to_bytes(width, "big")
+    return out
+
+
+def _decode(data: bytes, kind: int):
+    """The parameters, each run's values and each run's field offsets.
+
+    The header fixes the payload's length, which is checked once before
+    any field is read; fields are then sliced in place and range-checked.
+    """
+    params = _read_params_header(data, kind)
+    runs = _payload(kind, params)
+    _check_length(data, HEADER_LEN + sum(count * width for _, count, width, _ in runs))
+    values, offsets, at = [], [], HEADER_LEN
+    for what, count, width, bound in runs:
+        where = range(at, at + count * width, width)
+        run = [int.from_bytes(data[i:i + width], "big") for i in where]
+        if max(run) >= bound:
+            bad = next(i for i, v in zip(where, run) if v >= bound)
+            raise FormatError(f"{what} out of range", offset=bad)
+        values.append(run)
+        offsets.append(where)
+        at = where.stop
+    return params, values, offsets
+
+
+def _flat(matrix) -> list:
+    return [v for row in matrix for v in row]
+
+
+def _rows(values: list, width: int) -> tuple:
+    return tuple(tuple(values[i:i + width]) for i in range(0, len(values), width))
+
+
 def encode_kem_public(pk: KemPublicKey, params: KemParams) -> bytes:
-    width = _bytes_for(params.ring_bits)
-    return (
-        _params_header(KIND_KEM_PUBLIC, params)
-        + _matrix_bytes(pk.numer_matrix, width)
-        + _matrix_bytes(pk.denom_matrix, width)
-    )
+    return _encode(KIND_KEM_PUBLIC, params, (_flat(pk.numer_matrix), _flat(pk.denom_matrix)))
 
 
 def decode_kem_public(data: bytes):
-    r = _Reader(data)
-    params = _read_params_header(r, KIND_KEM_PUBLIC)
-    width = _bytes_for(params.ring_bits)
-    bound = 1 << params.ring_bits
-    numer = _read_matrix(r, params, width, bound, "public matrix entry")
-    denom = _read_matrix(r, params, width, bound, "public matrix entry")
-    r.finish()
-    return KemPublicKey(numer, denom), params
+    params, (numer, denom), _ = _decode(data, KIND_KEM_PUBLIC)
+    m = params.noise_count
+    return KemPublicKey(_rows(numer, m), _rows(denom, m)), params
 
 
 def encode_kem_private(sk: KemPrivateKey, params: KemParams) -> bytes:
-    fw = _bytes_for(params.field_bits)
-    rw = _bytes_for(params.ring_bits)
-    body = b"".join(c.to_bytes(fw, "big") for c in sk.numer_coeffs)
-    body += b"".join(c.to_bytes(fw, "big") for c in sk.denom_coeffs)
-    for op in (sk.ring1, sk.ring2):
-        body += op.multiplier.to_bytes(rw, "big")
-        body += op.modulus.to_bytes(rw, "big")
-    return _params_header(KIND_KEM_PRIVATE, params) + body
+    r1, r2 = sk.ring1, sk.ring2
+    return _encode(KIND_KEM_PRIVATE, params, (
+        sk.numer_coeffs, sk.denom_coeffs,
+        (r1.multiplier,), (r1.modulus,), (r2.multiplier,), (r2.modulus,),
+    ))
 
 
 def decode_kem_private(data: bytes):
-    r = _Reader(data)
-    params = _read_params_header(r, KIND_KEM_PRIVATE)
-    fw = _bytes_for(params.field_bits)
-    rw = _bytes_for(params.ring_bits)
-    ncoeff = params.factor_order + 1
-    factors = []
-    for _ in range(2):
-        coeffs = tuple(r.uint(fw, params.prime, "factor coefficient") for _ in range(ncoeff))
+    params, runs, offsets = _decode(data, KIND_KEM_PRIVATE)
+    for coeffs, at in zip(runs[:2], offsets):
         if coeffs[-1] == 0:
-            raise FormatError("leading factor coefficient is zero", offset=r.pos - fw)
-        factors.append(coeffs)
-    numer, denom = factors
+            raise FormatError("leading factor coefficient is zero", offset=at[-1])
     rings = []
-    for _ in range(2):
-        at = r.pos
-        multiplier = r.uint(rw, 1 << params.ring_bits, "ring multiplier")
-        modulus = r.uint(rw, 1 << params.ring_bits, "ring modulus")
+    for (multiplier,), (modulus,), at in zip(runs[2::2], runs[3::2], offsets[2::2]):
         if modulus.bit_length() != params.ring_bits:
-            raise FormatError("ring modulus has the wrong bit length", offset=at)
+            raise FormatError("ring modulus has the wrong bit length", offset=at[0])
         try:
             rings.append(RingOperator.create(multiplier, modulus))
         except ParameterError as exc:
-            raise FormatError(str(exc), offset=at) from exc
-    r.finish()
-    return KemPrivateKey(numer, denom, rings[0], rings[1]), params
+            raise FormatError(str(exc), offset=at[0]) from exc
+    return KemPrivateKey(tuple(runs[0]), tuple(runs[1]), *rings), params
 
 
 def encode_kem_ciphertext(ct: KemCiphertext, params: KemParams) -> bytes:
-    width = ciphertext_word_size(params)
-    return (
-        _params_header(KIND_KEM_CIPHERTEXT, params)
-        + ct.numer_eval.to_bytes(width, "big")
-        + ct.denom_eval.to_bytes(width, "big")
-    )
+    return _encode(KIND_KEM_CIPHERTEXT, params, ((ct.numer_eval, ct.denom_eval),))
 
 
 def decode_kem_ciphertext(data: bytes):
-    r = _Reader(data)
-    params = _read_params_header(r, KIND_KEM_CIPHERTEXT)
-    width = ciphertext_word_size(params)
-    bound = ciphertext_bound(params)
-    numer = r.uint(width, bound, "ciphertext evaluation")
-    denom = r.uint(width, bound, "ciphertext evaluation")
-    r.finish()
+    params, [(numer, denom)], _ = _decode(data, KIND_KEM_CIPHERTEXT)
     return KemCiphertext(numer, denom), params
 
 
 def encode_verification_key(vk: DsVerificationKey, params: KemParams) -> bytes:
-    fw = _bytes_for(params.field_bits)
-    qw = _bytes_for(params.shift_bits)
-    return (
-        _params_header(KIND_DS_VERIFICATION, params)
-        + _matrix_bytes(vk.numer_resid, fw)
-        + _matrix_bytes(vk.denom_resid, fw)
-        + _matrix_bytes(vk.numer_quot, qw)
-        + _matrix_bytes(vk.denom_quot, qw)
-        + vk.ring1_resid.to_bytes(fw, "big")
-        + vk.ring2_resid.to_bytes(fw, "big")
-        + vk.shift_bits.to_bytes(2, "big")
-    )
+    return _encode(KIND_DS_VERIFICATION, params, (
+        _flat(vk.numer_resid), _flat(vk.denom_resid),
+        _flat(vk.numer_quot), _flat(vk.denom_quot),
+        (vk.ring1_resid, vk.ring2_resid), (vk.shift_bits,),
+    ))
 
 
 def decode_verification_key(data: bytes):
-    r = _Reader(data)
-    params = _read_params_header(r, KIND_DS_VERIFICATION)
-    fw = _bytes_for(params.field_bits)
-    qw = _bytes_for(params.shift_bits)
-    p = params.prime
-    qbound = 1 << params.shift_bits
-    numer_resid = _read_matrix(r, params, fw, p, "residue entry")
-    denom_resid = _read_matrix(r, params, fw, p, "residue entry")
-    numer_quot = _read_matrix(r, params, qw, qbound, "quotient entry")
-    denom_quot = _read_matrix(r, params, qw, qbound, "quotient entry")
-    ring1_resid = r.uint(fw, p, "ring residue")
-    ring2_resid = r.uint(fw, p, "ring residue")
-    at = r.pos
-    shift_bits = r.u16()
+    params, runs, offsets = _decode(data, KIND_DS_VERIFICATION)
+    *matrices, (ring1_resid, ring2_resid), (shift_bits,) = runs
     if shift_bits != params.shift_bits:
-        raise FormatError("radix shift does not match the parameter set", offset=at)
-    r.finish()
+        raise FormatError("radix shift does not match the parameter set", offset=offsets[-1][0])
+    m = params.noise_count
     vk = DsVerificationKey(
-        numer_resid, denom_resid, numer_quot, denom_quot,
-        ring1_resid, ring2_resid, shift_bits,
+        *(_rows(values, m) for values in matrices), ring1_resid, ring2_resid, shift_bits
     )
     return vk, params
 
 
 def encode_signature(sig: Signature, params: KemParams) -> bytes:
-    width = _bytes_for(params.ring_bits)
-    return (
-        _params_header(KIND_DS_SIGNATURE, params)
-        + sig.numer_tag.to_bytes(width, "big")
-        + sig.denom_tag.to_bytes(width, "big")
-    )
+    return _encode(KIND_DS_SIGNATURE, params, ((sig.numer_tag, sig.denom_tag),))
 
 
 def decode_signature(data: bytes):
-    r = _Reader(data)
-    params = _read_params_header(r, KIND_DS_SIGNATURE)
-    width = _bytes_for(params.ring_bits)
-    bound = 1 << params.ring_bits
-    at = r.pos
-    numer_tag = r.uint(width, bound, "signature value")
-    denom_tag = r.uint(width, bound, "signature value")
+    params, [(numer_tag, denom_tag)], _ = _decode(data, KIND_DS_SIGNATURE)
     if numer_tag == 0 or denom_tag == 0:
-        raise FormatError("zero signature value", offset=at)
-    r.finish()
+        raise FormatError("zero signature value", offset=HEADER_LEN)
     return Signature(numer_tag, denom_tag), params
 
 
@@ -367,49 +329,40 @@ def _qpp_header(version: int, n: int, size: int) -> bytes:
     return MAGIC_QPP + bytes([version, n]) + size.to_bytes(2, "big")
 
 
-def _read_qpp_header(r: _Reader, version: int, kind: str):
+def _read_qpp_header(data: bytes, version: int, kind: str, header_len: int):
     """Magic, version, block size n (offset 5) and pad size M (u16, offset 6)."""
-    at = r.pos
-    if r.take(4) != MAGIC_QPP:
-        raise FormatError("bad magic", offset=at)
-    at = r.pos
-    if r.u8() != version:
-        raise FormatError(f"not a {kind} file", offset=at)
-    at = r.pos
-    n = r.u8()
+    _check_magic(data, MAGIC_QPP, header_len)
+    if data[4] != version:
+        raise FormatError(f"not a {kind} file", offset=4)
+    n = data[5]
     if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
         raise FormatError(
-            f"block size {n} not in [{MIN_BLOCK_BITS}, {MAX_BLOCK_BITS}]", offset=at
+            f"block size {n} not in [{MIN_BLOCK_BITS}, {MAX_BLOCK_BITS}]", offset=5
         )
-    at = r.pos
-    size = r.u16()
+    size = int.from_bytes(data[6:8], "big")
     if size < 1:
-        raise FormatError("pad size must be at least 1", offset=at)
+        raise FormatError("pad size must be at least 1", offset=6)
     return n, size
 
 
 def encode_pad(pad: PermutationPad) -> bytes:
-    width = _bytes_for(pad.n)
-    body = bytearray(_qpp_header(QPP_VERSION_PAD, pad.n, pad.size))
-    for perm in pad.perms:
-        for value in perm.table:
-            body += value.to_bytes(width, "big")
-    return bytes(body)
+    slot = 8 * _bytes_for(pad.n)  # each table entry is a whole byte or two
+    header = _qpp_header(QPP_VERSION_PAD, pad.n, pad.size)
+    return header + b"".join(bytes_from_blocks(perm.table, slot) for perm in pad.perms)
 
 
 def decode_pad(data: bytes) -> PermutationPad:
-    r = _Reader(data)
-    n, size = _read_qpp_header(r, QPP_VERSION_PAD, "pad")
-    width = _bytes_for(n)
+    """Reads each table whole; Permutation's bijection check is its only check."""
+    n, size = _read_qpp_header(data, QPP_VERSION_PAD, "pad", _QPP_HEADER_LEN)
+    slot = 8 * _bytes_for(n)
+    table_len = (slot // 8) << n
+    _check_length(data, _QPP_HEADER_LEN + size * table_len)
     perms = []
-    for _ in range(size):
-        at = r.pos
-        table = [r.uint(width, 1 << n, "pad table entry") for _ in range(1 << n)]
+    for at in range(_QPP_HEADER_LEN, len(data), table_len):
         try:
-            perms.append(Permutation(n, table))
+            perms.append(Permutation(n, blocks_from_bytes(data[at:at + table_len], slot)))
         except ParameterError as exc:
             raise FormatError(str(exc), offset=at) from exc
-    r.finish()
     return PermutationPad(n, perms)
 
 
@@ -423,16 +376,18 @@ def encode_qpp_stream(body: bytes, n: int, pad_size: int, mode: str) -> bytes:
 
 
 def decode_qpp_stream(data: bytes):
-    r = _Reader(data)
-    n, pad_size = _read_qpp_header(r, QPP_VERSION_STREAM, "stream")
-    at = r.pos
-    mode_code = r.u8()
-    if mode_code not in _MODE_FROM_CODE:
-        raise FormatError(f"unknown dispatch mode code {mode_code}", offset=at)
-    body = r.data[r.pos:]
+    """The body, n, pad size and mode; the header is the pad's plus a mode byte."""
+    start = _QPP_HEADER_LEN + 1
+    n, pad_size = _read_qpp_header(data, QPP_VERSION_STREAM, "stream", start)
+    mode = _MODE_FROM_CODE.get(data[_QPP_HEADER_LEN])
+    if mode is None:
+        raise FormatError(
+            f"unknown dispatch mode code {data[_QPP_HEADER_LEN]}", offset=_QPP_HEADER_LEN
+        )
+    body = data[start:]
     if (8 * len(body)) % n:
-        raise FormatError("stream body is not a whole number of blocks", offset=r.pos)
-    return body, n, pad_size, _MODE_FROM_CODE[mode_code]
+        raise FormatError("stream body is not a whole number of blocks", offset=start)
+    return body, n, pad_size, mode
 
 
 def pad_bits(data: bytes, n: int) -> bytes:

@@ -105,8 +105,10 @@ class KeystreamState:
         return (value >> (-end & 7)) & ((1 << k) - 1)
 
     def next_bytes(self, n: int) -> bytes:
-        """The next 8*n bits, packed big-endian."""
-        if self._bit & 7:
+        """The next 8*n bits, packed big-endian; b"" for n == 0."""
+        if n < 0:
+            raise ParameterError("byte count must not be negative")
+        if self._bit & 7 and n:
             return self.next_bits(8 * n).to_bytes(n, "big")
         start = self._bit >> 3
         if start + n > len(self._buf):
@@ -186,15 +188,11 @@ class KeystreamState:
 
 
 class SystemEntropy:
-    """OS-backed entropy with the same drawing interface as KeystreamState."""
+    """OS-backed uniform index draws, the only draw the schemes' rng makes.
 
-    def next_bits(self, k: int) -> int:
-        if k < 1:
-            raise ParameterError("bit count must be positive")
-        return secrets.randbits(k)
-
-    def next_bytes(self, n: int) -> bytes:
-        return secrets.token_bytes(n)
+    keygen, encapsulate, ds_keygen and sign take entropy through
+    next_index alone, so this is the one method it offers.
+    """
 
     def next_index(self, bound: int) -> int:
         if bound < 1:

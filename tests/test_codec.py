@@ -154,6 +154,26 @@ def test_decode_rejects_truncation():
         codec.decode_kem_public(codec.encode_kem_public(pk, params)[:-1])
 
 
+@pytest.mark.parametrize("level", ["I", "III", "V"])
+def test_decode_checks_the_length_the_header_implies(level):
+    params, sk, pk, _, ct = kem_material(level, 2, b"length")
+    ds_params_, _, _, vk, sig = ds_material(level, b"length")
+    envelopes = [
+        (codec.decode_kem_public, codec.encode_kem_public(pk, params)),
+        (codec.decode_kem_private, codec.encode_kem_private(sk, params)),
+        (codec.decode_kem_ciphertext, codec.encode_kem_ciphertext(ct, params)),
+        (codec.decode_verification_key, codec.encode_verification_key(vk, ds_params_)),
+        (codec.decode_signature, codec.encode_signature(sig, ds_params_)),
+    ]
+    for decode, data in envelopes:
+        with pytest.raises(FormatError, match="truncated") as err:
+            decode(data[:-1])
+        assert err.value.offset == len(data) - 1  # the first missing byte
+        with pytest.raises(FormatError, match="trailing") as err:
+            decode(data + b"\x00")
+        assert err.value.offset == len(data)
+
+
 def test_decode_rejects_out_of_range_entry_with_offset():
     params, sk, _, _, _ = kem_material()
     data = bytearray(codec.encode_kem_private(sk, params))
@@ -183,6 +203,27 @@ def test_decode_rejects_non_bijective_pad_table():
     data[8] = data[9]  # duplicate one table entry
     with pytest.raises(FormatError):
         codec.decode_pad(bytes(data))
+
+
+@pytest.mark.parametrize("n,slot", [(4, 1), (12, 2)])
+def test_decode_pad_rejects_an_entry_past_the_block_range_at_its_table(n, slot):
+    data = bytearray(codec.encode_pad(generate_pad(b"pad-range", n, 2)))
+    table = 8 + (slot << n)  # the second table's offset
+    entry = table + 3 * slot
+    data[entry:entry + slot] = (1 << n).to_bytes(slot, "big")
+    with pytest.raises(FormatError, match="bijection") as err:
+        codec.decode_pad(bytes(data))
+    assert err.value.offset == table
+
+
+def test_decode_pad_rejects_truncated_and_over_long_pads():
+    data = codec.encode_pad(generate_pad(b"pad-length", 10, 2))  # two-byte slots
+    with pytest.raises(FormatError, match="truncated") as err:
+        codec.decode_pad(data[:-1])
+    assert err.value.offset == len(data) - 1
+    with pytest.raises(FormatError, match="trailing") as err:
+        codec.decode_pad(data + b"\x00")
+    assert err.value.offset == len(data)
 
 
 def test_encode_rejects_qpp_shapes_the_header_cannot_hold():

@@ -157,6 +157,19 @@ def test_next_bytes_matches_bitwise_reads():
     assert a.next_bytes(5) == b.next_bits(40).to_bytes(5, "big")
 
 
+def test_next_bytes_rejects_negative_counts_and_reads_nothing_for_zero():
+    for lead in (0, 3):  # byte-aligned, then not
+        state, ref = KeystreamState(b"s", b"t"), KeystreamState(b"s", b"t")
+        if lead:
+            state.next_bits(lead)
+            ref.next_bits(lead)
+        assert state.next_bytes(4) == ref.next_bytes(4)
+        with pytest.raises(ParameterError):
+            state.next_bytes(-2)
+        assert state.next_bytes(0) == b""
+        assert state.next_bytes(2) == ref.next_bytes(2)
+
+
 class _ShakeBits:
     """The stream by its definition: SHAKE-256 of len(tag) || tag || seed,
     read most-significant bit first, with rejection-sampled indices."""
@@ -216,8 +229,6 @@ def test_stream_matches_shake256_definition():
 def test_system_entropy_interface():
     rng = SystemEntropy()
     assert 0 <= rng.next_index(10) < 10
-    assert rng.next_bits(17) < (1 << 17)
-    assert len(rng.next_bytes(9)) == 9
 
 
 # --- hash_to_field ----------------------------------------------------------
