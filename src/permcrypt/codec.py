@@ -201,7 +201,7 @@ def _decode(data: bytes, kind: int):
     """The parameters, each run's values and each run's field offsets.
 
     The header fixes the payload's length, which is checked once before
-    any field is read; fields are then sliced in place and range-checked.
+    any field is read; each field is then sliced out and range-checked.
     """
     params = _read_params_header(data, kind)
     runs = _payload(kind, params)

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from permcrypt import codec
 from permcrypt.errors import FormatError, ParameterError
 from permcrypt.hppk_ds import ds_keygen, ds_params, sign
-from permcrypt.hppk_kem import encapsulate, kem_params, keygen
+from permcrypt.hppk_kem import KemPublicKey, encapsulate, kem_params, keygen
 from permcrypt.keystream import (
     TAG_HPPK_HASH,
     TAG_HPPK_KEYGEN,
@@ -278,6 +280,14 @@ def test_decode_rejects_tampered_ring_modulus():
     except FormatError:
         return
     assert decoded.ring2.modulus != sk.ring2.modulus
+
+
+def test_encode_rejects_a_key_of_the_wrong_shape():
+    params, sk, pk, _, _ = kem_material()
+    with pytest.raises(ParameterError):
+        codec.encode_kem_public(KemPublicKey(pk.numer_matrix[:-1], pk.denom_matrix), params)
+    with pytest.raises(ParameterError):
+        codec.encode_kem_private(replace(sk, numer_coeffs=sk.numer_coeffs + (1,)), params)
 
 
 def test_toy_parameters_are_not_serializable():
