@@ -2,10 +2,11 @@
 
 Every envelope is magic + kind + a parameter header + a fixed-width
 big-endian payload whose length is fully determined by the parameters.
-Each HPPK kind's payload is laid out once, in `_payload`, and that one
-layout drives its encoder, its decoder and its size formula.  A decode
-checks the length once, after the header: truncation is reported at the
-first missing byte, trailing bytes at the expected end, and an
+Each HPPK kind's payload is described in `_payload` and placed once per
+(kind, shipped parameter set) by `_layout`: header bytes, field offsets
+and size, read by its encoder, its decoder and its size formula.  A
+decode checks the length once, after the header: truncation is reported
+at the first missing byte, trailing bytes at the expected end, and an
 out-of-range field at its own offset.  Pad and stream files use the
 `QPP1` envelope, and bit padding fills a message out to whole blocks.  The known-answer-test files,
 which run the schemes, live in `permcrypt.kat`.
@@ -73,13 +74,11 @@ def ciphertext_word_size(params: KemParams) -> int:
     return _bytes_for(params.ring_bits + params.field_bits + (params.terms - 1).bit_length())
 
 
-@lru_cache(maxsize=64)  # five kinds over the shipped parameter sets
 def _payload(kind: int, params: KemParams) -> tuple:
     """The payload of an HPPK envelope as ordered (name, count, width, bound) runs.
 
     Each run is `count` big-endian fields of `width` bytes, every one below
-    `bound`; matrices are stored row by row.  The encoder, the decoder and
-    the size formulas all walk this one description.
+    `bound`; matrices are stored row by row.  `_layout` places it once.
     """
     fw, rw = _bytes_for(params.field_bits), _bytes_for(params.ring_bits)
     p, ring, terms = params.prime, 1 << params.ring_bits, params.terms
@@ -101,8 +100,18 @@ def _payload(kind: int, params: KemParams) -> tuple:
     return (("signature value", 2, rw, ring),)  # KIND_DS_SIGNATURE
 
 
+@lru_cache(maxsize=64)  # five kinds over the nine shipped parameter sets
+def _layout(kind: int, params: KemParams) -> tuple:
+    """Header, (name, width, bound, field offsets) runs and size; shipped sets only."""
+    header, runs, at = _params_header(kind, params), [], HEADER_LEN
+    for what, count, width, bound in _payload(kind, params):
+        runs.append((what, width, bound, range(at, at + count * width, width)))
+        at += count * width
+    return header, tuple(runs), at
+
+
 def _size(kind: int, params: KemParams) -> int:
-    return sum(count * width for _, count, width, _ in _payload(kind, params))
+    return _layout(kind, params)[2] - HEADER_LEN
 
 
 def kem_public_size(params: KemParams) -> int:
@@ -151,9 +160,15 @@ def _check_length(data: bytes, size: int) -> None:
         raise FormatError("trailing bytes after payload", offset=size)
 
 
+def _shipped(level: str, noise_count: int) -> KemParams:
+    return ds_params(level) if noise_count == 1 else kem_params(level, noise_count)
+
+
 def _params_header(kind: int, params: KemParams) -> bytes:
     if params.level is None:
         raise ParameterError("only shipped parameter sets can be serialized")
+    if params != _shipped(params.level, params.noise_count):
+        raise ParameterError("parameters differ from the shipped set their header names")
     return (
         MAGIC_HPPK
         + bytes([kind, _LEVEL_CODE[params.level]])
@@ -162,7 +177,9 @@ def _params_header(kind: int, params: KemParams) -> bytes:
     )
 
 
-def _read_params_header(data: bytes, expect_kind: int) -> KemParams:
+@lru_cache(maxsize=64)  # only the headers of shipped sets return
+def _read_params_header(data: bytes, expect_kind: int) -> tuple:
+    """The parameters and layout that an envelope's first HEADER_LEN bytes name."""
     _check_magic(data, MAGIC_HPPK, HEADER_LEN)
     if data[4] != expect_kind:
         raise FormatError(f"unexpected kind byte {data[4]:#04x}", offset=4)
@@ -172,14 +189,14 @@ def _read_params_header(data: bytes, expect_kind: int) -> KemParams:
     field_bits = int.from_bytes(data[6:8], "big")
     base_order, factor_order, noise_count = data[8:11]
     try:
-        candidate = ds_params(level) if noise_count == 1 else kem_params(level, noise_count)
+        candidate = _shipped(level, noise_count)
     except ParameterError as exc:
         raise FormatError(str(exc), offset=6) from exc
     if (field_bits, base_order, factor_order) != (
         candidate.field_bits, candidate.base_order, candidate.factor_order
     ):
         raise FormatError("parameter header does not match a shipped set", offset=6)
-    return candidate
+    return candidate, _layout(expect_kind, candidate)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +205,13 @@ def _read_params_header(data: bytes, expect_kind: int) -> KemParams:
 
 def _encode(kind: int, params: KemParams, runs) -> bytes:
     """The header, then each run's values at the width its layout gives."""
-    out = _params_header(kind, params)
-    for (what, count, width, _), values in zip(_payload(kind, params), runs):
-        if len(values) != count:
-            raise ParameterError(f"expected {count} values for {what}, got {len(values)}")
-        for v in values:
-            out += v.to_bytes(width, "big")
-    return out
+    header, layout, _ = _layout(kind, params)
+    out = [header]
+    for (what, width, _, where), values in zip(layout, runs):
+        if len(values) != len(where):
+            raise ParameterError(f"expected {len(where)} values for {what}, got {len(values)}")
+        out += [v.to_bytes(width, "big") for v in values]
+    return b"".join(out)
 
 
 def _decode(data: bytes, kind: int):
@@ -203,20 +220,16 @@ def _decode(data: bytes, kind: int):
     The header fixes the payload's length, which is checked once before
     any field is read; each field is then sliced out and range-checked.
     """
-    params = _read_params_header(data, kind)
-    runs = _payload(kind, params)
-    _check_length(data, HEADER_LEN + sum(count * width for _, count, width, _ in runs))
-    values, offsets, at = [], [], HEADER_LEN
-    for what, count, width, bound in runs:
-        where = range(at, at + count * width, width)
+    params, (_, layout, size) = _read_params_header(bytes(data[:HEADER_LEN]), kind)
+    _check_length(data, size)
+    values = []
+    for what, width, bound, where in layout:
         run = [int.from_bytes(data[i:i + width], "big") for i in where]
         if max(run) >= bound:
             bad = next(i for i, v in zip(where, run) if v >= bound)
             raise FormatError(f"{what} out of range", offset=bad)
         values.append(run)
-        offsets.append(where)
-        at = where.stop
-    return params, values, offsets
+    return params, values, [where for *_, where in layout]
 
 
 def _flat(matrix) -> list:
@@ -224,7 +237,7 @@ def _flat(matrix) -> list:
 
 
 def _rows(values: list, width: int) -> tuple:
-    return tuple(tuple(values[i:i + width]) for i in range(0, len(values), width))
+    return tuple(zip(*[iter(values)] * width))  # consecutive groups of `width`
 
 
 def encode_kem_public(pk: KemPublicKey, params: KemParams) -> bytes:
@@ -309,8 +322,7 @@ def encode_secret(secret: int, params: KemParams) -> bytes:
 
 
 def decode_secret(data: bytes, params: KemParams) -> int:
-    if len(data) != shared_secret_size(params):
-        raise FormatError("shared secret has the wrong length", offset=0)
+    _check_length(data, shared_secret_size(params))
     value = int.from_bytes(data, "big")
     if value >= params.prime:
         raise FormatError("shared secret out of field range", offset=0)

@@ -30,9 +30,13 @@ _SELF_CHECK_LIMIT = 64
 
 
 def ds_params(level: str) -> KemParams:
-    """Shipped signature configuration: one noise variable, linear factors."""
+    """Shipped signature configuration, one shared object per level: m=1, linear factors."""
     if level not in LEVELS:
         raise ParameterError(f"unknown security level {level!r}")
+    return _DS_SETS[level]
+
+
+def _ds_set(level: str) -> KemParams:
     bits = DS_FIELD_BITS[level]
     ring_bits = 2 * bits + 8
     return KemParams(
@@ -45,6 +49,9 @@ def ds_params(level: str) -> KemParams:
         level=level,
         hash_bytes=_HASH_BYTES[level],
     )
+
+
+_DS_SETS = {level: _ds_set(level) for level in LEVELS}
 
 
 @dataclass(frozen=True)

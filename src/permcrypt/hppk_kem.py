@@ -82,11 +82,15 @@ class KemParams:
 
 
 def kem_params(level: str, noise_count: int = 2) -> KemParams:
-    """Shipped KEM configuration for a security level (noise_count 2 or 3)."""
+    """Shipped KEM configuration for a security level (noise_count 2 or 3), shared."""
     if level not in LEVELS:
         raise ParameterError(f"unknown security level {level!r}")
     if noise_count not in (2, 3):
         raise ParameterError("shipped KEM configurations use 2 or 3 noise variables")
+    return _KEM_SETS[level, noise_count]
+
+
+def _kem_set(level: str, noise_count: int) -> KemParams:
     bits = KEM_FIELD_BITS[level]
     ring_bits = 2 * bits + 8
     return KemParams(
@@ -99,6 +103,9 @@ def kem_params(level: str, noise_count: int = 2) -> KemParams:
         level=level,
         hash_bytes=32,
     )
+
+
+_KEM_SETS = {(level, m): _kem_set(level, m) for level in LEVELS for m in (2, 3)}
 
 
 @dataclass(frozen=True)

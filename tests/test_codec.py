@@ -290,6 +290,48 @@ def test_encode_rejects_a_key_of_the_wrong_shape():
         codec.encode_kem_private(replace(sk, numer_coeffs=sk.numer_coeffs + (1,)), params)
 
 
+@pytest.mark.parametrize("level", ["I", "III", "V"])
+def test_decode_returns_the_shipped_parameter_object(level):
+    params, _, _, _, ct = kem_material(level, 3, b"shared")
+    ds, _, _, _, sig = ds_material(level, b"shared")
+    # An equal copy encodes the same bytes and decodes to the shipped object.
+    for shipped in (params, replace(params)):
+        _, got = codec.decode_kem_ciphertext(codec.encode_kem_ciphertext(ct, shipped))
+        assert got is kem_params(level, 3)
+    _, got = codec.decode_signature(codec.encode_signature(sig, replace(ds)))
+    assert got is ds_params(level)
+
+
+def test_encode_rejects_a_set_its_header_would_name_as_another():
+    params, _, _, _, sig = ds_material()
+    with pytest.raises(ParameterError, match="shipped set"):
+        codec.encode_signature(sig, replace(params, hash_bytes=48))
+
+
+def test_encode_rejects_a_noise_count_decode_would_refuse():
+    params = replace(kem_params("I", 3), noise_count=4)
+    _, pk = keygen(params, KeystreamState(b"codec-m4", TAG_HPPK_KEYGEN))
+    with pytest.raises(ParameterError):
+        codec.encode_kem_public(pk, params)
+
+
+def test_encode_rejects_an_order_the_header_byte_cannot_hold():
+    params, _, _, _, ct = kem_material()
+    wide = replace(params, base_order=300, ring_bits=82, shift_bits=114)
+    with pytest.raises(ParameterError):
+        codec.encode_kem_ciphertext(ct, wide)
+
+
+def test_decode_secret_reports_length_like_the_envelopes():
+    params = kem_params("I")  # four-byte secrets
+    with pytest.raises(FormatError, match="truncated") as err:
+        codec.decode_secret(bytes(3), params)
+    assert err.value.offset == 3
+    with pytest.raises(FormatError, match="trailing") as err:
+        codec.decode_secret(bytes(5), params)
+    assert err.value.offset == 4
+
+
 def test_toy_parameters_are_not_serializable():
     from conftest import toy_params
 

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 import sympy
 from conftest import ScriptedEntropy, toy_params
 
 from permcrypt.errors import DecapsulationError, ParameterError
+from permcrypt.hppk_ds import ds_params
 from permcrypt.hppk_kem import (
     KEM_FIELD_BITS,
     PRIMES_BY_BITS,
@@ -95,12 +98,29 @@ def test_params_validation():
         kem_params("II")
     with pytest.raises(ParameterError):
         kem_params("I", 5)
+    # The shipped sets are looked up only after these checks, so an
+    # unhashable argument is still a ParameterError.
+    for bad in (lambda: kem_params(["I"]), lambda: kem_params("I", 4), lambda: ds_params(None)):
+        with pytest.raises(ParameterError):
+            bad()
     with pytest.raises(ParameterError):
         KemParams(prime=7, base_order=1, factor_order=1, noise_count=2,
                   ring_bits=8, shift_bits=40)  # 49*6 > 2**8
     with pytest.raises(ParameterError):
         KemParams(prime=7, base_order=1, factor_order=1, noise_count=1,
                   ring_bits=14, shift_bits=14 + 31)
+
+
+def test_shipped_sets_are_shared_and_equal_to_a_fresh_build():
+    for level in KEM_FIELD_BITS:
+        for params, again in (
+            (kem_params(level, 2), kem_params(level, 2)),
+            (kem_params(level, 3), kem_params(level, 3)),
+            (ds_params(level), ds_params(level)),
+        ):
+            assert params is again
+            fresh = replace(params)  # runs __init__ and __post_init__ again
+            assert fresh is not params and fresh == params
 
 
 # --- key generation ---------------------------------------------------------
