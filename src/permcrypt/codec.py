@@ -204,13 +204,20 @@ def _read_params_header(data: bytes, expect_kind: int) -> tuple:
 
 
 def _encode(kind: int, params: KemParams, runs) -> bytes:
-    """The header, then each run's values at the width its layout gives."""
+    """The header, then each run's values at the width its layout gives.
+
+    Each value is checked against its run's bound, the one its decoder
+    enforces, so no envelope carries a field its decoder calls out of range.
+    """
     header, layout, _ = _layout(kind, params)
     out = [header]
-    for (what, width, _, where), values in zip(layout, runs):
+    for (what, width, bound, where), values in zip(layout, runs):
         if len(values) != len(where):
             raise ParameterError(f"expected {len(where)} values for {what}, got {len(values)}")
-        out += [v.to_bytes(width, "big") for v in values]
+        fields = [v.to_bytes(width, "big") for v in values if 0 <= v < bound]
+        if len(fields) != len(where):  # the filter dropped an out-of-range value
+            raise ParameterError(f"{what} out of range")
+        out += fields
     return b"".join(out)
 
 

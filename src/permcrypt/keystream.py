@@ -2,7 +2,8 @@
 
 One XOF family (SHAKE-256) expands a seed into independent, domain-tagged
 streams; the fixed-width SHA3 digests provide the per-level message hash.
-Streams are consumed most-significant-bit first.
+Streams are consumed most-significant-bit first.  Bounded draws are
+rejection-sampled, and a Fisher-Yates shuffle takes its swaps from them.
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ TAG_HPPK_KEYGEN = b"HPPK-keygen"
 TAG_KAT = b"KAT-vectors"
 
 _DIGESTS = {32: hashlib.sha3_256, 48: hashlib.sha3_384, 64: hashlib.sha3_512}
-
-# next_indices splits runs of bounds up to this bit width into fields, at
-# most _READ_FIELDS fields at a time.
-_MAX_FIELD_BITS = 16
-_READ_FIELDS = 1024
 
 
 @lru_cache(maxsize=64)  # the pipeline's shapes and every draw width
@@ -133,52 +129,38 @@ class KeystreamState:
                 return v
 
     def next_indices(self, bounds) -> list:
-        """[self.next_index(b) for b in bounds], with the same stream use.
+        """[self.next_index(b) for b in bounds]: one rejection draw per bound."""
+        return [self.next_index(b) for b in bounds]
 
-        Consecutive bounds of one bit width k (1 to 16) form a run.  A run
-        reads the stream ahead as k-bit fields, split by one whole-integer
-        pass, and rejection sampling walks those fields.  It first reads
-        about 2**k fields and, each time they run out, twice as many, never
-        more than _READ_FIELDS at once.  When the width changes, and on
-        exit, the bit position steps back over the unused fields, so later
-        draws read exactly the stream next_index would leave.  Other widths
-        draw one next_index at a time.
+    def shuffle(self, size: int) -> list:
+        """The forward Fisher-Yates arrangement of range(size); size <= 2**16.
+
+        Position i swaps with i + next_index(size - i), and the stream is
+        used exactly as by those calls.  Bounds of one bit width k form a
+        run: it reads about twice its remaining draws as k-bit fields,
+        split by one whole-integer pass, and one loop rejects, swaps and
+        counts the bound down to the run's floor.  The bit position then
+        steps back over the fields the run did not use.
         """
-        out = []
-        append = out.append
-        lo = hi = 0  # the current run's bounds lie in (lo, hi]
-        fields = None  # the run's fields read ahead of the position
-        try:
-            for bound in bounds:
-                if not lo < bound <= hi:
-                    if fields is not None:
-                        self._bit -= length_hint(fields) * k
-                        fields = None
-                    if bound < 1:
-                        raise ParameterError("bound must be positive")
-                    k = (bound - 1).bit_length()
-                    lo, hi = (1 << k) >> 1, 1 << k
-                    if 0 < k <= _MAX_FIELD_BITS:
-                        # A Fisher-Yates run of width k uses about 2**k fields.
-                        want = min(1 << k, _READ_FIELDS)
-                        fields = self._read_fields(k, want)
-                if fields is None:
-                    append(self.next_index(bound))
-                    continue
-                while True:
-                    for v in fields:
-                        if v < bound:
+        if size > 1 << 16:
+            raise ParameterError("shuffle size must be at most 2**16")
+        table = list(range(size))
+        i, bound = 0, size
+        while bound > 1:
+            k = (bound - 1).bit_length()
+            floor = 1 << k >> 1  # the run ends where the width drops
+            while bound > floor:
+                fields = self._read_fields(k, 2 * (bound - floor))
+                for v in fields:
+                    if v < bound:
+                        j = i + v
+                        table[i], table[j] = table[j], table[i]
+                        i += 1
+                        bound -= 1
+                        if bound == floor:
+                            self._bit -= length_hint(fields) * k
                             break
-                    else:  # out of fields: read twice as many and go on
-                        want = min(2 * want, _READ_FIELDS)
-                        fields = self._read_fields(k, want)
-                        continue
-                    break
-                append(v)
-        finally:
-            if fields is not None:
-                self._bit -= length_hint(fields) * k
-        return out
+        return table
 
     def _read_fields(self, k: int, want: int):
         """An iterator over the next k-bit fields, at least `want` of them."""

@@ -113,33 +113,21 @@ class PermutationPad:
         return len(self.perms)
 
 
-def _shuffle_table(state, size: int) -> list:
-    # Forward Fisher-Yates: position i swaps with a uniform j in [i, size),
-    # so all-zero draws leave the identity arrangement in place.
-    table = list(range(size))
-    for i, r in enumerate(state.next_indices(range(size, 1, -1))):
-        j = i + r
-        table[i], table[j] = table[j], table[i]
-    return table
-
-
 def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
     """Derive a pad of `size` permutations from the seed.
 
-    Each table is an unbiased Fisher-Yates shuffle of the ordered block
-    range, with index draws taken from the pad-tagged keystream; the result
-    is a pure function of the seed.  A table's 2**n - 1 swap indices are
-    drawn by one next_indices call, which splits the stream into fields a
-    width-run at a time and yields the same indices as one next_index call
-    per swap.  The shuffled tables are bijections by construction, so they
-    are not checked again.
+    Each table is an unbiased forward Fisher-Yates shuffle of the ordered
+    block range, drawn by one KeystreamState.shuffle call on the pad-tagged
+    keystream; the result is a pure function of the seed and equals one
+    next_index call per swap.  The shuffled tables are bijections by
+    construction, so they are not checked again.
     """
     if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
         raise ParameterError(f"block size must be in [1, {MAX_BLOCK_BITS}] bits")
     if not 1 <= size <= MAX_PAD_SIZE:
         raise ParameterError(f"pad size must be in [1, {MAX_PAD_SIZE}]")
     state = KeystreamState(seed, TAG_QPP_PAD)
-    tables = (_shuffle_table(state, 1 << n) for _ in range(size))
+    tables = (state.shuffle(1 << n) for _ in range(size))
     return PermutationPad(n, (Permutation._unchecked(n, t) for t in tables))
 
 
@@ -183,21 +171,24 @@ def _dispatch(tables: list, seed: bytes, mode: str):
     """Endless iterator over the table that substitutes each block, in order.
 
     Random mode reproduces one next_index(M) call per block in bulk: the
-    dispatch stream is consecutive ceil(log2 M)-bit fields, and rejection
+    dispatch stream is consecutive k = ceil(log2 M)-bit fields, and rejection
     sampling only drops the fields >= M.  Each draw reads _CHUNK_BYTES fields;
-    fields a chunk does not use stay in the iterator for the next one.
+    fields a chunk does not use stay in the iterator for the next one.  For
+    k <= 8 the fields are bytes and bytes.translate deletes the rejected ones;
+    wider fields are filtered one by one.
     """
     size = len(tables)
     if mode == MODE_SEQUENTIAL or size == 1:
         return cycle(tables)
     stream = KeystreamState(seed, TAG_QPP_DISPATCH)
     k = (size - 1).bit_length()
-    fields = chain.from_iterable(
-        _split(stream.next_bytes(k * _CHUNK_BYTES // 8), k) for _ in repeat(None)
-    )
-    if size != 1 << k:
-        fields = filter(size.__gt__, fields)
-    return map(tables.__getitem__, fields)
+    draws = (_split(stream.next_bytes(k * _CHUNK_BYTES // 8), k) for _ in repeat(None))
+    if k <= 8:  # one byte per field: translate deletes those >= M in C
+        reject = bytes(range(size, 1 << k))
+        draws = (fields.translate(None, reject) for fields in draws)
+    elif size != 1 << k:
+        draws = (filter(size.__gt__, fields) for fields in draws)
+    return map(tables.__getitem__, chain.from_iterable(draws))
 
 
 def _xor(chunk: bytes, mask: bytes) -> bytes:

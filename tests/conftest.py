@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 from permcrypt.hppk_kem import KemParams
+from permcrypt.keystream import KeystreamState
 
 
 class ScriptedEntropy:
@@ -17,20 +18,19 @@ class ScriptedEntropy:
         return value
 
 
-class ZeroEntropy:
-    """Entropy stub that always draws zero."""
+class ZeroEntropy(KeystreamState):
+    """Keystream whose every draw is zero; it still counts the bits it reads."""
+
+    def __init__(self):
+        super().__init__(b"", b"zero")
 
     def next_bits(self, k):
+        super().next_bits(k)
         return 0
 
     def next_bytes(self, n):
+        super().next_bytes(n)
         return bytes(n)
-
-    def next_index(self, bound):
-        return 0
-
-    def next_indices(self, bounds):
-        return [0 for _ in bounds]
 
 
 def toy_params(prime: int, noise_count: int = 1, ring_bits: int | None = None,

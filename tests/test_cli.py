@@ -1,6 +1,6 @@
 import pytest
 
-from permcrypt import codec, qpp
+from permcrypt import codec
 from permcrypt.cli import main
 from permcrypt.hppk_ds import ds_keygen, ds_params
 from permcrypt.keystream import TAG_HPPK_KEYGEN, KeystreamState
@@ -111,7 +111,7 @@ def test_qpp_keygen_rejects_oversized_pad_before_drawing(tmp_path, monkeypatch):
     def no_draws(state, size):
         raise AssertionError("drew a table for an oversized pad")
 
-    monkeypatch.setattr(qpp, "_shuffle_table", no_draws)
+    monkeypatch.setattr(KeystreamState, "shuffle", no_draws)
     out = tmp_path / "pad.bin"
     assert run("qpp-keygen", "--out", out, "--n", 8, "--M", 70000) == 2
     assert not out.exists()

@@ -4,7 +4,7 @@ import pytest
 
 from permcrypt import codec
 from permcrypt.errors import FormatError, ParameterError
-from permcrypt.hppk_ds import ds_keygen, ds_params, sign
+from permcrypt.hppk_ds import Signature, ds_keygen, ds_params, sign
 from permcrypt.hppk_kem import KemPublicKey, encapsulate, kem_params, keygen
 from permcrypt.keystream import (
     TAG_HPPK_HASH,
@@ -288,6 +288,19 @@ def test_encode_rejects_a_key_of_the_wrong_shape():
         codec.encode_kem_public(KemPublicKey(pk.numer_matrix[:-1], pk.denom_matrix), params)
     with pytest.raises(ParameterError):
         codec.encode_kem_private(replace(sk, numer_coeffs=sk.numer_coeffs + (1,)), params)
+
+
+def test_encode_rejects_a_value_its_decoder_would_refuse():
+    params, sk, _, _, _ = kem_material()
+    coeffs = (params.prime,) + sk.numer_coeffs[1:]
+    with pytest.raises(ParameterError, match="factor coefficient out of range"):
+        codec.encode_kem_private(replace(sk, numer_coeffs=coeffs), params)
+
+
+@pytest.mark.parametrize("value", [-1, 2**136], ids=["negative", "wider-than-field"])
+def test_encode_rejects_a_value_its_field_cannot_hold(value):
+    with pytest.raises(ParameterError, match="signature value out of range"):
+        codec.encode_signature(Signature(value, 1), ds_params("I"))
 
 
 @pytest.mark.parametrize("level", ["I", "III", "V"])

@@ -147,6 +147,35 @@ def test_next_indices_bad_bound_after_a_long_run():
     assert bulk.next_bytes(700) == single.next_bytes(700)
 
 
+def _per_draw_shuffle(draw, size):
+    """Forward Fisher-Yates with one draw(bound) call per swap."""
+    table = list(range(size))
+    for i in range(size - 1):
+        j = i + draw(size - i)
+        table[i], table[j] = table[j], table[i]
+    return table
+
+
+@pytest.mark.parametrize("lead_bits", [0, 5])
+def test_shuffle_leaves_the_stream_where_per_draw_swaps_do(lead_bits):
+    # One state shuffles every table size in turn; after each table the
+    # next draw must read the bits the per-draw swaps would leave next.
+    fused = KeystreamState(b"fused", b"test")
+    single = KeystreamState(b"fused", b"test")
+    if lead_bits:
+        assert fused.next_bits(lead_bits) == single.next_bits(lead_bits)
+    for size in [1 << n for n in (*range(1, 13), 16)] + [1, 3, 300]:
+        assert fused.shuffle(size) == _per_draw_shuffle(single.next_index, size)
+        assert fused.next_bits(64) == single.next_bits(64)
+
+
+def test_shuffle_rejects_sizes_wider_than_16_bit_fields():
+    state = KeystreamState(b"s", b"t")
+    with pytest.raises(ParameterError):
+        state.shuffle((1 << 16) + 1)
+    assert state.next_bits(32) == KeystreamState(b"s", b"t").next_bits(32)
+
+
 def test_next_bytes_matches_bitwise_reads():
     a = KeystreamState(b"s", b"t")
     b = KeystreamState(b"s", b"t")
@@ -203,7 +232,7 @@ def test_stream_matches_shake256_definition():
     rng = random.Random(2024)
     seen = set()
     while ref.pos < 8 * 2400:
-        op = rng.choice(("bits", "bytes", "aligned bytes", "index", "indices"))
+        op = rng.choice(("bits", "bytes", "aligned bytes", "index", "indices", "shuffle"))
         if op == "aligned bytes" and ref.pos % 8:
             skip = -ref.pos % 8
             assert state.next_bits(skip) == ref.bits(skip)
@@ -219,11 +248,14 @@ def test_stream_matches_shake256_definition():
         elif op == "index":
             bound = rng.randint(1, 1 << rng.randint(1, 40))
             assert state.next_index(bound) == ref.index(bound)
-        else:
+        elif op == "indices":
             top = rng.randint(1, 300)
             bounds = rng.choice((range(top, 0, -1), [top] * 20, [rng.randint(1, 99) for _ in range(9)]))
             assert state.next_indices(bounds) == [ref.index(b) for b in bounds]
-    assert seen == {"bits", "bytes", "aligned bytes", "index", "indices"}
+        else:
+            size = rng.randint(1, 300)
+            assert state.shuffle(size) == _per_draw_shuffle(ref.index, size)
+    assert seen == {"bits", "bytes", "aligned bytes", "index", "indices", "shuffle"}
 
 
 def test_system_entropy_interface():

@@ -20,7 +20,6 @@ from permcrypt.qpp import (
     MODE_SEQUENTIAL,
     Permutation,
     PermutationPad,
-    _shuffle_table,
     blocks_from_bytes,
     bytes_from_blocks,
     decrypt_stream,
@@ -80,8 +79,8 @@ def test_compose_order_matters():
     state = KeystreamState(b"non-commute", TAG_QPP_PAD)
     non_commuting = 0
     for _ in range(100):
-        p = Permutation(4, _shuffle_table(state, 16))
-        q = Permutation(4, _shuffle_table(state, 16))
+        p = Permutation(4, state.shuffle(16))
+        q = Permutation(4, state.shuffle(16))
         if p.compose(q) != q.compose(p):
             non_commuting += 1
     assert non_commuting >= 99
@@ -96,8 +95,8 @@ def test_compose_rejects_mismatched_sizes():
 
 
 def test_shuffle_with_zero_draws_is_identity():
-    assert _shuffle_table(ZeroEntropy(), 2) == [0, 1]
-    assert _shuffle_table(ZeroEntropy(), 256) == list(range(256))
+    assert ZeroEntropy().shuffle(2) == [0, 1]
+    assert ZeroEntropy().shuffle(256) == list(range(256))
 
 
 def test_generate_pad_hand_trace():
@@ -167,7 +166,7 @@ def test_generate_pad_validates_shape(monkeypatch):
     def no_draws(state, size):
         raise AssertionError("drew a table for an invalid shape")
 
-    monkeypatch.setattr(qpp, "_shuffle_table", no_draws)
+    monkeypatch.setattr(KeystreamState, "shuffle", no_draws)
     with pytest.raises(ParameterError):
         generate_pad(b"s", 0, 1)
     with pytest.raises(ParameterError):
@@ -272,11 +271,13 @@ def _assert_matches_reference(pad, data, mode):
 
 
 @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_SEQUENTIAL])
-@pytest.mark.parametrize("size", [1, 2, 3, 5, 64, 100, 300])
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 64, 100, 255, 256, 257, 300])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 16])
 def test_stream_matches_per_block_reference(n, size, mode, monkeypatch):
     # A 48-byte chunk puts chunk and dispatch-draw boundaries inside short
     # inputs; the longest input is two whole chunks and a partial third.
+    # Pad sizes 255, 256 and 257 reject one 8-bit field value, none, and
+    # the 9-bit fields from 257 up.
     monkeypatch.setattr(qpp, "_CHUNK_BYTES", 48)
     granule = math.lcm(n, 8) // 8
     step = 48 - 48 % granule
