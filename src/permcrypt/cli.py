@@ -108,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--M", type=int, required=True)
     pe.add_argument("--kind", choices=("matrix", "arithmetic"), default="matrix")
     pc = info_sub.add_parser("complexity", help="log2 of a brute-force search over both rings' "
-                             "(multiplier, modulus) pairs; not a lattice-attack bound")
+                             "(multiplier, modulus) pairs; not a lattice-attack bound, and "
+                             "pk plus vk expose both hidden moduli")
     pc.add_argument("--L", type=int, required=True)
 
     return parser

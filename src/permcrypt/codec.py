@@ -4,12 +4,15 @@ Every envelope is magic + kind + a parameter header + a fixed-width
 big-endian payload whose length is fully determined by the parameters.
 Each HPPK kind's payload is described in `_payload` and placed once per
 (kind, shipped parameter set) by `_layout`: header bytes, field offsets
-and size, read by its encoder, its decoder and its size formula.  A
-decode checks the length once, after the header: truncation is reported
+and size, read by its encoder, its decoder and its size formula.  There
+each field's rule is stated once, as a [low, high) range, so an encoder
+refuses exactly what its decoder refuses; the one cross-field rule is
+`RingOperator.create`, which a private key's encoder and decoder both call.
+A decode checks the length once, after the header: truncation is reported
 at the first missing byte, trailing bytes at the expected end, and an
 out-of-range field at its own offset.  Pad and stream files use the
-`QPP1` envelope, and bit padding fills a message out to whole blocks.  The known-answer-test files,
-which run the schemes, live in `permcrypt.kat`.
+`QPP1` envelope, and bit padding fills a message out to whole blocks.  The
+known-answer-test files, which run the schemes, live in `permcrypt.kat`.
 """
 
 from __future__ import annotations
@@ -75,37 +78,37 @@ def ciphertext_word_size(params: KemParams) -> int:
 
 
 def _payload(kind: int, params: KemParams) -> tuple:
-    """The payload of an HPPK envelope as ordered (name, count, width, bound) runs.
+    """The payload of an HPPK envelope as ordered (name, count, width, low, high) runs.
 
-    Each run is `count` big-endian fields of `width` bytes, every one below
-    `bound`; matrices are stored row by row.  `_layout` places it once.
+    Each run is `count` big-endian fields of `width` bytes, every one in [low, high),
+    the field's one rule; matrices are stored row by row.  `_layout` places it once.
     """
     fw, rw = _bytes_for(params.field_bits), _bytes_for(params.ring_bits)
-    p, ring, terms = params.prime, 1 << params.ring_bits, params.terms
+    p, ring, terms, shift = params.prime, 1 << params.ring_bits, params.terms, params.shift_bits
     if kind == KIND_KEM_PUBLIC:
-        return (("public matrix entry", terms, rw, ring),) * 2
+        return (("public matrix entry", terms, rw, 0, ring),) * 2
     if kind == KIND_KEM_PRIVATE:
-        factor = ("factor coefficient", params.factor_order + 1, fw, p)
-        operator = ("ring multiplier", 1, rw, ring), ("ring modulus", 1, rw, ring)
-        return (factor, factor) + operator * 2
+        factor = (("factor coefficient", params.factor_order, fw, 0, p),
+                  ("leading factor coefficient", 1, fw, 1, p))
+        operator = ("ring multiplier", 1, rw, 1, ring), ("ring modulus", 1, rw, ring >> 1, ring)
+        return factor * 2 + operator * 2
     if kind == KIND_KEM_CIPHERTEXT:
-        return (("ciphertext evaluation", 2, ciphertext_word_size(params),
+        return (("ciphertext evaluation", 2, ciphertext_word_size(params), 0,
                  ciphertext_bound(params)),)
     if kind == KIND_DS_VERIFICATION:
-        quot = ("quotient entry", terms, _bytes_for(params.shift_bits), 1 << params.shift_bits)
-        return (
-            ("residue entry", terms, fw, p), ("residue entry", terms, fw, p), quot, quot,
-            ("ring residue", 2, fw, p), ("radix shift", 1, 2, 1 << 16),
-        )
-    return (("signature value", 2, rw, ring),)  # KIND_DS_SIGNATURE
+        resid = ("residue entry", terms, fw, 0, p)
+        quot = ("quotient entry", terms, _bytes_for(shift), 0, 1 << shift)
+        return (resid, resid, quot, quot,
+                ("ring residue", 2, fw, 0, p), ("radix shift", 1, 2, shift, shift + 1))
+    return (("signature value", 2, rw, 1, ring),)  # KIND_DS_SIGNATURE
 
 
 @lru_cache(maxsize=64)  # five kinds over the nine shipped parameter sets
 def _layout(kind: int, params: KemParams) -> tuple:
-    """Header, (name, width, bound, field offsets) runs and size; shipped sets only."""
+    """Header, (name, width, low, high, field offsets) runs and size; shipped sets only."""
     header, runs, at = _params_header(kind, params), [], HEADER_LEN
-    for what, count, width, bound in _payload(kind, params):
-        runs.append((what, width, bound, range(at, at + count * width, width)))
+    for what, count, width, low, high in _payload(kind, params):
+        runs.append((what, width, low, high, range(at, at + count * width, width)))
         at += count * width
     return header, tuple(runs), at
 
@@ -206,15 +209,15 @@ def _read_params_header(data: bytes, expect_kind: int) -> tuple:
 def _encode(kind: int, params: KemParams, runs) -> bytes:
     """The header, then each run's values at the width its layout gives.
 
-    Each value is checked against its run's bound, the one its decoder
+    Each value is checked against its run's range, the one its decoder
     enforces, so no envelope carries a field its decoder calls out of range.
     """
     header, layout, _ = _layout(kind, params)
     out = [header]
-    for (what, width, bound, where), values in zip(layout, runs):
+    for (what, width, low, high, where), values in zip(layout, runs):
         if len(values) != len(where):
             raise ParameterError(f"expected {len(where)} values for {what}, got {len(values)}")
-        fields = [v.to_bytes(width, "big") for v in values if 0 <= v < bound]
+        fields = [v.to_bytes(width, "big") for v in values if low <= v < high]
         if len(fields) != len(where):  # the filter dropped an out-of-range value
             raise ParameterError(f"{what} out of range")
         out += fields
@@ -230,10 +233,10 @@ def _decode(data: bytes, kind: int):
     params, (_, layout, size) = _read_params_header(bytes(data[:HEADER_LEN]), kind)
     _check_length(data, size)
     values = []
-    for what, width, bound, where in layout:
+    for what, width, low, high, where in layout:
         run = [int.from_bytes(data[i:i + width], "big") for i in where]
-        if max(run) >= bound:
-            bad = next(i for i, v in zip(where, run) if v >= bound)
+        if max(run) >= high or low and min(run) < low:  # a field is never negative
+            bad = next(i for i, v in zip(where, run) if not low <= v < high)
             raise FormatError(f"{what} out of range", offset=bad)
         values.append(run)
     return params, values, [where for *_, where in layout]
@@ -259,26 +262,24 @@ def decode_kem_public(data: bytes):
 
 def encode_kem_private(sk: KemPrivateKey, params: KemParams) -> bytes:
     r1, r2 = sk.ring1, sk.ring2
-    return _encode(KIND_KEM_PRIVATE, params, (
-        sk.numer_coeffs, sk.denom_coeffs,
+    data = _encode(KIND_KEM_PRIVATE, params, (
+        sk.numer_coeffs[:-1], sk.numer_coeffs[-1:], sk.denom_coeffs[:-1], sk.denom_coeffs[-1:],
         (r1.multiplier,), (r1.modulus,), (r2.multiplier,), (r2.modulus,),
     ))
+    if any(RingOperator.create(r.multiplier, r.modulus) != r for r in (r1, r2)):  # as decoded
+        raise ParameterError("ring operator differs from the one RingOperator.create builds")
+    return data
 
 
 def decode_kem_private(data: bytes):
     params, runs, offsets = _decode(data, KIND_KEM_PRIVATE)
-    for coeffs, at in zip(runs[:2], offsets):
-        if coeffs[-1] == 0:
-            raise FormatError("leading factor coefficient is zero", offset=at[-1])
     rings = []
-    for (multiplier,), (modulus,), at in zip(runs[2::2], runs[3::2], offsets[2::2]):
-        if modulus.bit_length() != params.ring_bits:
-            raise FormatError("ring modulus has the wrong bit length", offset=at[0])
+    for (multiplier,), (modulus,), at in zip(runs[4::2], runs[5::2], offsets[4::2]):
         try:
             rings.append(RingOperator.create(multiplier, modulus))
         except ParameterError as exc:
             raise FormatError(str(exc), offset=at[0]) from exc
-    return KemPrivateKey(tuple(runs[0]), tuple(runs[1]), *rings), params
+    return KemPrivateKey(tuple(runs[0] + runs[1]), tuple(runs[2] + runs[3]), *rings), params
 
 
 def encode_kem_ciphertext(ct: KemCiphertext, params: KemParams) -> bytes:
@@ -299,10 +300,8 @@ def encode_verification_key(vk: DsVerificationKey, params: KemParams) -> bytes:
 
 
 def decode_verification_key(data: bytes):
-    params, runs, offsets = _decode(data, KIND_DS_VERIFICATION)
+    params, runs, _ = _decode(data, KIND_DS_VERIFICATION)
     *matrices, (ring1_resid, ring2_resid), (shift_bits,) = runs
-    if shift_bits != params.shift_bits:
-        raise FormatError("radix shift does not match the parameter set", offset=offsets[-1][0])
     m = params.noise_count
     vk = DsVerificationKey(
         *(_rows(values, m) for values in matrices), ring1_resid, ring2_resid, shift_bits
@@ -316,8 +315,6 @@ def encode_signature(sig: Signature, params: KemParams) -> bytes:
 
 def decode_signature(data: bytes):
     params, [(numer_tag, denom_tag)], _ = _decode(data, KIND_DS_SIGNATURE)
-    if numer_tag == 0 or denom_tag == 0:
-        raise FormatError("zero signature value", offset=HEADER_LEN)
     return Signature(numer_tag, denom_tag), params
 
 

@@ -4,8 +4,9 @@ import pytest
 
 from permcrypt import codec
 from permcrypt.errors import FormatError, ParameterError
-from permcrypt.hppk_ds import Signature, ds_keygen, ds_params, sign
-from permcrypt.hppk_kem import KemPublicKey, encapsulate, kem_params, keygen
+from permcrypt.hidden_ring import RingOperator
+from permcrypt.hppk_ds import DsVerificationKey, Signature, ds_keygen, ds_params, sign
+from permcrypt.hppk_kem import KemCiphertext, KemPublicKey, encapsulate, kem_params, keygen
 from permcrypt.keystream import (
     TAG_HPPK_HASH,
     TAG_HPPK_KEYGEN,
@@ -301,6 +302,90 @@ def test_encode_rejects_a_value_its_decoder_would_refuse():
 def test_encode_rejects_a_value_its_field_cannot_hold(value):
     with pytest.raises(ParameterError, match="signature value out of range"):
         codec.encode_signature(Signature(value, 1), ds_params("I"))
+
+
+def _unchecked(kind, params, runs, valid):
+    """`valid` rebuilt from one payload's runs of values, with no check on them."""
+    if kind == codec.KIND_KEM_PRIVATE:
+        n0, n1, d0, d1, (m1,), (s1,), (m2,), (s2,) = runs
+        return replace(
+            valid, numer_coeffs=tuple(n0 + n1), denom_coeffs=tuple(d0 + d1),
+            ring1=replace(valid.ring1, multiplier=m1, modulus=s1),
+            ring2=replace(valid.ring2, multiplier=m2, modulus=s2),
+        )
+    if kind == codec.KIND_DS_VERIFICATION:
+        *matrices, residues, (shift,) = runs
+        rows = [tuple(zip(*[iter(v)] * params.noise_count)) for v in matrices]
+        return DsVerificationKey(*rows, *residues, shift)
+    return (KemCiphertext if kind == codec.KIND_KEM_CIPHERTEXT else Signature)(*runs[0])
+
+
+# The public key is left out: each of its ranges fills its field's width.
+@pytest.mark.parametrize("kind", [
+    codec.KIND_KEM_PRIVATE, codec.KIND_KEM_CIPHERTEXT,
+    codec.KIND_DS_VERIFICATION, codec.KIND_DS_SIGNATURE,
+], ids=["kem-private", "kem-ciphertext", "ds-verification", "ds-signature"])
+def test_encoder_refuses_exactly_what_its_decoder_refuses(kind):
+    kem, sk, _, _, ct = kem_material("I", 2, b"symmetry")
+    ds, _, _, vk, sig = ds_material("I", b"symmetry")
+    params, valid, decode, encode = {
+        codec.KIND_KEM_PRIVATE: (kem, sk, codec.decode_kem_private, codec.encode_kem_private),
+        codec.KIND_KEM_CIPHERTEXT: (kem, ct, codec.decode_kem_ciphertext,
+                                    codec.encode_kem_ciphertext),
+        codec.KIND_DS_VERIFICATION: (ds, vk, codec.decode_verification_key,
+                                     codec.encode_verification_key),
+        codec.KIND_DS_SIGNATURE: (ds, sig, codec.decode_signature, codec.encode_signature),
+    }[kind]
+    data = encode(valid, params)
+    _, runs, _ = codec._decode(data, kind)
+    checked = 0
+    for r, (what, width, low, high, where) in enumerate(codec._layout(kind, params)[1]):
+        outside = [low - 1] * (low > 0) + [high] * (high < 256 ** width)
+        for value in outside:
+            for i in {0, len(where) - 1}:  # the run's first and last field
+                bad = bytearray(data)
+                bad[where[i]:where[i] + width] = value.to_bytes(width, "big")
+                with pytest.raises(FormatError, match=f"^{what} out of range") as err:
+                    decode(bytes(bad))
+                assert err.value.offset == where[i]
+                values = [list(run) for run in runs]
+                values[r][i] = value
+                # Signature refuses a zero value itself, before its encoder runs.
+                refusal = f"^({what} out of range|signature values must be nonzero)"
+                with pytest.raises(ParameterError, match=refusal):
+                    encode(_unchecked(kind, params, values, valid), params)
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda sk: replace(sk, numer_coeffs=sk.numer_coeffs[:-1] + (0,)),
+     "leading factor coefficient out of range"),
+    (lambda sk: replace(sk, ring1=RingOperator.create(1, sk.ring1.modulus >> 1)),
+     "ring modulus out of range"),
+    (lambda sk: replace(sk, ring2=replace(sk.ring2, multiplier=2, modulus=sk.ring2.modulus & ~1)),
+     "coprime"),
+    (lambda sk: replace(sk, ring1=replace(sk.ring1, multiplier_inv=1)),
+     "differs from the one RingOperator.create builds"),
+], ids=["zero-leading-coefficient", "modulus-one-bit-short", "non-coprime-operator",
+        "wrong-inverse"])
+def test_encode_rejects_a_private_key_its_decoder_would_refuse(damage, message):
+    params, sk, _, _, _ = kem_material()
+    with pytest.raises(ParameterError, match=message):
+        codec.encode_kem_private(damage(sk), params)
+
+
+def test_a_verification_key_carries_its_sets_own_radix_shift():
+    params, _, _, vk, _ = ds_material()
+    data = bytearray(codec.encode_verification_key(vk, params))
+    at = len(data) - 2  # the radix shift is the last field
+    for shift in (params.shift_bits - 1, params.shift_bits + 1):
+        data[at:] = shift.to_bytes(2, "big")
+        with pytest.raises(FormatError, match="radix shift out of range") as err:
+            codec.decode_verification_key(bytes(data))
+        assert err.value.offset == at
+        with pytest.raises(ParameterError, match="radix shift out of range"):
+            codec.encode_verification_key(replace(vk, shift_bits=shift), params)
 
 
 @pytest.mark.parametrize("level", ["I", "III", "V"])

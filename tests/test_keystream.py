@@ -258,6 +258,27 @@ def test_stream_matches_shake256_definition():
     assert seen == {"bits", "bytes", "aligned bytes", "index", "indices", "shuffle"}
 
 
+def test_next_index_matches_shake256_definition_across_widths():
+    # Widths above 16 bits, exactly 2**16, and bound 1 (no bits) between
+    # draws, from a byte boundary and off it.
+    bounds = [70000, 3, 1 << 20, 1, 1 << 16, 65535, 1, 2, (1 << 40) + 1, 1 << 17, 5] * 4
+    for lead in (0, 3, 13):
+        ref = _ShakeBits(b"widths", b"test", 4096)
+        state = KeystreamState(b"widths", b"test")
+        if lead:
+            assert state.next_bits(lead) == ref.bits(lead)
+        assert [state.next_index(b) for b in bounds] == [ref.index(b) for b in bounds]
+        assert state.next_bits(64) == ref.bits(64)
+
+
+def test_next_index_rejects_a_bound_below_one_without_drawing():
+    state = KeystreamState(b"s", b"t")
+    for bound in (0, -5):
+        with pytest.raises(ParameterError):
+            state.next_index(bound)
+    assert state.next_bits(64) == KeystreamState(b"s", b"t").next_bits(64)
+
+
 def test_system_entropy_interface():
     rng = SystemEntropy()
     assert 0 <= rng.next_index(10) < 10
