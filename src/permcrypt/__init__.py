@@ -2,8 +2,8 @@
 hidden-ring public-key schemes for key encapsulation and signatures.
 
 Prototype quality: no constant-time guarantees, no authenticated
-encryption, encapsulation is IND-CPA only, and a key's pk plus vk
-expose both hidden ring moduli.
+encryption, encapsulation is IND-CPA only, and a key's vk alone exposes
+both hidden ring moduli, and with them pk.
 """
 
 from .errors import (

@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--kind", choices=("matrix", "arithmetic"), default="matrix")
     pc = info_sub.add_parser("complexity", help="log2 of a brute-force search over both rings' "
                              "(multiplier, modulus) pairs; not a lattice-attack bound, and "
-                             "pk plus vk expose both hidden moduli")
+                             "vk alone exposes both hidden moduli, and with them pk")
     pc.add_argument("--L", type=int, required=True)
 
     return parser
@@ -229,7 +229,7 @@ def _cmd_kat(args) -> int:
         labels = list(kat.KAT_CONFIGS) if args.config == "all" else [args.config]
         for label in labels:
             path = out_dir / f"{label}.kat"
-            path.write_text(kat.emit_kat(seed, label, args.count))
+            path.write_bytes(kat.emit_kat(seed, label, args.count).encode("ascii"))
             print(f"wrote {path}")
         return 0
 
@@ -240,9 +240,9 @@ def _cmd_kat(args) -> int:
     failed = False
     for file in files:
         try:
-            text = file.read_text()
+            text = file.read_bytes().decode("ascii")
         except UnicodeDecodeError:
-            raise FormatError(f"{file} is not a text KAT file") from None
+            raise FormatError(f"{file} is not an ASCII KAT file") from None
         report = kat.check_kat(text)
         if report.ok:
             print(f"{report.label}: ok ({report.total} vectors)")

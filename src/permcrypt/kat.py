@@ -1,11 +1,14 @@
-"""Known-answer-test (KAT) files: line-oriented `name = value` ASCII with
-lowercase hex fields, one blank line between vectors.  A file is checked by
-emitting it again from its header, so emit and check share one derivation.
+"""Known-answer-test (KAT) files: a file is byte for byte what `emit_kat`
+writes, up to a missing final newline.  `check_kat` emits it again from its
+header and compares the text.  A header emit would not write is a
+`FormatError` (CLI exit 2); a differing vector block is a failure naming
+its count and the field on its first differing line (CLI exit 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from . import codec
 from .errors import FormatError, PermcryptError
@@ -75,17 +78,20 @@ def _kat_vector(label: str, params: KemParams, vseed: bytes) -> dict:
     return fields
 
 
-def emit_kat(seed: bytes, label: str, count: int = 25) -> str:
-    """Deterministic KAT file text for one configuration."""
-    params = kat_params(label)
-    seeds = KeystreamState(seed + b"|" + label.encode("ascii"), TAG_KAT)
-    lines = [
+def _kat_header(seed: bytes, label: str, count: int) -> str:
+    return "\n".join([
         "# permcrypt known-answer tests",
         f"alg = {label}",
         f"vectors = {count}",
         f"seed = {seed.hex()}",
-        "",
-    ]
+    ])
+
+
+def emit_kat(seed: bytes, label: str, count: int = 25) -> str:
+    """Deterministic KAT file text for one configuration."""
+    params = kat_params(label)
+    seeds = KeystreamState(seed + b"|" + label.encode("ascii"), TAG_KAT)
+    lines = [_kat_header(seed, label, count), ""]
     for i in range(count):
         fields = _kat_vector(label, params, seeds.next_bytes(32))
         lines.append(f"count = {i}")
@@ -102,69 +108,52 @@ def _kat_field(convert, value: str, name: str):
         raise FormatError(f"malformed KAT field {name!r}: {value!r}") from None
 
 
-def _lower_hex(value: str) -> bytes:
-    """Hex as emit_kat writes it: lowercase, no separators."""
-    data = bytes.fromhex(value)
-    if data.hex() != value:
-        raise ValueError(value)
-    return data
+def _differing_field(got: str, want: str) -> str:
+    """Field on the first line where `got` departs from `want`: the one emit
+    writes there, or the extra line's own name past the end of `want`."""
+    pairs = zip_longest(got.split("\n"), want.split("\n"))
+    mine, theirs = next(pair for pair in pairs if pair[0] != pair[1])
+    return (mine if theirs is None else theirs).partition(" = ")[0]
 
 
-def _decimal(value: str) -> int:
-    """An integer as emit_kat writes it: canonical decimal, no "+" or padding."""
-    number = int(value)
-    if str(number) != value:
-        raise ValueError(value)
-    return number
-
-
-def _parse_kat(text: str):
-    """Header dict and one dict per vector; `count` is parsed as an int."""
-    header: dict = {}
-    vectors: list = []
-    current = header
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+def _parse_header(head: str):
+    """`alg`, `vectors` and `seed` of a header, which must be the one emit writes."""
+    fields: dict = {}
+    for line in head.split("\n"):
+        if line.startswith("#"):
             continue
-        if " = " not in line:
-            raise FormatError(f"malformed KAT line: {raw!r}")
-        key, value = line.split(" = ", 1)
-        if key == "count":
-            current = {"count": _kat_field(_decimal, value, "count")}
-            vectors.append(current)
-        elif key in current:
-            raise FormatError(f"KAT field {key!r} is repeated: {raw!r}")
-        else:
-            current[key] = value
+        key, _, value = line.partition(" = ")
+        if key not in _HEADER_FIELDS:
+            raise FormatError(f"unexpected KAT header field {key!r}")
+        if key in fields:
+            raise FormatError(f"KAT field {key!r} is repeated: {line!r}")
+        fields[key] = value
     for need in _HEADER_FIELDS:
-        if need not in header:
+        if need not in fields:
             raise FormatError(f"KAT header is missing {need!r}")
-    for name in header:
-        if name not in _HEADER_FIELDS:
-            raise FormatError(f"unexpected KAT header field {name!r}")
-    return header, vectors
+    label = fields["alg"]
+    kat_params(label)  # an unknown label is reported before the count checks
+    count = _kat_field(int, fields["vectors"], "vectors")
+    if count < 1:
+        raise FormatError(f"KAT field 'vectors' must be at least 1, got {count}")
+    seed = _kat_field(bytes.fromhex, fields["seed"], "seed")
+    want = _kat_header(seed, label, count)
+    if head != want:
+        name = _differing_field(head, want)
+        raise FormatError(f"KAT header field {name!r} is not as emit writes it")
+    return label, count, seed
 
 
 def check_kat(text: str) -> KatReport:
-    """Re-emit a KAT file from its header and compare every vector field."""
-    header, vectors = _parse_kat(text)
-    label = header["alg"]
-    kat_params(label)  # an unknown label is reported before the count checks
-    count = _kat_field(_decimal, header["vectors"], "vectors")
-    if count < 1:
-        raise FormatError(f"KAT field 'vectors' must be at least 1, got {count}")
-    seed = _kat_field(_lower_hex, header["seed"], "seed")
+    """Re-emit a KAT file from its header and compare it, block by block."""
+    head, *blocks = text.removesuffix("\n").split("\n\n")
+    label, count, seed = _parse_header(head)
     report = KatReport(label=label, total=count)
-    if len(vectors) != count:
+    if len(blocks) != count:  # before deriving anything: `vectors` may be huge
         report.failures.append((-1, "vectors"))
         return report
-    _, expected = _parse_kat(emit_kat(seed, label, count))
-    for i, (got, want) in enumerate(zip(vectors, expected)):
-        # The emitted fields in order, then any field emit never writes.
-        for name in {**want, **got}:
-            if got.get(name) != want.get(name):
-                report.failures.append((i, name))
-                break
+    _, *expected = emit_kat(seed, label, count).removesuffix("\n").split("\n\n")
+    for i, (got, want) in enumerate(zip(blocks, expected)):
+        if got != want:
+            report.failures.append((i, _differing_field(got, want)))
     return report
-

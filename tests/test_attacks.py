@@ -1,5 +1,8 @@
 """Attacks that run against the shipped keys; each test pins a leak the docs state."""
 
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from permcrypt.hppk_ds import ds_keygen, ds_params
@@ -8,6 +11,44 @@ from permcrypt.keystream import TAG_HPPK_KEYGEN, KeystreamState
 
 def _flat(matrix):
     return [v for row in matrix for v in row]
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _lll(basis, delta=Fraction(99, 100)):
+    """Lenstra-Lenstra-Lovasz reduction of integer rows, exact rational Gram-Schmidt."""
+    b = [list(row) for row in basis]
+
+    def gram_schmidt():
+        ortho, mu = [], []
+        for row in b:
+            coeffs = [_dot(row, o) / _dot(o, o) for o in ortho]
+            v = [Fraction(x) for x in row]
+            for c, o in zip(coeffs, ortho):
+                v = [x - c * y for x, y in zip(v, o)]
+            ortho.append(v)
+            mu.append(coeffs)
+        return [_dot(o, o) for o in ortho], mu
+
+    norms, mu = gram_schmidt()
+    k = 1
+    while k < len(b):
+        for j in range(k - 1, -1, -1):  # size-reduce row k
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu[k][j] -= q
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            norms, mu = gram_schmidt()
+            k = max(k - 1, 1)
+    return b
 
 
 @pytest.mark.parametrize("level", ["I", "III", "V"])
@@ -24,3 +65,34 @@ def test_pk_and_vk_give_both_hidden_moduli(level):
         ):
             entry, q = max(zip(_flat(matrix), _flat(quot)))
             assert (entry << vk.shift_bits) // q == ring.modulus
+
+
+def test_vk_alone_gives_both_hidden_moduli_and_pk():
+    # For each vk entry, r = 2^shift * P - q * s lies in [0, s).  Mod 2^shift,
+    # r = -q * s; mod p, rho = resid / ring_resid = P / s, so r = (2^shift * rho
+    # - q) * s.  Hence r = d * s mod N with N = p * 2^shift: s is a ring_bits-bit
+    # number whose multiples d * s mod N are all below s, and so a short vector
+    # of the lattice spanned by [1, d1, d2, d3] and N times the unit rows.
+    params = ds_params("I")
+    p, ring_bits = params.prime, params.ring_bits
+    sk, pk, vk = ds_keygen(params, KeystreamState(bytes([0]), TAG_HPPK_KEYGEN))  # seed 0
+    shift = vk.shift_bits
+    modulus = p << shift
+    for matrix, quot, resid, ring_resid, ring in (
+        (pk.numer_matrix, vk.numer_quot, vk.numer_resid, vk.ring1_resid, sk.ring1),
+        (pk.denom_matrix, vk.denom_quot, vk.denom_resid, vk.ring2_resid, sk.ring2),
+    ):
+        inv = pow(ring_resid, -1, p)
+        ds = [((r * inv % p << shift) - q) % modulus for q, r in zip(_flat(quot), _flat(resid))]
+        basis = [[1, *ds]] + [
+            [0] * (i + 1) + [modulus] + [0] * (len(ds) - i - 1) for i in range(len(ds))
+        ]
+        firsts = [row[0] for row in _lll(basis)]
+        candidates = (abs(_dot(c, firsts)) for c in product(range(-3, 4), repeat=len(firsts)))
+        found = {
+            s for s in candidates
+            if s.bit_length() == ring_bits and all(d * s % modulus < s for d in ds)
+        }
+        assert found == {ring.modulus}
+        (s,) = found
+        assert [-(-q * s >> shift) for q in _flat(quot)] == _flat(matrix)  # ceil(q*s / 2^shift)

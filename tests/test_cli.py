@@ -202,9 +202,13 @@ def test_kat_check_rejects_malformed_fields_as_format_errors(tmp_path, capsys, o
     text = path.read_text()
     assert old in text
     path.write_text(text.replace(old, new, 1))
-    assert run("kat", "check", "--in", path) == 2
+    code = run("kat", "check", "--in", path)
     err = capsys.readouterr().err
-    assert "error:" in err and repr(old.split(" = ")[0]) in err
+    if old == "count = 0":  # vector text is compared, so this is a KAT mismatch
+        assert code == 1 and "count=0 field=count" in err
+    else:
+        assert code == 2
+        assert "error:" in err and repr(old.split(" = ")[0]) in err
 
 
 def test_kat_check_rejects_empty_vector_list(tmp_path, capsys):
@@ -254,6 +258,17 @@ def test_kat_check_rejects_a_spaced_header_seed(tmp_path, capsys):
     path.write_text(path.read_text().replace("seed = 00112233\n", "seed = 0011 22 33\n"))
     assert run("kat", "check", "--in", path) == 2
     assert "'seed'" in capsys.readouterr().err
+
+
+def test_kat_check_refuses_a_crlf_copy(tmp_path, capsys):
+    # The bytes on disk are checked; no newline translation on read.
+    out = tmp_path / "kats"
+    run("kat", "emit", "--out", out, "--config", "DS-I", "--count", 1,
+        "--seed-hex", "5678", "--unsafe-seed")
+    path = out / "DS-I.kat"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert run("kat", "check", "--in", path) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_kat_check_rejects_non_utf8_file(tmp_path, capsys):

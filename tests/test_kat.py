@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -86,14 +87,78 @@ def test_kat_rejects_a_repeated_field(name, nth):
     line = _lines(text, f"{name} = ")[nth]
     value = line.split(" = ")[1]
     corrupted = f"{name} = {'0' if value[0] != '0' else 'f'}{value[1:]}"
-    with pytest.raises(FormatError, match=f"'{name}' is repeated"):
-        kat.check_kat(text.replace(line, f"{corrupted}\n{line}"))
+    mangled = text.replace(line, f"{corrupted}\n{line}")
+    if nth == 0:  # the header is parsed field by field
+        with pytest.raises(FormatError, match=f"'{name}' is repeated"):
+            kat.check_kat(mangled)
+    else:  # a vector block is compared as text
+        assert kat.check_kat(mangled).failures == [(nth, name)]
 
 
 @pytest.mark.parametrize("vectors", ["0", "-3"])
 def test_kat_rejects_a_file_with_no_vectors(vectors):
     with pytest.raises(FormatError, match="vectors"):
         kat.check_kat(f"alg = DS-I\nvectors = {vectors}\nseed = 00\n")
+
+
+def test_kat_counts_vectors_before_deriving_any(monkeypatch):
+    # A one-line edit must not make check derive 10^9 key pairs.
+    text = kat.emit_kat(b"kat-seed", "DS-I", count=2)
+
+    def derive(*args):
+        raise AssertionError("a vector was derived")
+
+    monkeypatch.setattr(kat, "_kat_vector", derive)
+    huge = text.replace("vectors = 2\n", "vectors = 1000000000\n", 1)
+    assert kat.check_kat(huge).failures == [(-1, "vectors")]
+
+
+def _accepted(text):
+    try:
+        return kat.check_kat(text).ok
+    except FormatError:
+        return False
+
+
+_EMIT_NEVER_WRITES = {
+    "indented-pk": lambda t: t.replace("\npk = ", "\n  pk = ", 1),
+    "comment-in-vector": lambda t: t.replace("\nsig = ", "\n# note\nsig = ", 1),
+    "extra-blank-line": lambda t: t.replace("\n\ncount = 1", "\n\n\ncount = 1"),
+    "missing-blank-line": lambda t: t.replace("\n\ncount = 1", "\ncount = 1"),
+    "alg-vectors-swapped": lambda t: t.replace("alg = DS-I\nvectors = 2", "vectors = 2\nalg = DS-I"),
+    "no-banner": lambda t: t.replace("# permcrypt known-answer tests\n", ""),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("variant", list(_EMIT_NEVER_WRITES))
+def test_kat_refuses_text_emit_never_writes(variant):
+    text = kat.emit_kat(b"kat-seed", "DS-I", count=2)
+    mangled = _EMIT_NEVER_WRITES[variant](text)
+    assert mangled != text
+    assert not _accepted(mangled)
+
+
+def test_kat_accepts_only_the_emitted_text():
+    # Seeded mutations; check returns a report or raises FormatError, and
+    # passes only the emitted text, with or without its final newline.
+    text = kat.emit_kat(b"kat-seed", "DS-I", count=2)
+    line_starts = [0] + [i + 1 for i, c in enumerate(text[:-1]) if c == "\n"]
+    rng = random.Random(2024)
+    for case in range(400):
+        at = rng.randrange(len(text))
+        char = rng.choice("0123456789abcdefAF =#-\n\r\t")
+        line = rng.choice(line_starts)
+        mutated = rng.choice([
+            lambda: text[:at] + char + text[at:],
+            lambda: text[:at] + text[at + 1:],
+            lambda: text[:at] + char + text[at + 1:],
+            lambda: text[:line] + "# note\n" + text[line:],
+            lambda: text[:line] + "\n" + text[line:],
+            lambda: text[:line] + "  " + text[line:],
+            lambda: text.replace("\n", "\r\n"),
+        ])()
+        assert _accepted(mutated) == (mutated.removesuffix("\n") == text[:-1]), case
 
 
 def test_kat_all_configurations_smoke():
