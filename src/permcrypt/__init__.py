@@ -2,8 +2,9 @@
 hidden-ring public-key schemes for key encapsulation and signatures.
 
 Prototype quality: no constant-time guarantees, no authenticated
-encryption, encapsulation is IND-CPA only, and a key's vk alone exposes
-both hidden ring moduli, and with them pk.
+encryption, the one-noise KEM that the CLI runs is not IND-CPA (pk and a
+ciphertext give its secret by lattice reduction), and a key's vk alone
+exposes both hidden ring moduli, and with them pk.
 """
 
 from .errors import (

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import codec, kat
 from .errors import FormatError, ParameterError, PermcryptError
 from .hppk_ds import ds_keygen, ds_params, sign, verify
-from .hppk_kem import attack_complexity, decapsulate, encapsulate
+from .hppk_kem import LEVELS, attack_complexity, decapsulate, encapsulate
 from .keystream import (
     TAG_HPPK_HASH,
     TAG_HPPK_KEYGEN,
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="acknowledge that a fixed seed is unsafe outside tests")
 
     p = sub.add_parser("keygen", help="generate the key triple (sk, pk, vk)")
-    p.add_argument("--level", choices=("I", "III", "V"), default="III")
+    p.add_argument("--level", choices=LEVELS, default="III")
     p.add_argument("--sk", required=True, help="private key output path")
     p.add_argument("--pk", required=True, help="encapsulation public key output path")
     p.add_argument("--vk", required=True, help="verification public key output path")
@@ -108,8 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--M", type=int, required=True)
     pe.add_argument("--kind", choices=("matrix", "arithmetic"), default="matrix")
     pc = info_sub.add_parser("complexity", help="log2 of a brute-force search over both rings' "
-                             "(multiplier, modulus) pairs; not a lattice-attack bound, and "
-                             "vk alone exposes both hidden moduli, and with them pk")
+                             "(multiplier, modulus) pairs; not a lattice-attack bound: pk "
+                             "and a ciphertext give the one-noise KEM's secret, and vk "
+                             "alone exposes both hidden moduli, and with them pk")
     pc.add_argument("--L", type=int, required=True)
 
     return parser

@@ -8,9 +8,10 @@ and size, read by its encoder, its decoder and its size formula.  There
 each field's rule is stated once, as a [low, high) range, so an encoder
 refuses exactly what its decoder refuses; the one cross-field rule is
 `RingOperator.create`, which a private key's encoder and decoder both call.
-A decode checks the length once, after the header: truncation is reported
-at the first missing byte, trailing bytes at the expected end, and an
-out-of-range field at its own offset.  Pad and stream files use the
+A decode reads the header first and reports a header byte that names no
+shipped set at its own offset.  It then checks the length once: truncation
+is reported at the first missing byte, trailing bytes at the expected end,
+and an out-of-range field at its own offset.  Pad and stream files use the
 `QPP1` envelope, and bit padding fills a message out to whole blocks.  The
 known-answer-test files, which run the schemes, live in `permcrypt.kat`.
 """
@@ -21,14 +22,15 @@ import math
 from functools import lru_cache
 
 from .errors import FormatError, ParameterError
-from .hppk_ds import DsVerificationKey, Signature, ds_params
+from .hppk_ds import DsVerificationKey, Signature
 from .hppk_kem import (
+    LEVELS,
     KemCiphertext,
     KemParams,
     KemPrivateKey,
     KemPublicKey,
     ciphertext_bound,
-    kem_params,
+    shipped_params,
 )
 from .hidden_ring import RingOperator
 from .qpp import (
@@ -55,7 +57,7 @@ KIND_DS_SIGNATURE = 0x05
 QPP_VERSION_PAD = 0x01
 QPP_VERSION_STREAM = 0x02
 
-_LEVEL_CODE = {"I": 1, "III": 3, "V": 5}
+_LEVEL_CODE = dict(zip(LEVELS, (1, 3, 5)))  # the NIST level number
 _LEVEL_FROM_CODE = {v: k for k, v in _LEVEL_CODE.items()}
 _MODE_CODE = {MODE_RANDOM: 0, MODE_SEQUENTIAL: 1}
 _MODE_FROM_CODE = {v: k for k, v in _MODE_CODE.items()}
@@ -163,14 +165,10 @@ def _check_length(data: bytes, size: int) -> None:
         raise FormatError("trailing bytes after payload", offset=size)
 
 
-def _shipped(level: str, noise_count: int) -> KemParams:
-    return ds_params(level) if noise_count == 1 else kem_params(level, noise_count)
-
-
 def _params_header(kind: int, params: KemParams) -> bytes:
     if params.level is None:
         raise ParameterError("only shipped parameter sets can be serialized")
-    if params != _shipped(params.level, params.noise_count):
+    if params != shipped_params(params.level, params.noise_count):
         raise ParameterError("parameters differ from the shipped set their header names")
     return (
         MAGIC_HPPK
@@ -182,24 +180,26 @@ def _params_header(kind: int, params: KemParams) -> bytes:
 
 @lru_cache(maxsize=64)  # only the headers of shipped sets return
 def _read_params_header(data: bytes, expect_kind: int) -> tuple:
-    """The parameters and layout that an envelope's first HEADER_LEN bytes name."""
+    """The parameters and layout that an envelope's first HEADER_LEN bytes name.
+
+    The level byte and the noise-count byte pick the shipped set; the other
+    bytes must then be that set's own, and the first that is not is reported.
+    """
     _check_magic(data, MAGIC_HPPK, HEADER_LEN)
     if data[4] != expect_kind:
         raise FormatError(f"unexpected kind byte {data[4]:#04x}", offset=4)
     level = _LEVEL_FROM_CODE.get(data[5])
     if level is None:
         raise FormatError(f"unknown level code {data[5]}", offset=5)
-    field_bits = int.from_bytes(data[6:8], "big")
-    base_order, factor_order, noise_count = data[8:11]
     try:
-        candidate = _shipped(level, noise_count)
+        params = shipped_params(level, data[10])
     except ParameterError as exc:
-        raise FormatError(str(exc), offset=6) from exc
-    if (field_bits, base_order, factor_order) != (
-        candidate.field_bits, candidate.base_order, candidate.factor_order
-    ):
-        raise FormatError("parameter header does not match a shipped set", offset=6)
-    return candidate, _layout(expect_kind, candidate)
+        raise FormatError(str(exc), offset=10) from exc
+    layout = _layout(expect_kind, params)
+    for at in range(6, 10):
+        if data[at] != layout[0][at]:
+            raise FormatError("parameter header does not match a shipped set", offset=at)
+    return params, layout
 
 
 # ---------------------------------------------------------------------------

@@ -13,45 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormatError, GenerationError, ParameterError, SigningError
-from .hppk_kem import (
-    LEVELS,
-    PRIMES_BY_BITS,
-    KemParams,
-    KemPrivateKey,
-    KemPublicKey,
-    keygen,
-)
+from .hppk_kem import KemParams, KemPrivateKey, KemPublicKey, keygen, shipped_params
 from .keystream import SystemEntropy, hash_to_field
-
-DS_FIELD_BITS = {"I": 64, "III": 96, "V": 128}
-_HASH_BYTES = {"I": 32, "III": 48, "V": 64}
 
 _SELF_CHECK_LIMIT = 64
 
 
 def ds_params(level: str) -> KemParams:
     """Shipped signature configuration, one shared object per level: m=1, linear factors."""
-    if level not in LEVELS:
-        raise ParameterError(f"unknown security level {level!r}")
-    return _DS_SETS[level]
-
-
-def _ds_set(level: str) -> KemParams:
-    bits = DS_FIELD_BITS[level]
-    ring_bits = 2 * bits + 8
-    return KemParams(
-        prime=PRIMES_BY_BITS[bits],
-        base_order=1,
-        factor_order=1,
-        noise_count=1,
-        ring_bits=ring_bits,
-        shift_bits=ring_bits + 32,
-        level=level,
-        hash_bytes=_HASH_BYTES[level],
-    )
-
-
-_DS_SETS = {level: _ds_set(level) for level in LEVELS}
+    return shipped_params(level, 1)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,12 @@ PRIMES_BY_BITS = {
     128: 340282366920938463463374607431768211297,
 }
 
+# The one table of shipped sets: field bits per level for the KEM (noise
+# count 2 or 3) and for the signature scheme (noise count 1), which doubles
+# the field and hashes messages to a SHA3 digest of 4 * field_bits bits.
 KEM_FIELD_BITS = {"I": 32, "III": 48, "V": 64}
-LEVELS = ("I", "III", "V")
+DS_FIELD_BITS = {"I": 64, "III": 96, "V": 128}
+LEVELS = tuple(KEM_FIELD_BITS)
 
 _RESAMPLE_LIMIT = 64
 
@@ -81,17 +85,26 @@ class KemParams:
         return self.rows * self.noise_count
 
 
+def shipped_params(level: str, noise_count: int) -> KemParams:
+    """The one shared shipped set: noise count 1 signs, 2 or 3 encapsulate."""
+    try:
+        return _SHIPPED[level, noise_count]
+    except (KeyError, TypeError):  # an unhashable argument names no set either
+        raise ParameterError(
+            f"no shipped parameter set has level {level!r} and noise count {noise_count!r}"
+        ) from None
+
+
 def kem_params(level: str, noise_count: int = 2) -> KemParams:
     """Shipped KEM configuration for a security level (noise_count 2 or 3), shared."""
-    if level not in LEVELS:
-        raise ParameterError(f"unknown security level {level!r}")
     if noise_count not in (2, 3):
         raise ParameterError("shipped KEM configurations use 2 or 3 noise variables")
-    return _KEM_SETS[level, noise_count]
+    return shipped_params(level, noise_count)
 
 
-def _kem_set(level: str, noise_count: int) -> KemParams:
-    bits = KEM_FIELD_BITS[level]
+def _build(level: str, noise_count: int) -> KemParams:
+    signs = noise_count == 1
+    bits = (DS_FIELD_BITS if signs else KEM_FIELD_BITS)[level]
     ring_bits = 2 * bits + 8
     return KemParams(
         prime=PRIMES_BY_BITS[bits],
@@ -101,11 +114,11 @@ def _kem_set(level: str, noise_count: int) -> KemParams:
         ring_bits=ring_bits,
         shift_bits=ring_bits + 32,
         level=level,
-        hash_bytes=32,
+        hash_bytes=bits // 2 if signs else 32,
     )
 
 
-_KEM_SETS = {(level, m): _kem_set(level, m) for level in LEVELS for m in (2, 3)}
+_SHIPPED = {(level, m): _build(level, m) for level in LEVELS for m in (1, 2, 3)}
 
 
 @dataclass(frozen=True)

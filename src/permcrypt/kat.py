@@ -13,19 +13,13 @@ from itertools import zip_longest
 from . import codec
 from .errors import FormatError, PermcryptError
 from .hppk_ds import ds_keygen, ds_params, sign, verify
-from .hppk_kem import KemParams, decapsulate, encapsulate, kem_params, keygen
+from .hppk_kem import LEVELS, KemParams, decapsulate, encapsulate, kem_params, keygen
 from .keystream import TAG_HPPK_HASH, TAG_HPPK_KEYGEN, TAG_HPPK_U, TAG_KAT, KeystreamState
 
+# Each label's shipped set; a "KEM-" label emits KEM vectors, a "DS-" label signatures.
 KAT_CONFIGS = {
-    "KEM-I-m2": ("kem", "I", 2),
-    "KEM-I-m3": ("kem", "I", 3),
-    "KEM-III-m2": ("kem", "III", 2),
-    "KEM-III-m3": ("kem", "III", 3),
-    "KEM-V-m2": ("kem", "V", 2),
-    "KEM-V-m3": ("kem", "V", 3),
-    "DS-I": ("ds", "I", 1),
-    "DS-III": ("ds", "III", 1),
-    "DS-V": ("ds", "V", 1),
+    **{f"KEM-{level}-m{m}": kem_params(level, m) for level in LEVELS for m in (2, 3)},
+    **{f"DS-{level}": ds_params(level) for level in LEVELS},
 }
 
 _KAT_MESSAGE_LEN = 32
@@ -34,10 +28,9 @@ _HEADER_FIELDS = ("alg", "vectors", "seed")
 
 def kat_params(label: str) -> KemParams:
     try:
-        scheme, level, noise = KAT_CONFIGS[label]
+        return KAT_CONFIGS[label]
     except KeyError:
         raise FormatError(f"unknown KAT configuration {label!r}") from None
-    return ds_params(level) if scheme == "ds" else kem_params(level, noise)
 
 
 @dataclass
@@ -54,9 +47,8 @@ class KatReport:
 
 
 def _kat_vector(label: str, params: KemParams, vseed: bytes) -> dict:
-    scheme = KAT_CONFIGS[label][0]
     fields: dict = {"seed": vseed}
-    if scheme == "kem":
+    if label.startswith("KEM-"):
         sk, pk = keygen(params, KeystreamState(vseed, TAG_HPPK_KEYGEN))
         secret, ct = encapsulate(pk, params, KeystreamState(vseed, TAG_HPPK_U))
         if decapsulate(sk, ct, params) != secret:

@@ -4,6 +4,7 @@ One XOF family (SHAKE-256) expands a seed into independent, domain-tagged
 streams; the fixed-width SHA3 digests provide the per-level message hash.
 Streams are consumed most-significant-bit first.  Bounded draws are
 rejection-sampled, and a Fisher-Yates shuffle takes its swaps from them.
+The bit-field split and join here also serve the QPP pipeline.
 """
 
 from __future__ import annotations
@@ -62,6 +63,19 @@ def _split(data: bytes, width: int):
             value ^= high ^ (high << shift)
         data = value.to_bytes(count * slot // 8, "big")
     return data if slot == 8 else struct.unpack(f">{count}H", data)
+
+
+def _join(fields, width: int, count: int) -> bytes:
+    """Pack `count` width-bit fields into bytes; the inverse of _split."""
+    slot = 8 if width <= 8 else 16
+    data = bytes(fields) if slot == 8 else struct.pack(f">{count}H", *fields)
+    if width == slot:
+        return data
+    value = int.from_bytes(data, "big")
+    for mask, shift in reversed(_spread_masks(width, slot, (count - 1).bit_length())):
+        high = value & (mask << shift)
+        value ^= high ^ (high >> shift)
+    return value.to_bytes(count * width // 8, "big")
 
 
 class KeystreamState:

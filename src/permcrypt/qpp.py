@@ -10,7 +10,6 @@ smaller key space of affine maps x -> (a*x + b) mod 2**n with odd a.
 from __future__ import annotations
 
 import math
-import struct
 from functools import cached_property, lru_cache
 from itertools import chain, cycle, islice, repeat
 from operator import getitem
@@ -21,8 +20,8 @@ from .keystream import (
     TAG_QPP_PAD,
     TAG_QPP_PRERAND,
     KeystreamState,
+    _join,
     _split,
-    _spread_masks,
 )
 
 MIN_BLOCK_BITS = 1
@@ -131,19 +130,6 @@ def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
     return PermutationPad(n, (Permutation._unchecked(n, t) for t in tables))
 
 
-def _join(fields, width: int, count: int) -> bytes:
-    """Pack `count` width-bit fields into bytes; the inverse of _split."""
-    slot = 8 if width <= 8 else 16
-    data = bytes(fields) if slot == 8 else struct.pack(f">{count}H", *fields)
-    if width == slot:
-        return data
-    value = int.from_bytes(data, "big")
-    for mask, shift in reversed(_spread_masks(width, slot, (count - 1).bit_length())):
-        high = value & (mask << shift)
-        value ^= high ^ (high >> shift)
-    return value.to_bytes(count * width // 8, "big")
-
-
 def blocks_from_bytes(data: bytes, n: int) -> list:
     """Split data into n-bit blocks, most-significant bit first."""
     if (8 * len(data)) % n:
@@ -153,8 +139,6 @@ def blocks_from_bytes(data: bytes, n: int) -> list:
 
 def bytes_from_blocks(blocks, n: int) -> bytes:
     """Pack n-bit blocks back into bytes (inverse of blocks_from_bytes)."""
-    if n == 8:
-        return bytes(blocks)
     if (n * len(blocks)) % 8:
         raise ParameterError("block count does not fill whole bytes")
     return _join(blocks, n, len(blocks))

@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 
 from permcrypt.hppk_ds import ds_keygen, ds_params
-from permcrypt.keystream import TAG_HPPK_KEYGEN, KeystreamState
+from permcrypt.hppk_kem import encapsulate
+from permcrypt.keystream import TAG_HPPK_KEYGEN, TAG_HPPK_U, KeystreamState
 
 
 def _flat(matrix):
@@ -96,3 +97,26 @@ def test_vk_alone_gives_both_hidden_moduli_and_pk():
         assert found == {ring.modulus}
         (s,) = found
         assert [-(-q * s >> shift) for q in _flat(quot)] == _flat(matrix)  # ceil(q*s / 2^shift)
+
+
+def test_pk_and_ciphertext_give_the_one_noise_kem_secret():
+    # The ciphertext is c = sum_t P_t * y_t with y_t = x^i * u mod p < p, so the
+    # lattice of rows [e_t | W*N_t | W*D_t | 0] and [0 | -W*c1 | -W*c2 | p] holds
+    # the short vector [y | 0 | 0 | p]; the weight W makes the middle columns
+    # vanish in every short vector.  Then x = y[1] / y[0] mod p.
+    params = ds_params("I")
+    p = params.prime
+    _, pk, _ = ds_keygen(params, KeystreamState(bytes([0]), TAG_HPPK_KEYGEN))  # seed 0
+    secret, ct = encapsulate(pk, params, KeystreamState(bytes([0]), TAG_HPPK_U))
+    weight = 1 << (params.ring_bits + 64)
+    numer, denom = _flat(pk.numer_matrix), _flat(pk.denom_matrix)
+    t = len(numer)
+    basis = [
+        [int(i == k) for k in range(t)] + [weight * n, weight * d, 0]
+        for i, (n, d) in enumerate(zip(numer, denom))
+    ] + [[0] * t + [-weight * ct.numer_eval, -weight * ct.denom_eval, p]]
+    (y,) = [
+        [v * row[-1] // p for v in row[:t]]  # the sign that makes the last entry p
+        for row in _lll(basis) if row[t:t + 2] == [0, 0] and abs(row[-1]) == p
+    ]
+    assert y[1] * pow(y[0], -1, p) % p == secret

@@ -177,6 +177,43 @@ def test_decode_checks_the_length_the_header_implies(level):
         assert err.value.offset == len(data)
 
 
+def test_every_header_byte_is_reported_at_its_own_offset():
+    # Each kind on every set of its scheme: KEM pk, sk and ct, DS vk and sig.
+    envelopes = []
+    for level in ("I", "III", "V"):
+        for m in (2, 3):
+            params, sk, pk, _, ct = kem_material(level, m, b"header")
+            envelopes += [
+                (codec.decode_kem_public, codec.encode_kem_public(pk, params)),
+                (codec.decode_kem_private, codec.encode_kem_private(sk, params)),
+                (codec.decode_kem_ciphertext, codec.encode_kem_ciphertext(ct, params)),
+            ]
+        ds, _, _, vk, sig = ds_material(level, b"header")
+        envelopes += [
+            (codec.decode_verification_key, codec.encode_verification_key(vk, ds)),
+            (codec.decode_signature, codec.encode_signature(sig, ds)),
+        ]
+    names_a_set = {5: (1, 3, 5), 10: (1, 2, 3)}  # level codes and noise counts
+    cases = decoded = 0
+    for decode, data in envelopes:
+        for at in range(4, HEADER):
+            for value in range(256):
+                if value == data[at]:
+                    continue
+                cases += 1
+                bad = data[:at] + bytes([value]) + data[at + 1:]
+                try:
+                    decode(bad)
+                except FormatError as err:
+                    if value not in names_a_set.get(at, ()):
+                        assert err.offset == at, (bad[:HEADER].hex(), str(err))
+                else:
+                    assert value in names_a_set.get(at, ()), bad[:HEADER].hex()
+                    decoded += 1
+    assert cases == 24 * 7 * 255
+    assert decoded == 12  # KEM private keys and ciphertexts of equal size, m2 <-> m3
+
+
 def test_decode_rejects_out_of_range_entry_with_offset():
     params, sk, _, _, _ = kem_material()
     data = bytearray(codec.encode_kem_private(sk, params))

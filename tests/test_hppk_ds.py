@@ -4,7 +4,6 @@ from conftest import ScriptedEntropy, toy_params
 from permcrypt.errors import FormatError, ParameterError, SigningError
 from permcrypt.hidden_ring import new_operator
 from permcrypt.hppk_ds import (
-    DS_FIELD_BITS,
     DsVerificationKey,
     Signature,
     derive_verification_key,
@@ -13,7 +12,7 @@ from permcrypt.hppk_ds import (
     sign,
     verify,
 )
-from permcrypt.hppk_kem import KemPrivateKey, keygen
+from permcrypt.hppk_kem import DS_FIELD_BITS, KemPrivateKey, keygen
 from permcrypt.keystream import (
     TAG_HPPK_HASH,
     TAG_HPPK_KEYGEN,

@@ -17,6 +17,7 @@ from permcrypt.hppk_kem import (
     encapsulate,
     kem_params,
     keygen,
+    shipped_params,
 )
 from permcrypt.hidden_ring import count_coprime_pairs
 from permcrypt.keystream import TAG_HPPK_KEYGEN, TAG_HPPK_U, KeystreamState
@@ -109,6 +110,21 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         KemParams(prime=7, base_order=1, factor_order=1, noise_count=1,
                   ring_bits=14, shift_bits=14 + 31)
+    # The signature set does not leak through kem_params, and the one table
+    # names nothing but its nine sets.
+    for bad in (
+        lambda: kem_params("I", 1),
+        lambda: shipped_params("II", 1),
+        lambda: shipped_params("I", 0),
+        lambda: shipped_params("I", 4),
+        lambda: shipped_params(["I"], 1),
+    ):
+        with pytest.raises(ParameterError):
+            bad()
+    for level in KEM_FIELD_BITS:
+        assert shipped_params(level, 1) is ds_params(level)
+        for m in (2, 3):
+            assert shipped_params(level, m) is kem_params(level, m)
 
 
 def test_shipped_sets_are_shared_and_equal_to_a_fresh_build():
