@@ -6,8 +6,10 @@ Each HPPK kind's payload is described in `_payload` and placed once per
 (kind, shipped parameter set) by `_layout`: header bytes, field offsets
 and size, read by its encoder, its decoder and its size formula.  There
 each field's rule is stated once, as a [low, high) range, so an encoder
-refuses exactly what its decoder refuses; the one cross-field rule is
-`RingOperator.create`, which a private key's encoder and decoder both call.
+refuses exactly what its decoder refuses.  The one cross-field rule, a
+ring multiplier below its modulus and coprime to it, is the `RingOperator`
+constructor, which the private-key decoder calls.  A verification key
+holds no radix shift; its encoder writes the set's own.
 A decode reads the header first and reports a header byte that names no
 shipped set at its own offset.  It then checks the length once: truncation
 is reported at the first missing byte, trailing bytes at the expected end,
@@ -166,13 +168,12 @@ def _check_length(data: bytes, size: int) -> None:
 
 
 def _params_header(kind: int, params: KemParams) -> bytes:
-    if params.level is None:
-        raise ParameterError("only shipped parameter sets can be serialized")
-    if params != shipped_params(params.level, params.noise_count):
-        raise ParameterError("parameters differ from the shipped set their header names")
+    level = params.level
+    if level is None:
+        raise ParameterError("parameters are not a shipped set")
     return (
         MAGIC_HPPK
-        + bytes([kind, _LEVEL_CODE[params.level]])
+        + bytes([kind, _LEVEL_CODE[level]])
         + params.field_bits.to_bytes(2, "big")
         + bytes([params.base_order, params.factor_order, params.noise_count])
     )
@@ -262,13 +263,10 @@ def decode_kem_public(data: bytes):
 
 def encode_kem_private(sk: KemPrivateKey, params: KemParams) -> bytes:
     r1, r2 = sk.ring1, sk.ring2
-    data = _encode(KIND_KEM_PRIVATE, params, (
+    return _encode(KIND_KEM_PRIVATE, params, (
         sk.numer_coeffs[:-1], sk.numer_coeffs[-1:], sk.denom_coeffs[:-1], sk.denom_coeffs[-1:],
         (r1.multiplier,), (r1.modulus,), (r2.multiplier,), (r2.modulus,),
     ))
-    if any(RingOperator.create(r.multiplier, r.modulus) != r for r in (r1, r2)):  # as decoded
-        raise ParameterError("ring operator differs from the one RingOperator.create builds")
-    return data
 
 
 def decode_kem_private(data: bytes):
@@ -276,7 +274,7 @@ def decode_kem_private(data: bytes):
     rings = []
     for (multiplier,), (modulus,), at in zip(runs[4::2], runs[5::2], offsets[4::2]):
         try:
-            rings.append(RingOperator.create(multiplier, modulus))
+            rings.append(RingOperator(multiplier, modulus))
         except ParameterError as exc:
             raise FormatError(str(exc), offset=at[0]) from exc
     return KemPrivateKey(tuple(runs[0] + runs[1]), tuple(runs[2] + runs[3]), *rings), params
@@ -295,18 +293,15 @@ def encode_verification_key(vk: DsVerificationKey, params: KemParams) -> bytes:
     return _encode(KIND_DS_VERIFICATION, params, (
         _flat(vk.numer_resid), _flat(vk.denom_resid),
         _flat(vk.numer_quot), _flat(vk.denom_quot),
-        (vk.ring1_resid, vk.ring2_resid), (vk.shift_bits,),
+        (vk.ring1_resid, vk.ring2_resid), (params.shift_bits,),
     ))
 
 
 def decode_verification_key(data: bytes):
     params, runs, _ = _decode(data, KIND_DS_VERIFICATION)
-    *matrices, (ring1_resid, ring2_resid), (shift_bits,) = runs
+    *matrices, residues, _ = runs  # the radix shift is the set's own, by its range
     m = params.noise_count
-    vk = DsVerificationKey(
-        *(_rows(values, m) for values in matrices), ring1_resid, ring2_resid, shift_bits
-    )
-    return vk, params
+    return DsVerificationKey(*(_rows(values, m) for values in matrices), *residues), params
 
 
 def encode_signature(sig: Signature, params: KemParams) -> bytes:
@@ -406,22 +401,28 @@ def decode_qpp_stream(data: bytes):
     return body, n, pad_size, mode
 
 
+def _granule(n: int) -> int:
+    """Bytes per bit-padding granule: the fewest whole bytes that hold whole n-bit blocks."""
+    if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
+        raise ParameterError(f"block size {n} not in [{MIN_BLOCK_BITS}, {MAX_BLOCK_BITS}]")
+    return math.lcm(n, 8) // 8
+
+
 def pad_bits(data: bytes, n: int) -> bytes:
     """Append a 1 bit then zeros, out to whole blocks and whole bytes.
 
     Always adds at least one bit, so unpadding is unambiguous.  Because the
     input is whole bytes, the marker lands on a byte boundary.
     """
-    group = math.lcm(n, 8) // 8  # bytes per padding granule
-    tail = group - (len(data) % group)
-    return data + b"\x80" + b"\x00" * (tail - 1)
+    group = _granule(n)
+    return data + b"\x80" + bytes(group - 1 - len(data) % group)
 
 
 def unpad_bits(data: bytes, n: int) -> bytes:
-    """Exact inverse of pad_bits; rejects data without a valid marker."""
-    i = len(data) - 1
-    while i >= 0 and data[i] == 0:
-        i -= 1
-    if i < 0 or data[i] != 0x80:
-        raise FormatError("missing bit-padding marker", offset=max(i, 0))
-    return data[:i]
+    """Exact inverse of pad_bits: whole granules, the last ending in the marker then zeros."""
+    group = _granule(n)
+    last = max(len(data) - (len(data) % group or group), 0)  # the last granule, whole or not
+    marker = last + len(data[last:].rstrip(b"\x00")) - 1
+    if len(data) % group or marker < last or data[marker] != 0x80:
+        raise FormatError("missing bit-padding marker", offset=max(marker, last))
+    return data[:marker]

@@ -10,7 +10,7 @@ public-modulus variant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import GenerationError, ParameterError
 from .ring_arith import inv_mod, mul_mod
@@ -20,7 +20,7 @@ _COPRIME_RETRIES = 256
 
 @dataclass(frozen=True)
 class RingOperator:
-    """Coprime (multiplier, modulus) pair with the inverse precomputed.
+    """Coprime (multiplier, modulus) pair, checked when built; `multiplier_inv` and `bits` follow.
 
     The modulus is a true `bits`-bit value (top bit set), so the bit size
     quoted in security estimates is literal.
@@ -28,23 +28,18 @@ class RingOperator:
 
     multiplier: int
     modulus: int
-    multiplier_inv: int
-    bits: int
+    multiplier_inv: int = field(init=False, compare=False)
+    bits: int = field(init=False, compare=False)
 
-    @classmethod
-    def create(cls, multiplier: int, modulus: int) -> "RingOperator":
-        if modulus < 2:
+    def __post_init__(self):
+        if self.modulus < 2:
             raise ParameterError("modulus must exceed 1")
-        if not 0 < multiplier < modulus:
+        if not 0 < self.multiplier < self.modulus:
             raise ParameterError("multiplier must lie in [1, modulus)")
-        if math.gcd(multiplier, modulus) != 1:
+        if math.gcd(self.multiplier, self.modulus) != 1:
             raise ParameterError("multiplier and modulus must be coprime")
-        return cls(
-            multiplier=multiplier,
-            modulus=modulus,
-            multiplier_inv=inv_mod(multiplier, modulus),
-            bits=modulus.bit_length(),
-        )
+        object.__setattr__(self, "multiplier_inv", inv_mod(self.multiplier, self.modulus))
+        object.__setattr__(self, "bits", self.modulus.bit_length())
 
     def apply(self, a: int) -> int:
         """multiplier * a mod modulus."""
@@ -69,7 +64,7 @@ def new_operator(rng, bits: int) -> RingOperator:
     for _ in range(_COPRIME_RETRIES):
         multiplier = 1 + rng.next_index(modulus - 1)
         if math.gcd(multiplier, modulus) == 1:
-            return RingOperator.create(multiplier, modulus)
+            return RingOperator(multiplier, modulus)
     raise GenerationError("could not draw a coprime multiplier")
 
 

@@ -42,8 +42,8 @@ class DsVerificationKey:
 
     For each public matrix entry: its residue times the blinding scalar mod
     the prime, and its radix quotient against the hidden modulus.  The two
-    scalar residues stand in for the moduli themselves.  `shift_bits` is
-    serialized with the key so verifiers need no parameter lookup.
+    scalar residues stand in for the moduli themselves.  The quotients are
+    taken against the radix 2**params.shift_bits of the key's parameter set.
     """
 
     numer_resid: tuple
@@ -52,7 +52,6 @@ class DsVerificationKey:
     denom_quot: tuple
     ring1_resid: int
     ring2_resid: int
-    shift_bits: int
 
 
 def derive_verification_key(
@@ -78,7 +77,6 @@ def derive_verification_key(
         denom_quot=quot(pk.denom_matrix, s2),
         ring1_resid=blind * s1 % p,
         ring2_resid=blind * s2 % p,
-        shift_bits=params.shift_bits,
     )
 
 
@@ -154,14 +152,12 @@ def _check_verification_key(vk: DsVerificationKey, params: KemParams):
         (vk.denom_quot, "denom_quot"),
     ):
         _check_shape(matrix, params, name)
-    if vk.shift_bits < params.ring_bits + 32:
-        raise FormatError("verification key radix shift is too small")
 
 
 def _identity_holds(vk: DsVerificationKey, params: KemParams, x: int, sig: Signature) -> bool:
     """The cross-multiplied identity at the message hash x, on a checked vk."""
     p = params.prime
-    shift = vk.shift_bits
+    shift = params.shift_bits
     f_tag, h_tag = sig.numer_tag, sig.denom_tag
     for j in range(params.noise_count):
         lhs = 0

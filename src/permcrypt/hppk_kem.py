@@ -45,7 +45,8 @@ class KemParams:
     `base_order` is the secret point's maximum power in the base
     polynomial, `factor_order` the degree of the two secret factors, and
     `noise_count` the number of noise variables.  The hidden rings hold
-    `ring_bits` bits and the verification radix is 2**shift_bits.
+    `ring_bits` bits and the verification radix is 2**shift_bits.  `level`
+    is not stored: it names the shipped set equal to this one, if any.
     """
 
     prime: int
@@ -54,7 +55,6 @@ class KemParams:
     noise_count: int
     ring_bits: int
     shift_bits: int
-    level: str | None = None
     hash_bytes: int = 32
 
     def __post_init__(self):
@@ -68,8 +68,11 @@ class KemParams:
             )
         if self.shift_bits < self.ring_bits + 32:
             raise ParameterError("shift_bits must be at least ring_bits + 32")
-        if self.level is not None and self.level not in LEVELS:
-            raise ParameterError(f"unknown security level {self.level!r}")
+
+    @property
+    def level(self) -> str | None:
+        """The level of the shipped set equal to this one; None for any other set."""
+        return _LEVEL_OF.get(self)
 
     @property
     def field_bits(self) -> int:
@@ -113,12 +116,12 @@ def _build(level: str, noise_count: int) -> KemParams:
         noise_count=noise_count,
         ring_bits=ring_bits,
         shift_bits=ring_bits + 32,
-        level=level,
         hash_bytes=bits // 2 if signs else 32,
     )
 
 
 _SHIPPED = {(level, m): _build(level, m) for level in LEVELS for m in (1, 2, 3)}
+_LEVEL_OF = {params: level for (level, _), params in _SHIPPED.items()}
 
 
 @dataclass(frozen=True)

@@ -156,8 +156,8 @@ class KeystreamState:
         counts the bound down to the run's floor.  The bit position then
         steps back over the fields the run did not use.
         """
-        if size > 1 << 16:
-            raise ParameterError("shuffle size must be at most 2**16")
+        if not 0 <= size <= 1 << 16:
+            raise ParameterError("shuffle size must lie in [0, 2**16]")
         table = list(range(size))
         i, bound = 0, size
         while bound > 1:
@@ -205,7 +205,7 @@ def hash_to_field(message: bytes, p: int, digest_bytes: int = 32) -> int:
     if p < 2:
         raise ParameterError("field modulus must be at least 2")
     try:
-        digest = _DIGESTS[digest_bytes](message).digest()
-    except KeyError:
-        raise ParameterError(f"unsupported digest width {digest_bytes}") from None
-    return int.from_bytes(digest, "big") % p
+        digest = _DIGESTS[digest_bytes]
+    except (KeyError, TypeError):  # an unhashable width names no digest either
+        raise ParameterError(f"unsupported digest width {digest_bytes!r}") from None
+    return int.from_bytes(digest(message).digest(), "big") % p

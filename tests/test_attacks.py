@@ -65,7 +65,7 @@ def test_pk_and_vk_give_both_hidden_moduli(level):
             (pk.denom_matrix, vk.denom_quot, sk.ring2),
         ):
             entry, q = max(zip(_flat(matrix), _flat(quot)))
-            assert (entry << vk.shift_bits) // q == ring.modulus
+            assert (entry << params.shift_bits) // q == ring.modulus
 
 
 def test_vk_alone_gives_both_hidden_moduli_and_pk():
@@ -77,7 +77,7 @@ def test_vk_alone_gives_both_hidden_moduli_and_pk():
     params = ds_params("I")
     p, ring_bits = params.prime, params.ring_bits
     sk, pk, vk = ds_keygen(params, KeystreamState(bytes([0]), TAG_HPPK_KEYGEN))  # seed 0
-    shift = vk.shift_bits
+    shift = params.shift_bits
     modulus = p << shift
     for matrix, quot, resid, ring_resid, ring in (
         (pk.numer_matrix, vk.numer_quot, vk.numer_resid, vk.ring1_resid, sk.ring1),

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -6,7 +7,15 @@ from permcrypt import codec
 from permcrypt.errors import FormatError, ParameterError
 from permcrypt.hidden_ring import RingOperator
 from permcrypt.hppk_ds import DsVerificationKey, Signature, ds_keygen, ds_params, sign
-from permcrypt.hppk_kem import KemCiphertext, KemPublicKey, encapsulate, kem_params, keygen
+from permcrypt.hppk_kem import (
+    LEVELS,
+    KemCiphertext,
+    KemPublicKey,
+    encapsulate,
+    kem_params,
+    keygen,
+    shipped_params,
+)
 from permcrypt.keystream import (
     TAG_HPPK_HASH,
     TAG_HPPK_KEYGEN,
@@ -15,6 +24,7 @@ from permcrypt.keystream import (
 )
 from permcrypt.qpp import (
     MAX_PAD_SIZE,
+    MODE_RANDOM,
     MODE_SEQUENTIAL,
     Permutation,
     PermutationPad,
@@ -342,7 +352,7 @@ def test_encode_rejects_a_value_its_field_cannot_hold(value):
 
 
 def _unchecked(kind, params, runs, valid):
-    """`valid` rebuilt from one payload's runs of values, with no check on them."""
+    """`valid` rebuilt from one payload's runs of values, checked only by their types."""
     if kind == codec.KIND_KEM_PRIVATE:
         n0, n1, d0, d1, (m1,), (s1,), (m2,), (s2,) = runs
         return replace(
@@ -351,9 +361,9 @@ def _unchecked(kind, params, runs, valid):
             ring2=replace(valid.ring2, multiplier=m2, modulus=s2),
         )
     if kind == codec.KIND_DS_VERIFICATION:
-        *matrices, residues, (shift,) = runs
+        *matrices, residues, _ = runs
         rows = [tuple(zip(*[iter(v)] * params.noise_count)) for v in matrices]
-        return DsVerificationKey(*rows, *residues, shift)
+        return DsVerificationKey(*rows, *residues)
     return (KemCiphertext if kind == codec.KIND_KEM_CIPHERTEXT else Signature)(*runs[0])
 
 
@@ -385,27 +395,29 @@ def test_encoder_refuses_exactly_what_its_decoder_refuses(kind):
                 with pytest.raises(FormatError, match=f"^{what} out of range") as err:
                     decode(bytes(bad))
                 assert err.value.offset == where[i]
+                checked += 1
+                if what == "radix shift":  # the set's own; a vk holds none to encode
+                    continue
                 values = [list(run) for run in runs]
                 values[r][i] = value
-                # Signature refuses a zero value itself, before its encoder runs.
-                refusal = f"^({what} out of range|signature values must be nonzero)"
+                # Signature and RingOperator refuse some values themselves, before
+                # the encoder runs.
+                refusal = (f"^({what} out of range|signature values must be nonzero"
+                           r"|multiplier must lie in \[1, modulus\)"
+                           "|multiplier and modulus must be coprime)")
                 with pytest.raises(ParameterError, match=refusal):
                     encode(_unchecked(kind, params, values, valid), params)
-                checked += 1
     assert checked
 
 
 @pytest.mark.parametrize("damage,message", [
     (lambda sk: replace(sk, numer_coeffs=sk.numer_coeffs[:-1] + (0,)),
      "leading factor coefficient out of range"),
-    (lambda sk: replace(sk, ring1=RingOperator.create(1, sk.ring1.modulus >> 1)),
+    (lambda sk: replace(sk, ring1=RingOperator(1, sk.ring1.modulus >> 1)),
      "ring modulus out of range"),
     (lambda sk: replace(sk, ring2=replace(sk.ring2, multiplier=2, modulus=sk.ring2.modulus & ~1)),
      "coprime"),
-    (lambda sk: replace(sk, ring1=replace(sk.ring1, multiplier_inv=1)),
-     "differs from the one RingOperator.create builds"),
-], ids=["zero-leading-coefficient", "modulus-one-bit-short", "non-coprime-operator",
-        "wrong-inverse"])
+], ids=["zero-leading-coefficient", "modulus-one-bit-short", "non-coprime-operator"])
 def test_encode_rejects_a_private_key_its_decoder_would_refuse(damage, message):
     params, sk, _, _, _ = kem_material()
     with pytest.raises(ParameterError, match=message):
@@ -421,8 +433,6 @@ def test_a_verification_key_carries_its_sets_own_radix_shift():
         with pytest.raises(FormatError, match="radix shift out of range") as err:
             codec.decode_verification_key(bytes(data))
         assert err.value.offset == at
-        with pytest.raises(ParameterError, match="radix shift out of range"):
-            codec.encode_verification_key(replace(vk, shift_bits=shift), params)
 
 
 @pytest.mark.parametrize("level", ["I", "III", "V"])
@@ -496,3 +506,100 @@ def test_unpad_rejects_missing_marker():
         codec.unpad_bits(b"", 8)
     with pytest.raises(FormatError):
         codec.unpad_bits(b"data\x81", 8)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_unpad_rejects_a_granule_of_zeros_after_the_padding(n):
+    padded = codec.pad_bits(b"x", n)  # b"x\x80" at n = 8, b"x\x80\x00" at n = 12
+    extra = padded + bytes(len(padded))  # one more whole granule, all zeros
+    with pytest.raises(FormatError, match="missing bit-padding marker") as err:
+        codec.unpad_bits(extra, n)
+    assert len(padded) <= err.value.offset < len(extra)  # inside the last granule
+
+
+@pytest.mark.parametrize("n", [0, 17])
+def test_bit_padding_rejects_a_block_size_outside_the_qpp_range(n):
+    with pytest.raises(ParameterError, match="block size"):
+        codec.pad_bits(b"x", n)
+    with pytest.raises(ParameterError, match="block size"):
+        codec.unpad_bits(b"x\x80", n)
+
+
+# --- seeded mutation over every decoder --------------------------------------
+
+
+def _fuzz_targets():
+    """(valid bytes, decode then encode) for each decoder on seeded inputs.
+
+    Every HPPK envelope kind on all nine shipped sets, the shared secret,
+    and the pad, stream and bit-padding decoders at four block sizes.
+    """
+    targets = []
+    for level in LEVELS:
+        for m in (1, 2, 3):
+            params = shipped_params(level, m)
+            label = b"fuzz-%s-%d" % (level.encode(), m)
+            sk, pk, vk = ds_keygen(params, KeystreamState(label, TAG_HPPK_KEYGEN))
+            secret, ct = encapsulate(pk, params, KeystreamState(label, TAG_HPPK_U))
+            sig = sign(sk, params, b"fuzz", KeystreamState(label, TAG_HPPK_HASH), vk=vk)
+            for value, encode, decode in (
+                (pk, codec.encode_kem_public, codec.decode_kem_public),
+                (sk, codec.encode_kem_private, codec.decode_kem_private),
+                (ct, codec.encode_kem_ciphertext, codec.decode_kem_ciphertext),
+                (vk, codec.encode_verification_key, codec.decode_verification_key),
+                (sig, codec.encode_signature, codec.decode_signature),
+            ):
+                targets.append((encode(value, params), lambda d, e=encode, f=decode: e(*f(d))))
+            targets.append((codec.encode_secret(secret, params),
+                            lambda d, p=params: codec.encode_secret(codec.decode_secret(d, p), p)))
+    for n in (1, 4, 9, 12):
+        body = codec.pad_bits(b"fuzz body", n)
+        targets += [
+            (codec.encode_pad(generate_pad(b"fuzz-%d" % n, n, 2)),
+             lambda d: codec.encode_pad(codec.decode_pad(d))),
+            (codec.encode_qpp_stream(body, n, 2, MODE_RANDOM),
+             lambda d: codec.encode_qpp_stream(*codec.decode_qpp_stream(d))),
+            (body, lambda d, n=n: codec.pad_bits(codec.unpad_bits(d, n), n)),
+        ]
+    return targets
+
+
+def _mutate(rng: random.Random, data: bytes) -> bytes:
+    """One to three seeded edits: bit flips, byte sets, cuts, inserts, deletions, copied spans."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        if not out:
+            break
+        at, edit = rng.randrange(len(out)), rng.randrange(6)
+        if edit == 0:
+            out[at] ^= 1 << rng.randrange(8)
+        elif edit == 1:
+            out[at] = rng.choice((0, 0xFF, rng.randrange(256)))
+        elif edit == 2:
+            del out[at:]
+        elif edit == 3:  # at any gap, the end included
+            at = rng.randint(0, len(out))
+            out[at:at] = rng.randbytes(rng.randint(1, 3))
+        elif edit == 4:
+            del out[at]
+        else:  # one field's bytes copied over another's
+            start, span = rng.randrange(len(out)), rng.randint(1, 17)
+            out[at:at + span] = out[start:start + span]
+    return bytes(out)
+
+
+def test_every_decoder_takes_a_mutation_as_a_format_error_or_its_own_encoding():
+    rng = random.Random(14)
+    decoded = refused = 0
+    for valid, round_trip in _fuzz_targets():
+        assert round_trip(valid) == valid
+        for _ in range(400):
+            data = _mutate(rng, valid)
+            try:
+                again = round_trip(data)
+            except FormatError:
+                refused += 1
+            else:  # whatever decodes is exactly what its encoder writes
+                assert again == data, data.hex()
+                decoded += 1
+    assert decoded > 0 and refused > 0

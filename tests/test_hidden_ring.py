@@ -42,11 +42,11 @@ def test_new_operator_rejects_tiny_rings():
 
 def test_create_validates_inputs():
     with pytest.raises(ParameterError):
-        RingOperator.create(2, 8)  # not coprime
+        RingOperator(2, 8)  # not coprime
     with pytest.raises(ParameterError):
-        RingOperator.create(0, 7)
+        RingOperator(0, 7)
     with pytest.raises(ParameterError):
-        RingOperator.create(9, 7)
+        RingOperator(9, 7)
 
 
 def test_coprime_acceptance_rate_matches_euler_estimate():
@@ -69,19 +69,19 @@ def test_coprime_acceptance_rate_matches_euler_estimate():
 
 
 def test_apply_examples():
-    op = RingOperator.create(5, 7)
+    op = RingOperator(5, 7)
     assert op.apply(0) == 0
     assert op.apply(3) == 1
 
 
 def test_apply_invert_exhaustive_mod_251():
-    op = RingOperator.create(187, 251)
+    op = RingOperator(187, 251)
     for a in range(251):
         assert op.invert(op.apply(a)) == a
 
 
 def test_apply_rejects_out_of_range():
-    op = RingOperator.create(5, 7)
+    op = RingOperator(5, 7)
     with pytest.raises(ParameterError):
         op.apply(7)
     with pytest.raises(ParameterError):
@@ -146,12 +146,12 @@ def test_hidden_modulus_blocks_cancellation():
 
 
 def test_encrypt_zero_coefficients():
-    op = RingOperator.create(5, 7 * 19)  # 8-bit modulus, coprime multiplier
+    op = RingOperator(5, 7 * 19)  # 8-bit modulus, coprime multiplier
     assert encrypt_coefficients(op, [0, 0, 0], 7) == [0, 0, 0]
 
 
 def test_encrypt_unit_coefficient():
-    op = RingOperator.create(5, 133)
+    op = RingOperator(5, 133)
     assert encrypt_coefficients(op, [1], 7) == [5]
 
 

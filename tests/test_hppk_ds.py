@@ -208,7 +208,7 @@ def test_verify_rejects_malformed_inputs():
         verify(vk, params, b"msg", Signature(1 << 200, sig.denom_tag))
     squeezed = DsVerificationKey(
         vk.numer_resid[:2], vk.denom_resid, vk.numer_quot, vk.denom_quot,
-        vk.ring1_resid, vk.ring2_resid, vk.shift_bits,
+        vk.ring1_resid, vk.ring2_resid,
     )
     with pytest.raises(FormatError):
         verify(squeezed, params, b"msg", sig)
@@ -233,7 +233,7 @@ def test_barrett_split_matches_secret_side():
             secret_side = blind * (f_tag * int(pk.denom_matrix[i][0]) % s2) % p
             split = (
                 f_tag * vk.denom_resid[i][0]
-                - vk.ring2_resid * (f_tag * int(vk.denom_quot[i][0]) >> vk.shift_bits)
+                - vk.ring2_resid * (f_tag * int(vk.denom_quot[i][0]) >> params.shift_bits)
             ) % p
             if split != secret_side:
                 mismatches += 1

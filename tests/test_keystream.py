@@ -176,6 +176,14 @@ def test_shuffle_rejects_sizes_wider_than_16_bit_fields():
     assert state.next_bits(32) == KeystreamState(b"s", b"t").next_bits(32)
 
 
+def test_shuffle_rejects_a_negative_size_and_arranges_size_zero_as_empty():
+    state = KeystreamState(b"s", b"t")
+    with pytest.raises(ParameterError):
+        state.shuffle(-1)
+    assert state.shuffle(0) == []
+    assert state.next_bits(32) == KeystreamState(b"s", b"t").next_bits(32)
+
+
 def test_next_bytes_matches_bitwise_reads():
     a = KeystreamState(b"s", b"t")
     b = KeystreamState(b"s", b"t")
@@ -309,3 +317,8 @@ def test_hash_digest_widths():
     assert len(values) == 3
     with pytest.raises(ParameterError):
         hash_to_field(b"msg", p, 40)
+
+
+def test_hash_rejects_an_unhashable_digest_width_as_a_parameter_error():
+    with pytest.raises(ParameterError, match="unsupported digest width"):
+        hash_to_field(b"msg", 2**127 - 1, [])
