@@ -4,12 +4,13 @@ import pytest
 import sympy
 from conftest import ScriptedEntropy, toy_params
 
-from permcrypt.errors import DecapsulationError, ParameterError
+from permcrypt.errors import DecapsulationError, GenerationError, ParameterError
 from permcrypt.hppk_ds import ds_params
 from permcrypt.hppk_kem import (
     KEM_FIELD_BITS,
     PRIMES_BY_BITS,
     KemParams,
+    _RESAMPLE_LIMIT,
     _evaluate,
     _proportional,
     attack_complexity,
@@ -198,6 +199,36 @@ def test_keygen_resamples_proportional_factors():
     sk, _ = keygen(params, ScriptedEntropy(draws))
     assert sk.numer_coeffs == (1, 2)
     assert sk.denom_coeffs == (3, 1)
+
+
+def test_keygen_redraws_an_all_zero_base_column_in_row_order():
+    # The base is drawn row by row; column 1 comes out all zero, so it is
+    # redrawn top to bottom before the rings draw.
+    params = toy_params(7, noise_count=2)
+    draws = [
+        2, 3 - 1,       # f = 2 + 3x
+        1, 4 - 1,       # h = 1 + 4x
+        4, 0, 6, 0,     # base rows (4, 0) and (6, 0): column 1 is zero
+        1, 5,           # column 1 redrawn as (1, 5)
+        *([40, 4] * 2),
+    ]
+    rng = ScriptedEntropy(draws)
+    sk, pk = keygen(params, rng)
+    assert rng.pos == len(draws)
+    numer, denom = plain_matrices(sk, pk)
+    # (2+3x)(4+6x) = 8 + 24x + 18x^2 and (2+3x)(1+5x) = 2 + 13x + 15x^2
+    assert numer == [[8 % 7, 2], [24 % 7, 13 % 7], [18 % 7, 15 % 7]]
+    # (1+4x)(4+6x) = 4 + 22x + 24x^2 and (1+4x)(1+5x) = 1 + 9x + 20x^2
+    assert denom == [[4, 1], [22 % 7, 9 % 7], [24 % 7, 20 % 7]]
+
+
+def test_keygen_gives_up_on_a_base_column_that_stays_zero():
+    params = toy_params(7, noise_count=2)
+    draws = [2, 3 - 1, 1, 4 - 1, 4, 0, 6, 0, *([0, 0] * _RESAMPLE_LIMIT)]
+    rng = ScriptedEntropy(draws)
+    with pytest.raises(GenerationError, match="could not draw a nonzero base column"):
+        keygen(params, rng)
+    assert rng.pos == len(draws)
 
 
 def test_proportional_detects_scalar_multiples():
