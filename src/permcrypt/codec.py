@@ -9,7 +9,8 @@ each field's rule is stated once, as a [low, high) range, so an encoder
 refuses exactly what its decoder refuses.  The one cross-field rule, a
 ring multiplier below its modulus and coprime to it, is the `RingOperator`
 constructor, which the private-key decoder calls.  A verification key
-holds no radix shift; its encoder writes the set's own.
+holds no radix shift; its encoder writes the set's own.  Key matrices are
+flat tuples, row by row, and each is written as one run in that order.
 A decode reads the header first and reports a header byte that names no
 shipped set at its own offset.  It then checks the length once: truncation
 is reported at the first missing byte, trailing bytes at the expected end,
@@ -85,7 +86,8 @@ def _payload(kind: int, params: KemParams) -> tuple:
     """The payload of an HPPK envelope as ordered (name, count, width, low, high) runs.
 
     Each run is `count` big-endian fields of `width` bytes, every one in [low, high),
-    the field's one rule; matrices are stored row by row.  `_layout` places it once.
+    the field's one rule.  A matrix is one run, row by row, in the order of its
+    key's flat tuple (entry i * noise_count + j).  `_layout` places it once.
     """
     fw, rw = _bytes_for(params.field_bits), _bytes_for(params.ring_bits)
     p, ring, terms, shift = params.prime, 1 << params.ring_bits, params.terms, params.shift_bits
@@ -243,22 +245,13 @@ def _decode(data: bytes, kind: int):
     return params, values, [where for *_, where in layout]
 
 
-def _flat(matrix) -> list:
-    return [v for row in matrix for v in row]
-
-
-def _rows(values: list, width: int) -> tuple:
-    return tuple(zip(*[iter(values)] * width))  # consecutive groups of `width`
-
-
 def encode_kem_public(pk: KemPublicKey, params: KemParams) -> bytes:
-    return _encode(KIND_KEM_PUBLIC, params, (_flat(pk.numer_matrix), _flat(pk.denom_matrix)))
+    return _encode(KIND_KEM_PUBLIC, params, (pk.numer_matrix, pk.denom_matrix))
 
 
 def decode_kem_public(data: bytes):
     params, (numer, denom), _ = _decode(data, KIND_KEM_PUBLIC)
-    m = params.noise_count
-    return KemPublicKey(_rows(numer, m), _rows(denom, m)), params
+    return KemPublicKey(tuple(numer), tuple(denom)), params
 
 
 def encode_kem_private(sk: KemPrivateKey, params: KemParams) -> bytes:
@@ -291,8 +284,7 @@ def decode_kem_ciphertext(data: bytes):
 
 def encode_verification_key(vk: DsVerificationKey, params: KemParams) -> bytes:
     return _encode(KIND_DS_VERIFICATION, params, (
-        _flat(vk.numer_resid), _flat(vk.denom_resid),
-        _flat(vk.numer_quot), _flat(vk.denom_quot),
+        vk.numer_resid, vk.denom_resid, vk.numer_quot, vk.denom_quot,
         (vk.ring1_resid, vk.ring2_resid), (params.shift_bits,),
     ))
 
@@ -300,8 +292,7 @@ def encode_verification_key(vk: DsVerificationKey, params: KemParams) -> bytes:
 def decode_verification_key(data: bytes):
     params, runs, _ = _decode(data, KIND_DS_VERIFICATION)
     *matrices, residues, _ = runs  # the radix shift is the set's own, by its range
-    m = params.noise_count
-    return DsVerificationKey(*(_rows(values, m) for values in matrices), *residues), params
+    return DsVerificationKey(*map(tuple, matrices), *residues), params
 
 
 def encode_signature(sig: Signature, params: KemParams) -> bytes:

@@ -44,6 +44,7 @@ class DsVerificationKey:
     the prime, and its radix quotient against the hidden modulus.  The two
     scalar residues stand in for the moduli themselves.  The quotients are
     taken against the radix 2**params.shift_bits of the key's parameter set.
+    Each matrix is a flat tuple of `params.terms` entries, row by row as in `pk`.
     """
 
     numer_resid: tuple
@@ -62,21 +63,12 @@ def derive_verification_key(
         raise ParameterError("blinding scalar must be a nonzero field element")
     p = params.prime
     radix = 1 << params.shift_bits
-    s1, s2 = sk.ring1.modulus, sk.ring2.modulus
-
-    def resid(matrix):
-        return tuple(tuple(blind * v % p for v in row) for row in matrix)
-
-    def quot(matrix, modulus):
-        return tuple(tuple(radix * v // modulus for v in row) for row in matrix)
-
+    matrices = pk.numer_matrix, pk.denom_matrix
+    moduli = sk.ring1.modulus, sk.ring2.modulus
     return DsVerificationKey(
-        numer_resid=resid(pk.numer_matrix),
-        denom_resid=resid(pk.denom_matrix),
-        numer_quot=quot(pk.numer_matrix, s1),
-        denom_quot=quot(pk.denom_matrix, s2),
-        ring1_resid=blind * s1 % p,
-        ring2_resid=blind * s2 % p,
+        *(tuple(blind * v % p for v in matrix) for matrix in matrices),  # the residues
+        *(tuple(radix * v // s for v in matrix) for matrix, s in zip(matrices, moduli)),
+        *(blind * s % p for s in moduli),  # ring1_resid, ring2_resid
     )
 
 
@@ -137,21 +129,10 @@ def sign(
     raise GenerationError("signer self-check kept failing")
 
 
-def _check_shape(matrix, params: KemParams, what: str):
-    if len(matrix) != params.rows or any(
-        len(row) != params.noise_count for row in matrix
-    ):
-        raise FormatError(f"{what} has the wrong shape for these parameters")
-
-
 def _check_verification_key(vk: DsVerificationKey, params: KemParams):
-    for matrix, name in (
-        (vk.numer_resid, "numer_resid"),
-        (vk.denom_resid, "denom_resid"),
-        (vk.numer_quot, "numer_quot"),
-        (vk.denom_quot, "denom_quot"),
-    ):
-        _check_shape(matrix, params, name)
+    for name in ("numer_resid", "denom_resid", "numer_quot", "denom_quot"):
+        if len(getattr(vk, name)) != params.terms:
+            raise FormatError(f"{name} has the wrong shape for these parameters")
 
 
 def _identity_holds(vk: DsVerificationKey, params: KemParams, x: int, sig: Signature) -> bool:
@@ -163,11 +144,11 @@ def _identity_holds(vk: DsVerificationKey, params: KemParams, x: int, sig: Signa
         lhs = 0
         rhs = 0
         xpow = 1
-        for i in range(params.rows):
-            v = (f_tag * vk.denom_resid[i][j]
-                 - vk.ring2_resid * (f_tag * vk.denom_quot[i][j] >> shift)) % p
-            u = (h_tag * vk.numer_resid[i][j]
-                 - vk.ring1_resid * (h_tag * vk.numer_quot[i][j] >> shift)) % p
+        for t in range(j, params.terms, params.noise_count):  # column j, row by row
+            v = (f_tag * vk.denom_resid[t]
+                 - vk.ring2_resid * (f_tag * vk.denom_quot[t] >> shift)) % p
+            u = (h_tag * vk.numer_resid[t]
+                 - vk.ring1_resid * (h_tag * vk.numer_quot[t] >> shift)) % p
             lhs = (lhs + v * xpow) % p
             rhs = (rhs + u * xpow) % p
             xpow = xpow * x % p

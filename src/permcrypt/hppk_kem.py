@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
-from .errors import DecapsulationError, GenerationError, ParameterError
+from .errors import DecapsulationError, FormatError, GenerationError, ParameterError
 from .hidden_ring import RingOperator, encrypt_coefficients, new_operator
 from .keystream import SystemEntropy
 
@@ -136,7 +137,10 @@ class KemPrivateKey:
 
 @dataclass(frozen=True)
 class KemPublicKey:
-    """Encrypted coefficient matrices, rows x noise_count, entries < 2**ring_bits."""
+    """Encrypted coefficient matrices: flat tuples of `params.terms` entries < 2**ring_bits.
+
+    Row by row, as the files store them: entry i * noise_count + j belongs to x**i * u_j.
+    """
 
     numer_matrix: tuple
     denom_matrix: tuple
@@ -167,40 +171,27 @@ def _proportional(f, h, prime: int) -> bool:
 
 
 def _sample_base(rng, params: KemParams) -> list:
-    rows = params.base_order + 1
-    base = [
-        [rng.next_index(params.prime) for _ in range(params.noise_count)]
-        for _ in range(rows)
-    ]
-    for j in range(params.noise_count):
+    """The base matrix row by row; an all-zero column j is redrawn top to bottom."""
+    p, m, rows = params.prime, params.noise_count, params.base_order + 1
+    base = [rng.next_index(p) for _ in range(rows * m)]
+    for j in range(m):
         for _ in range(_RESAMPLE_LIMIT):
-            if any(base[i][j] for i in range(rows)):
+            if any(base[j::m]):
                 break
-            for i in range(rows):
-                base[i][j] = rng.next_index(params.prime)
+            base[j::m] = [rng.next_index(p) for _ in range(rows)]
         else:
             raise GenerationError("could not draw a nonzero base column")
     return base
 
 
 def _factor_times_base(factor, base, params: KemParams) -> list:
-    """Coefficient matrix of factor(x) * base(x, u), reduced mod the prime."""
+    """Row-major coefficients of factor(x) * base(x, u) mod the prime; x**k shifts k rows."""
     p = params.prime
-    out = [[0] * params.noise_count for _ in range(params.rows)]
+    out = [0] * params.terms
     for k, fk in enumerate(factor):
-        for i in range(params.base_order + 1):
-            for j in range(params.noise_count):
-                out[k + i][j] = (out[k + i][j] + fk * base[i][j]) % p
+        for t, b in enumerate(base, k * params.noise_count):
+            out[t] = (out[t] + fk * b) % p
     return out
-
-
-def _encrypt_matrix(op: RingOperator, plain, params: KemParams) -> tuple:
-    flat = [plain[i][j] for i in range(params.rows) for j in range(params.noise_count)]
-    enc = encrypt_coefficients(op, flat, params.prime)
-    it = iter(enc)
-    return tuple(
-        tuple(next(it) for _ in range(params.noise_count)) for _ in range(params.rows)
-    )
 
 
 def keygen(params: KemParams, rng=None):
@@ -221,10 +212,10 @@ def keygen(params: KemParams, rng=None):
     base = _sample_base(rng, params)
     ring1 = new_operator(rng, params.ring_bits)
     ring2 = new_operator(rng, params.ring_bits)
-    pk = KemPublicKey(
-        numer_matrix=_encrypt_matrix(ring1, _factor_times_base(numer, base, params), params),
-        denom_matrix=_encrypt_matrix(ring2, _factor_times_base(denom, base, params), params),
-    )
+    pk = KemPublicKey(*(
+        tuple(encrypt_coefficients(ring, _factor_times_base(factor, base, params), params.prime))
+        for ring, factor in ((ring1, numer), (ring2, denom))
+    ))
     return KemPrivateKey(numer, denom, ring1, ring2), pk
 
 
@@ -234,30 +225,28 @@ def ciphertext_bound(params: KemParams) -> int:
 
 
 def _evaluate(pk: KemPublicKey, params: KemParams, secret: int, noise) -> KemCiphertext:
+    # Monomials x**i * u_j are reduced in the field, in the matrices' row
+    # order; the sums are plain integers so the ring layer can be stripped exactly.
     p = params.prime
-    powers = [1]
-    for _ in range(params.rows - 1):
-        powers.append(powers[-1] * secret % p)
-    numer_eval = 0
-    denom_eval = 0
-    for i in range(params.rows):
-        nrow = pk.numer_matrix[i]
-        drow = pk.denom_matrix[i]
-        for j in range(params.noise_count):
-            # Monomials are reduced in the field; the outer sums are plain
-            # integers so the ring layer can be stripped exactly.
-            xij = powers[i] * noise[j] % p
-            numer_eval += nrow[j] * xij
-            denom_eval += drow[j] * xij
-    return KemCiphertext(numer_eval, denom_eval)
+    monomials = []
+    xpow = 1
+    for _ in range(params.rows):
+        monomials += [xpow * u % p for u in noise]
+        xpow = xpow * secret % p
+    return KemCiphertext(
+        sum(map(mul, pk.numer_matrix, monomials)), sum(map(mul, pk.denom_matrix, monomials))
+    )
 
 
 def encapsulate(pk: KemPublicKey, params: KemParams, rng=None):
     """Encapsulate a fresh secret.  Returns (secret, ciphertext).
 
     The secret is uniform over the field; the noise values are uniform
-    nonzero so the ciphertext never collapses to zero.
+    nonzero so the ciphertext never collapses to zero.  A public key whose
+    matrices are not `params.terms` long raises FormatError.
     """
+    if len(pk.numer_matrix) != params.terms or len(pk.denom_matrix) != params.terms:
+        raise FormatError("public key has the wrong shape for these parameters")
     rng = rng if rng is not None else SystemEntropy()
     secret = rng.next_index(params.prime)
     noise = [1 + rng.next_index(params.prime - 1) for _ in range(params.noise_count)]

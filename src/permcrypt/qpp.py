@@ -37,12 +37,16 @@ MODE_SEQUENTIAL = "sequential"
 _MODES = (MODE_RANDOM, MODE_SEQUENTIAL)
 
 
+def _check_block_bits(n: int) -> None:
+    if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
+        raise ParameterError(f"block size must be in [{MIN_BLOCK_BITS}, {MAX_BLOCK_BITS}] bits")
+
+
 class Permutation:
     """Bijection on [0, 2**n) stored as a lookup table."""
 
     def __init__(self, n: int, table):
-        if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
-            raise ParameterError(f"block size must be in [1, {MAX_BLOCK_BITS}] bits")
+        _check_block_bits(n)
         table = tuple(table)
         if sorted(table) != list(range(1 << n)):
             raise ParameterError("table is not a bijection on the block range")
@@ -121,8 +125,7 @@ def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
     next_index call per swap.  The shuffled tables are bijections by
     construction, so they are not checked again.
     """
-    if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
-        raise ParameterError(f"block size must be in [1, {MAX_BLOCK_BITS}] bits")
+    _check_block_bits(n)
     if not 1 <= size <= MAX_PAD_SIZE:
         raise ParameterError(f"pad size must be in [1, {MAX_PAD_SIZE}]")
     state = KeystreamState(seed, TAG_QPP_PAD)
@@ -132,6 +135,7 @@ def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
 
 def blocks_from_bytes(data: bytes, n: int) -> list:
     """Split data into n-bit blocks, most-significant bit first."""
+    _check_block_bits(n)
     if (8 * len(data)) % n:
         raise ParameterError("data length is not a whole number of blocks")
     return list(_split(data, n))
@@ -139,8 +143,11 @@ def blocks_from_bytes(data: bytes, n: int) -> list:
 
 def bytes_from_blocks(blocks, n: int) -> bytes:
     """Pack n-bit blocks back into bytes (inverse of blocks_from_bytes)."""
+    _check_block_bits(n)
     if (n * len(blocks)) % 8:
         raise ParameterError("block count does not fill whole bytes")
+    if blocks and (min(blocks) < 0 or max(blocks) >> n):
+        raise ParameterError(f"block value outside [0, 2**{n})")
     return _join(blocks, n, len(blocks))
 
 

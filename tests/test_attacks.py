@@ -10,10 +10,6 @@ from permcrypt.hppk_kem import encapsulate
 from permcrypt.keystream import TAG_HPPK_KEYGEN, TAG_HPPK_U, KeystreamState
 
 
-def _flat(matrix):
-    return [v for row in matrix for v in row]
-
-
 def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
@@ -64,7 +60,7 @@ def test_pk_and_vk_give_both_hidden_moduli(level):
             (pk.numer_matrix, vk.numer_quot, sk.ring1),
             (pk.denom_matrix, vk.denom_quot, sk.ring2),
         ):
-            entry, q = max(zip(_flat(matrix), _flat(quot)))
+            entry, q = max(zip(matrix, quot))
             assert (entry << params.shift_bits) // q == ring.modulus
 
 
@@ -84,7 +80,7 @@ def test_vk_alone_gives_both_hidden_moduli_and_pk():
         (pk.denom_matrix, vk.denom_quot, vk.denom_resid, vk.ring2_resid, sk.ring2),
     ):
         inv = pow(ring_resid, -1, p)
-        ds = [((r * inv % p << shift) - q) % modulus for q, r in zip(_flat(quot), _flat(resid))]
+        ds = [((r * inv % p << shift) - q) % modulus for q, r in zip(quot, resid)]
         basis = [[1, *ds]] + [
             [0] * (i + 1) + [modulus] + [0] * (len(ds) - i - 1) for i in range(len(ds))
         ]
@@ -96,7 +92,7 @@ def test_vk_alone_gives_both_hidden_moduli_and_pk():
         }
         assert found == {ring.modulus}
         (s,) = found
-        assert [-(-q * s >> shift) for q in _flat(quot)] == _flat(matrix)  # ceil(q*s / 2^shift)
+        assert tuple(-(-q * s >> shift) for q in quot) == matrix  # ceil(q*s / 2^shift)
 
 
 def test_pk_and_ciphertext_give_the_one_noise_kem_secret():
@@ -109,7 +105,7 @@ def test_pk_and_ciphertext_give_the_one_noise_kem_secret():
     _, pk, _ = ds_keygen(params, KeystreamState(bytes([0]), TAG_HPPK_KEYGEN))  # seed 0
     secret, ct = encapsulate(pk, params, KeystreamState(bytes([0]), TAG_HPPK_U))
     weight = 1 << (params.ring_bits + 64)
-    numer, denom = _flat(pk.numer_matrix), _flat(pk.denom_matrix)
+    numer, denom = pk.numer_matrix, pk.denom_matrix
     t = len(numer)
     basis = [
         [int(i == k) for k in range(t)] + [weight * n, weight * d, 0]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from permcrypt import codec
@@ -288,3 +290,81 @@ def test_info_entropy_prints_rounded_bits(capsys):
 def test_info_complexity_prints_log2_operations(capsys):
     assert run("info", "complexity", "--L", 72) == 0
     assert capsys.readouterr().out.strip() == "142.87"
+
+
+# --- fuzzed argument and file vectors ----------------------------------------
+
+
+def _fuzz_files(tmp_path):
+    """One seeded key set and its envelopes, plus broken and foreign inputs."""
+    seed = ("--seed-hex", "beef", "--unsafe-seed")
+    f = {name: tmp_path / name for name in (
+        "sk", "pk", "vk", "ct", "ss", "sig", "pad", "stream", "msg", "empty", "kats")}
+    f["msg"].write_bytes(b"fuzzed message")
+    f["empty"].write_bytes(b"")
+    assert run("keygen", "--level", "I", "--sk", f["sk"], "--pk", f["pk"], "--vk", f["vk"],
+               *seed) == 0
+    assert run("encaps", "--pk", f["pk"], "--out", f["ct"], "--ss", f["ss"], *seed) == 0
+    assert run("sign", "--sk", f["sk"], "--in", f["msg"], "--out", f["sig"], *seed) == 0
+    assert run("qpp-keygen", "--n", 4, "--M", 3, "--out", f["pad"], *seed) == 0
+    assert run("qpp-encrypt", "--pad", f["pad"], "--key-hex", "c0ffee", "--in", f["msg"],
+               "--out", f["stream"]) == 0
+    assert run("kat", "emit", "--out", f["kats"], "--config", "DS-I", "--count", 1, *seed) == 0
+    for name in ("sk", "pk", "vk", "ct", "sig", "pad", "stream"):
+        data = f[name].read_bytes()
+        for cut in (3, 11, len(data) - 1):
+            (tmp_path / f"{name}-{cut}").write_bytes(data[:cut])
+    f["kat"] = f["kats"] / "DS-I.kat"
+    inputs = [p for p in tmp_path.iterdir() if p.is_file()]
+    return f, inputs + [f["kats"], f["kat"], tmp_path, tmp_path / "missing"]
+
+
+def test_main_answers_every_fuzzed_vector_with_an_exit_code(tmp_path):
+    # Each flag mostly gets a value that works, so vectors reach past the first
+    # refusal; the rest are bad or empty hex, out-of-range ints, missing paths,
+    # directories, empty files, truncated envelopes and envelopes of a foreign kind.
+    rng = random.Random(15)
+    work = tmp_path / "in"
+    work.mkdir()
+    files, inputs = _fuzz_files(work)
+    outputs = [tmp_path / "out", work, tmp_path / "missing" / "out"]
+
+    def either(good, values):
+        return lambda: good if rng.random() < 0.7 else rng.choice(values)
+
+    def src(name):
+        return either(files[name], inputs)
+
+    dst = either(tmp_path / "out", outputs)
+    key = either("c0ffee", ["beef", "", "zz", "abc", "00"])
+    seed = {"--seed-hex": key, "--unsafe-seed": None}
+    flags = {
+        ("keygen",): {"--level": either("I", ["III", "V", "II"]),
+                      "--sk": dst, "--pk": dst, "--vk": dst, **seed},
+        ("encaps",): {"--pk": src("pk"), "--out": dst, "--ss": dst, **seed},
+        ("decaps",): {"--sk": src("sk"), "--in": src("ct"), "--out": dst},
+        ("sign",): {"--sk": src("sk"), "--vk": src("vk"), "--in": src("msg"), "--out": dst,
+                    **seed},
+        ("verify",): {"--vk": src("vk"), "--in": src("msg"), "--sig": src("sig")},
+        ("qpp-keygen",): {"--out": dst, "--n": either(4, [-1, 0, 1, 12, "x"]),
+                          "--M": either(3, [-1, 0, 1, 16, ""]), **seed},
+        ("qpp-encrypt",): {"--pad": src("pad"), "--key-hex": key, "--in": src("msg"),
+                           "--out": dst, "--mode": either("random", ["sequential", "other"])},
+        ("qpp-decrypt",): {"--pad": src("pad"), "--key-hex": key, "--in": src("stream"),
+                           "--out": dst},
+        ("kat", "emit"): {"--out": dst, "--config": either("DS-I", ["KEM-I-m2", "all", "X"]),
+                          "--count": either(1, [-1, 0, 2, "two"]), **seed},
+        ("kat", "check"): {"--in": src("kat")},
+        ("info", "entropy"): {"--n": either(8, [-1, 0, 1, 12]), "--M": either(3, [-1, 0, 16]),
+                              "--kind": either("matrix", ["arithmetic", "other"])},
+        ("info", "complexity"): {"--L": either(72, [-1, 0, 1, 2, "L"])},
+    }
+    for _ in range(300):
+        command = rng.choice(list(flags))
+        argv = list(command)
+        for flag, value in flags[command].items():
+            if rng.random() < 0.95:  # now and then a required flag goes missing
+                argv += [flag] if value is None else [flag, value()]
+        if rng.random() < 0.05:
+            argv.append(rng.choice(["--bogus", "-h", "extra"]))
+        assert run(*argv) in (0, 1, 2), argv

@@ -351,7 +351,7 @@ def test_encode_rejects_a_value_its_field_cannot_hold(value):
         codec.encode_signature(Signature(value, 1), ds_params("I"))
 
 
-def _unchecked(kind, params, runs, valid):
+def _unchecked(kind, runs, valid):
     """`valid` rebuilt from one payload's runs of values, checked only by their types."""
     if kind == codec.KIND_KEM_PRIVATE:
         n0, n1, d0, d1, (m1,), (s1,), (m2,), (s2,) = runs
@@ -362,8 +362,7 @@ def _unchecked(kind, params, runs, valid):
         )
     if kind == codec.KIND_DS_VERIFICATION:
         *matrices, residues, _ = runs
-        rows = [tuple(zip(*[iter(v)] * params.noise_count)) for v in matrices]
-        return DsVerificationKey(*rows, *residues)
+        return DsVerificationKey(*map(tuple, matrices), *residues)
     return (KemCiphertext if kind == codec.KIND_KEM_CIPHERTEXT else Signature)(*runs[0])
 
 
@@ -406,7 +405,7 @@ def test_encoder_refuses_exactly_what_its_decoder_refuses(kind):
                            r"|multiplier must lie in \[1, modulus\)"
                            "|multiplier and modulus must be coprime)")
                 with pytest.raises(ParameterError, match=refusal):
-                    encode(_unchecked(kind, params, values, valid), params)
+                    encode(_unchecked(kind, values, valid), params)
     assert checked
 
 

@@ -57,7 +57,7 @@ def test_verification_key_dimensions_level1():
     params = ds_params("I")
     _, _, vk = seeded_triple(params, b"dims")
     for matrix in (vk.numer_resid, vk.denom_resid, vk.numer_quot, vk.denom_quot):
-        assert len(matrix) == 3 and all(len(row) == 1 for row in matrix)
+        assert len(matrix) == 3
 
 
 def test_unit_blind_reduces_to_plain_residues():
@@ -65,9 +65,7 @@ def test_unit_blind_reduces_to_plain_residues():
     rng = KeystreamState(b"unit-blind", TAG_HPPK_KEYGEN)
     sk, pk = keygen(params, rng)
     vk = derive_verification_key(sk, pk, 1, params)
-    assert vk.numer_resid == tuple(
-        tuple(int(v) % 7 for v in row) for row in pk.numer_matrix
-    )
+    assert vk.numer_resid == tuple(int(v) % 7 for v in pk.numer_matrix)
     assert vk.ring1_resid == int(sk.ring1.modulus) % 7
 
 
@@ -75,11 +73,11 @@ def test_quotients_match_long_division():
     params = toy_params(7, ring_bits=8, shift_bits=40)
     sk, pk, vk = seeded_triple(params, b"quotients")
     for i in range(3):
-        assert int(vk.numer_quot[i][0]) == long_division_quotient(
-            int(pk.numer_matrix[i][0]) << 40, int(sk.ring1.modulus)
+        assert int(vk.numer_quot[i]) == long_division_quotient(
+            int(pk.numer_matrix[i]) << 40, int(sk.ring1.modulus)
         )
-        assert int(vk.denom_quot[i][0]) == long_division_quotient(
-            int(pk.denom_matrix[i][0]) << 40, int(sk.ring2.modulus)
+        assert int(vk.denom_quot[i]) == long_division_quotient(
+            int(pk.denom_matrix[i]) << 40, int(sk.ring2.modulus)
         )
 
 
@@ -132,7 +130,7 @@ def test_signature_algebra_on_toy_field():
     s2 = int(sk.ring2.modulus)
     alpha = int(sig.numer_tag) * int(sk.ring2.multiplier) % s2 * pow(fx, -1, p) % p
     for i in range(3):
-        q_entry = int(pk.denom_matrix[i][0])
+        q_entry = int(pk.denom_matrix[i])
         plain_q = int(sk.ring2.invert(q_entry))
         lhs = int(sig.numer_tag) * q_entry % s2 % p
         assert lhs == alpha * fx % p * plain_q % p
@@ -230,10 +228,10 @@ def test_barrett_split_matches_secret_side():
         sig = sign(sk, params, rng.next_bytes(16), rng, vk=vk)
         f_tag = int(sig.numer_tag)
         for i in range(3):
-            secret_side = blind * (f_tag * int(pk.denom_matrix[i][0]) % s2) % p
+            secret_side = blind * (f_tag * int(pk.denom_matrix[i]) % s2) % p
             split = (
-                f_tag * vk.denom_resid[i][0]
-                - vk.ring2_resid * (f_tag * int(vk.denom_quot[i][0]) >> params.shift_bits)
+                f_tag * vk.denom_resid[i]
+                - vk.ring2_resid * (f_tag * int(vk.denom_quot[i]) >> params.shift_bits)
             ) % p
             if split != secret_side:
                 mismatches += 1

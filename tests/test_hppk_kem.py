@@ -4,7 +4,7 @@ import pytest
 import sympy
 from conftest import ScriptedEntropy, toy_params
 
-from permcrypt.errors import DecapsulationError, GenerationError, ParameterError
+from permcrypt.errors import DecapsulationError, FormatError, GenerationError, ParameterError
 from permcrypt.hppk_ds import ds_params
 from permcrypt.hppk_kem import (
     KEM_FIELD_BITS,
@@ -28,11 +28,15 @@ def seeded_keygen(params, label: bytes):
     return keygen(params, KeystreamState(label, TAG_HPPK_KEYGEN))
 
 
-def plain_matrices(sk, pk):
-    """Strip the ring layer off the public matrices (test-side oracle)."""
-    numer = [[int(sk.ring1.invert(v)) for v in row] for row in pk.numer_matrix]
-    denom = [[int(sk.ring2.invert(v)) for v in row] for row in pk.denom_matrix]
-    return numer, denom
+def plain_matrices(sk, pk, params):
+    """Strip the ring layer off the public matrices, regrouped by row (test-side oracle)."""
+    m = params.noise_count
+
+    def rows(op, matrix):
+        plain = [int(op.invert(v)) for v in matrix]
+        return [plain[i:i + m] for i in range(0, len(plain), m)]
+
+    return rows(sk.ring1, pk.numer_matrix), rows(sk.ring2, pk.denom_matrix)
 
 
 def poly_eval(coeffs, x, p):
@@ -52,7 +56,7 @@ def constant_noise(sk, pk, params):
     such a choice.
     """
     p = params.prime
-    numer, _ = plain_matrices(sk, pk)
+    numer, _ = plain_matrices(sk, pk, params)
     f0, f1 = sk.numer_coeffs
     if f0 == 0:
         return None
@@ -147,8 +151,8 @@ def test_keygen_level1_dimensions_and_ranges():
     params = kem_params("I", 2)
     sk, pk = seeded_keygen(params, b"dims")
     for matrix in (pk.numer_matrix, pk.denom_matrix):
-        assert len(matrix) == 3 and all(len(row) == 2 for row in matrix)
-        assert all(v < (1 << 72) for row in matrix for v in row)
+        assert len(matrix) == 3 * 2
+        assert all(v < (1 << 72) for v in matrix)
     assert sk.numer_coeffs[-1] != 0 and sk.denom_coeffs[-1] != 0
     assert not _proportional(sk.numer_coeffs, sk.denom_coeffs, params.prime)
 
@@ -165,7 +169,7 @@ def test_keygen_convolution_against_schoolbook():
     sk, pk = keygen(params, ScriptedEntropy(draws))
     assert sk.numer_coeffs == (2, 3)
     assert sk.denom_coeffs == (1, 4)
-    numer, denom = plain_matrices(sk, pk)
+    numer, denom = plain_matrices(sk, pk, params)
     # schoolbook (2+3x)(4+6x) = 8 + 24x + 18x^2 mod 7
     assert [row[0] for row in numer] == [8 % 7, 24 % 7, 18 % 7]
     # schoolbook (1+4x)(4+6x) = 4 + 22x + 24x^2 mod 7
@@ -177,7 +181,7 @@ def test_keygen_cross_multiplied_identity_for_all_points():
     # f*h*base.
     params = toy_params(7, noise_count=2)
     sk, pk = seeded_keygen(params, b"identity")
-    numer, denom = plain_matrices(sk, pk)
+    numer, denom = plain_matrices(sk, pk, params)
     for x in range(7):
         fx = poly_eval(sk.numer_coeffs, x, 7)
         hx = poly_eval(sk.denom_coeffs, x, 7)
@@ -215,7 +219,7 @@ def test_keygen_redraws_an_all_zero_base_column_in_row_order():
     rng = ScriptedEntropy(draws)
     sk, pk = keygen(params, rng)
     assert rng.pos == len(draws)
-    numer, denom = plain_matrices(sk, pk)
+    numer, denom = plain_matrices(sk, pk, params)
     # (2+3x)(4+6x) = 8 + 24x + 18x^2 and (2+3x)(1+5x) = 2 + 13x + 15x^2
     assert numer == [[8 % 7, 2], [24 % 7, 13 % 7], [18 % 7, 15 % 7]]
     # (1+4x)(4+6x) = 4 + 22x + 24x^2 and (1+4x)(1+5x) = 1 + 9x + 20x^2
@@ -252,6 +256,15 @@ def test_exhaustive_round_trip_at_toy_primes(prime):
         assert decapsulate(sk, _evaluate(pk, params, x, noise), params) == x
 
 
+def test_encapsulate_refuses_a_public_key_of_the_wrong_length():
+    params = kem_params("I", 2)
+    _, pk = seeded_keygen(params, b"length")
+    for bad in (replace(pk, numer_matrix=pk.numer_matrix[:-1]),
+                replace(pk, denom_matrix=pk.denom_matrix + (1,))):
+        with pytest.raises(FormatError, match="wrong shape"):
+            encapsulate(bad, params, ScriptedEntropy([]))  # refused before any draw
+
+
 def test_noise_randomizes_ciphertexts():
     params = kem_params("I", 2)
     sk, pk = seeded_keygen(params, b"randomized")
@@ -265,7 +278,7 @@ def test_noise_randomizes_ciphertexts():
 
 def test_decapsulation_independent_of_noise_exhaustively():
     params, sk, pk, _ = exhaustive_toy_key(7)
-    numer, denom = plain_matrices(sk, pk)
+    numer, denom = plain_matrices(sk, pk, params)
     x = 3
     for u1 in range(1, 7):
         for u2 in range(1, 7):
@@ -286,7 +299,7 @@ def test_plain_matrix_ratio_cancels_base_exhaustively():
     # the secret factors: their ratio is f(x)/h(x) for every x and noise.
     params = toy_params(7, noise_count=2)
     sk, pk = seeded_keygen(params, b"plain-ratio")
-    numer, denom = plain_matrices(sk, pk)
+    numer, denom = plain_matrices(sk, pk, params)
     p = params.prime
     for x in range(p):
         for u1 in range(1, p):
@@ -320,7 +333,7 @@ def test_noise_elimination_ratio_matches_factor_ratio():
 def test_plain_sums_stay_below_the_ring_moduli():
     params = kem_params("I", 2)
     sk, pk = seeded_keygen(params, b"bound")
-    numer, _ = plain_matrices(sk, pk)
+    numer, _ = plain_matrices(sk, pk, params)
     rng = KeystreamState(b"bound-noise", TAG_HPPK_U)
     p = params.prime
     for _ in range(50):

@@ -224,6 +224,22 @@ def test_block_packing_rejects_misalignment():
         blocks_from_bytes(b"ab", 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bytes_from_blocks([0, 16], 4),  # would spill into its neighbour: b"\x10"
+    lambda: bytes_from_blocks([16, 0], 4),  # would overflow the packed integer
+    lambda: bytes_from_blocks([-1, 0], 4),
+    lambda: bytes_from_blocks([1 << 16], 16),
+    lambda: bytes_from_blocks([0, 0], 0),
+    lambda: bytes_from_blocks([0] * 8, 17),  # whole bytes, but no 17-bit blocks
+    lambda: blocks_from_bytes(b"ab", 0),  # would divide by zero
+    lambda: blocks_from_bytes(bytes(17), 17),
+], ids=["spilling-block", "overflowing-block", "negative-block", "block-past-16-bits",
+        "pack-zero-bits", "pack-17-bits", "split-zero-bits", "split-17-bits"])
+def test_block_packing_raises_parameter_error_outside_its_ranges(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
 # --- stream cipher ----------------------------------------------------------
 
 
