@@ -84,13 +84,6 @@ def ds_keygen(params: KemParams, rng=None):
     return sk, pk, derive_verification_key(sk, pk, blind, params)
 
 
-def _eval_factor(coeffs, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def sign(
     sk: KemPrivateKey,
     params: KemParams,
@@ -112,8 +105,10 @@ def sign(
     rng = rng if rng is not None else SystemEntropy()
     p = params.prime
     x = hash_to_field(message, p, params.hash_bytes)
-    fx = _eval_factor(sk.numer_coeffs, x, p)
-    hx = _eval_factor(sk.denom_coeffs, x, p)
+    f0, f1 = sk.numer_coeffs
+    h0, h1 = sk.denom_coeffs
+    fx = (f0 + f1 * x) % p
+    hx = (h0 + h1 * x) % p
     if fx == 0 or hx == 0:
         # No scalar can rescue a vanished factor; the message is unsignable
         # under this key (probability about 2/prime).

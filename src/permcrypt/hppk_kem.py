@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
+from typing import ClassVar
 
 from .errors import DecapsulationError, FormatError, GenerationError, ParameterError
 from .hidden_ring import RingOperator, encrypt_coefficients, new_operator
@@ -43,16 +44,20 @@ _RESAMPLE_LIMIT = 64
 class KemParams:
     """Parameter set shared by the KEM and signature schemes.
 
-    `base_order` is the secret point's maximum power in the base
-    polynomial, `factor_order` the degree of the two secret factors, and
-    `noise_count` the number of noise variables.  The hidden rings hold
-    `ring_bits` bits and the verification radix is 2**shift_bits.  `level`
-    is not stored: it names the shipped set equal to this one, if any.
+    The polynomial shape is fixed: a base polynomial linear in the secret
+    point x, times two linear secret factors f0 + f1*x and h0 + h1*x, so
+    each public matrix has `rows` rows (powers x**0..x**2) of `noise_count`
+    entries.  `base_order` and `factor_order` are constants, which the HPK1
+    header still records.  The hidden rings hold `ring_bits` bits and the
+    verification radix is 2**shift_bits.  `level` is not stored: it names
+    the shipped set equal to this one, if any.
     """
 
+    base_order: ClassVar[int] = 1
+    factor_order: ClassVar[int] = 1
+    rows: ClassVar[int] = 3
+
     prime: int
-    base_order: int
-    factor_order: int
     noise_count: int
     ring_bits: int
     shift_bits: int
@@ -61,8 +66,8 @@ class KemParams:
     def __post_init__(self):
         if self.prime < 2:
             raise ParameterError("prime must be at least 2")
-        if min(self.base_order, self.factor_order, self.noise_count) < 1:
-            raise ParameterError("polynomial orders and noise count must be >= 1")
+        if self.noise_count < 1:
+            raise ParameterError("noise count must be >= 1")
         if (1 << self.ring_bits) < self.prime**2 * self.terms:
             raise ParameterError(
                 "ring_bits too small for decryptable evaluations"
@@ -78,11 +83,6 @@ class KemParams:
     @property
     def field_bits(self) -> int:
         return self.prime.bit_length()
-
-    @property
-    def rows(self) -> int:
-        """Row count of the public matrices: powers 0..base+factor order."""
-        return self.base_order + self.factor_order + 1
 
     @property
     def terms(self) -> int:
@@ -112,8 +112,6 @@ def _build(level: str, noise_count: int) -> KemParams:
     ring_bits = 2 * bits + 8
     return KemParams(
         prime=PRIMES_BY_BITS[bits],
-        base_order=1,
-        factor_order=1,
         noise_count=noise_count,
         ring_bits=ring_bits,
         shift_bits=ring_bits + 32,
@@ -154,44 +152,35 @@ class KemCiphertext:
     denom_eval: int
 
 
-def _sample_factor(rng, prime: int, order: int) -> tuple:
-    # Low-order coefficients first; the leading one is drawn nonzero.
-    coeffs = [rng.next_index(prime) for _ in range(order)]
-    coeffs.append(1 + rng.next_index(prime - 1))
-    return tuple(coeffs)
+def _sample_factor(rng, prime: int) -> tuple:
+    # The constant coefficient first; the leading one is drawn nonzero.
+    return rng.next_index(prime), 1 + rng.next_index(prime - 1)
 
 
 def _proportional(f, h, prime: int) -> bool:
-    # f and h are scalar multiples iff every 2x2 cross minor vanishes.
-    for i in range(len(f)):
-        for j in range(i + 1, len(f)):
-            if (f[i] * h[j] - f[j] * h[i]) % prime:
-                return False
-    return True
+    # Two linear factors are scalar multiples iff their 2x2 minor vanishes.
+    return (f[0] * h[1] - f[1] * h[0]) % prime == 0
 
 
 def _sample_base(rng, params: KemParams) -> list:
-    """The base matrix row by row; an all-zero column j is redrawn top to bottom."""
-    p, m, rows = params.prime, params.noise_count, params.base_order + 1
-    base = [rng.next_index(p) for _ in range(rows * m)]
+    """The base matrix, rows x**0 and x**1; an all-zero column j is redrawn top to bottom."""
+    p, m = params.prime, params.noise_count
+    base = [rng.next_index(p) for _ in range(2 * m)]
     for j in range(m):
         for _ in range(_RESAMPLE_LIMIT):
             if any(base[j::m]):
                 break
-            base[j::m] = [rng.next_index(p) for _ in range(rows)]
-        else:
+            base[j::m] = rng.next_index(p), rng.next_index(p)
+        if not any(base[j::m]):
             raise GenerationError("could not draw a nonzero base column")
     return base
 
 
 def _factor_times_base(factor, base, params: KemParams) -> list:
-    """Row-major coefficients of factor(x) * base(x, u) mod the prime; x**k shifts k rows."""
-    p = params.prime
-    out = [0] * params.terms
-    for k, fk in enumerate(factor):
-        for t, b in enumerate(base, k * params.noise_count):
-            out[t] = (out[t] + fk * b) % p
-    return out
+    """Row-major coefficients of (f0 + f1*x) * base(x, u) mod the prime; x shifts one row."""
+    f0, f1 = factor
+    pad = [0] * params.noise_count
+    return [(f0 * b + f1 * a) % params.prime for a, b in zip(pad + base, base + pad)]
 
 
 def keygen(params: KemParams, rng=None):
@@ -202,9 +191,9 @@ def keygen(params: KemParams, rng=None):
     entropy source fails loudly instead of looping.
     """
     rng = rng if rng is not None else SystemEntropy()
-    numer = _sample_factor(rng, params.prime, params.factor_order)
+    numer = _sample_factor(rng, params.prime)
     for _ in range(_RESAMPLE_LIMIT):
-        denom = _sample_factor(rng, params.prime, params.factor_order)
+        denom = _sample_factor(rng, params.prime)
         if not _proportional(numer, denom, params.prime):
             break
     else:
@@ -257,12 +246,11 @@ def decapsulate(sk: KemPrivateKey, ct: KemCiphertext, params: KemParams) -> int:
     """Recover the encapsulated secret.
 
     Strips each ring (the plain evaluations are smaller than the moduli,
-    so the lift is exact), then solves factor(x) = k * other_factor(x) in
+    so the lift is exact), then solves the linear factors' ratio
+    (f0 + f1*x) / (h0 + h1*x) = numer_lift / denom_lift for x in
     cross-multiplied form, which also covers the pole where the
     denominator factor vanishes at the secret point.
     """
-    if params.factor_order != 1:
-        raise ParameterError("secret extraction is implemented for linear factors")
     p = params.prime
     r1, r2 = sk.ring1, sk.ring2
     numer_lift = r1.invert(ct.numer_eval % r1.modulus) % p

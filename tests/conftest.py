@@ -42,8 +42,6 @@ def toy_params(prime: int, noise_count: int = 1, ring_bits: int | None = None,
         shift_bits = ring_bits + 32
     return KemParams(
         prime=prime,
-        base_order=1,
-        factor_order=1,
         noise_count=noise_count,
         ring_bits=ring_bits,
         shift_bits=shift_bits,

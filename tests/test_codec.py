@@ -459,13 +459,6 @@ def test_encode_rejects_a_noise_count_decode_would_refuse():
         codec.encode_kem_public(pk, params)
 
 
-def test_encode_rejects_an_order_the_header_byte_cannot_hold():
-    params, _, _, _, ct = kem_material()
-    wide = replace(params, base_order=300, ring_bits=82, shift_bits=114)
-    with pytest.raises(ParameterError):
-        codec.encode_kem_ciphertext(ct, wide)
-
-
 def test_decode_secret_reports_length_like_the_envelopes():
     params = kem_params("I")  # four-byte secrets
     with pytest.raises(FormatError, match="truncated") as err:

@@ -110,11 +110,9 @@ def test_params_validation():
         with pytest.raises(ParameterError):
             bad()
     with pytest.raises(ParameterError):
-        KemParams(prime=7, base_order=1, factor_order=1, noise_count=2,
-                  ring_bits=8, shift_bits=40)  # 49*6 > 2**8
+        KemParams(prime=7, noise_count=2, ring_bits=8, shift_bits=40)  # 49*6 > 2**8
     with pytest.raises(ParameterError):
-        KemParams(prime=7, base_order=1, factor_order=1, noise_count=1,
-                  ring_bits=14, shift_bits=14 + 31)
+        KemParams(prime=7, noise_count=1, ring_bits=14, shift_bits=14 + 31)
     # The signature set does not leak through kem_params, and the one table
     # names nothing but its nine sets.
     for bad in (
@@ -130,6 +128,17 @@ def test_params_validation():
         assert shipped_params(level, 1) is ds_params(level)
         for m in (2, 3):
             assert shipped_params(level, m) is kem_params(level, m)
+
+
+def test_polynomial_shape_is_fixed():
+    # Linear base and factors in every set; the orders are constants, not fields.
+    for params in (kem_params("I"), ds_params("V"), toy_params(7)):
+        assert (params.base_order, params.factor_order, params.rows) == (1, 1, 3)
+    for knob in ("base_order", "factor_order"):
+        with pytest.raises(TypeError):
+            KemParams(prime=7, noise_count=1, ring_bits=14, shift_bits=46, **{knob: 1})
+    with pytest.raises(ParameterError, match="noise count"):
+        KemParams(prime=7, noise_count=0, ring_bits=14, shift_bits=46)
 
 
 def test_shipped_sets_are_shared_and_equal_to_a_fresh_build():
@@ -233,6 +242,23 @@ def test_keygen_gives_up_on_a_base_column_that_stays_zero():
     with pytest.raises(GenerationError, match="could not draw a nonzero base column"):
         keygen(params, rng)
     assert rng.pos == len(draws)
+
+
+def test_keygen_accepts_a_base_column_nonzero_on_its_last_redraw():
+    # Every redraw is checked, the last one allowed included.
+    params = toy_params(7, noise_count=2)
+    draws = [
+        2, 3 - 1, 1, 4 - 1,
+        4, 0, 6, 0,                          # column 1 is zero
+        *([0, 0] * (_RESAMPLE_LIMIT - 1)),   # and stays zero on 63 redraws
+        1, 5,                                # the 64th redraw is (1, 5)
+        *([40, 4] * 2),
+    ]
+    rng = ScriptedEntropy(draws)
+    sk, pk = keygen(params, rng)
+    assert rng.pos == len(draws)
+    numer, _ = plain_matrices(sk, pk, params)
+    assert [row[1] for row in numer] == [2, 13 % 7, 15 % 7]  # (2+3x)(1+5x)
 
 
 def test_proportional_detects_scalar_multiples():
@@ -371,15 +397,6 @@ def test_level_round_trips_all_configurations():
             for _ in range(25):
                 x, ct = encapsulate(pk, params, rng)
                 assert decapsulate(sk, ct, params) == x
-
-
-def test_decapsulate_requires_linear_factors():
-    params = KemParams(prime=251, base_order=1, factor_order=2, noise_count=1,
-                       ring_bits=30, shift_bits=62)
-    sk, pk = seeded_keygen(params, b"quadratic")
-    _, ct = encapsulate(pk, params, KeystreamState(b"q", TAG_HPPK_U))
-    with pytest.raises(ParameterError):
-        decapsulate(sk, ct, params)
 
 
 # --- attack complexity ------------------------------------------------------
