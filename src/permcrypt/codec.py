@@ -44,6 +44,7 @@ from .qpp import (
     MODE_SEQUENTIAL,
     Permutation,
     PermutationPad,
+    _check_block_bits,
     blocks_from_bytes,
     bytes_from_blocks,
 )
@@ -324,8 +325,7 @@ def decode_secret(data: bytes, params: KemParams) -> int:
 
 
 def _qpp_header(version: int, n: int, size: int) -> bytes:
-    if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
-        raise ParameterError(f"block size {n} does not fit the QPP1 header")
+    _check_block_bits(n)
     if not 1 <= size <= MAX_PAD_SIZE:
         raise ParameterError(f"pad size {size} does not fit the QPP1 header")
     return MAGIC_QPP + bytes([version, n]) + size.to_bytes(2, "big")
@@ -394,8 +394,7 @@ def decode_qpp_stream(data: bytes):
 
 def _granule(n: int) -> int:
     """Bytes per bit-padding granule: the fewest whole bytes that hold whole n-bit blocks."""
-    if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
-        raise ParameterError(f"block size {n} not in [{MIN_BLOCK_BITS}, {MAX_BLOCK_BITS}]")
+    _check_block_bits(n)
     return math.lcm(n, 8) // 8
 
 

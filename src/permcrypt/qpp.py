@@ -262,8 +262,9 @@ def pad_entropy(n: int, size: int, kind: str = "matrix") -> float:
     Matrix pads draw each table from all (2**n)! permutations; affine pads
     only from the 2**(2n-1) odd-multiplier maps, hence the collapse.
     """
-    if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS or size < 1:
-        raise ParameterError("invalid pad shape")
+    _check_block_bits(n)
+    if size < 1:
+        raise ParameterError("pad size must be at least 1")
     if kind == "matrix":
         return size * math.fsum(math.log2(k) for k in range(2, (1 << n) + 1))
     if kind == "arithmetic":

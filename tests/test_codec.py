@@ -29,6 +29,7 @@ from permcrypt.qpp import (
     Permutation,
     PermutationPad,
     generate_pad,
+    pad_entropy,
 )
 
 HEADER = 11  # magic, kind, level, two field-bit bytes, three shape bytes
@@ -511,10 +512,16 @@ def test_unpad_rejects_a_granule_of_zeros_after_the_padding(n):
 
 @pytest.mark.parametrize("n", [0, 17])
 def test_bit_padding_rejects_a_block_size_outside_the_qpp_range(n):
-    with pytest.raises(ParameterError, match="block size"):
-        codec.pad_bits(b"x", n)
-    with pytest.raises(ParameterError, match="block size"):
-        codec.unpad_bits(b"x\x80", n)
+    # One check, one message, for the padding, the QPP1 header and the entropy figure.
+    for refused in (
+        lambda: codec.pad_bits(b"x", n),
+        lambda: codec.pad_bits(b"", n),
+        lambda: codec.unpad_bits(b"x\x80", n),
+        lambda: codec.encode_qpp_stream(b"", n, 1, "random"),
+        lambda: pad_entropy(n, 1),
+    ):
+        with pytest.raises(ParameterError, match=r"^block size must be in \[1, 16\] bits$"):
+            refused()
 
 
 # --- seeded mutation over every decoder --------------------------------------
