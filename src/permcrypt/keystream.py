@@ -142,6 +142,10 @@ class KeystreamState:
             if v < bound:
                 return v
 
+    def next_indices(self, bounds) -> list:
+        """[self.next_index(b) for b in bounds]: one rejection draw per bound."""
+        return [self.next_index(b) for b in bounds]
+
     def shuffle(self, size: int) -> list:
         """The forward Fisher-Yates arrangement of range(size); size <= 2**16.
 

@@ -81,6 +81,72 @@ def test_next_index_uniformity_chi_square():
     assert stat < CHI2_999_DF51
 
 
+BULK_BOUNDS = [
+    [1],
+    [2] * 100,
+    [1 << k for k in range(1, 17)] * 3,
+    [3] * 200,
+    [300] * 50,
+    [65536] * 9,
+    list(range(4096, 0, -1)),
+    [1, 2, 3, 4, 5, 300, 1, 65536, 255, 7, 1] * 20,
+    # One width run that reads fields several times.
+    pytest.param([3] * 5000, id="one-run-5000-draws"),
+    # The bounds of every Fisher-Yates table size.
+    *(pytest.param(list(range(1 << k, 1, -1)), id=f"table-{1 << k}") for k in range(1, 17)),
+    pytest.param([2, 65536] * 50, id="width-changes-every-draw"),
+    pytest.param([70000, 3, 1 << 20, 1 << 20, 5] * 4, id="widths-above-16-bits"),
+]
+
+
+@pytest.mark.parametrize("bounds", BULK_BOUNDS, ids=lambda b: f"{len(b)}-draws")
+@pytest.mark.parametrize("lead_bits", [0, 3, 13])
+def test_next_indices_matches_next_index(bounds, lead_bits):
+    bulk = KeystreamState(b"bulk", b"test")
+    single = KeystreamState(b"bulk", b"test")
+    if lead_bits:  # start the draws off a byte boundary
+        assert bulk.next_bits(lead_bits) == single.next_bits(lead_bits)
+    assert bulk.next_indices(bounds) == [single.next_index(b) for b in bounds]
+    # Both states must now sit at the same place in the stream.
+    assert bulk.next_bits(13) == single.next_bits(13)
+    assert bulk.next_bytes(5) == single.next_bytes(5)
+    assert bulk.next_index(300) == single.next_index(300)
+    assert bulk.next_bytes(700) == single.next_bytes(700)
+
+
+def test_next_indices_accepts_any_iterable():
+    a = KeystreamState(b"s", b"t")
+    b = KeystreamState(b"s", b"t")
+    assert a.next_indices(range(256, 1, -1)) == b.next_indices(list(range(256, 1, -1)))
+    assert a.next_indices(iter([5, 6])) == b.next_indices((5, 6))
+    assert a.next_indices([]) == []
+    assert a.next_bits(64) == b.next_bits(64)
+
+
+def test_next_indices_rejects_bad_bound_where_next_index_would():
+    bulk = KeystreamState(b"s", b"t")
+    single = KeystreamState(b"s", b"t")
+    with pytest.raises(ParameterError):
+        bulk.next_indices([7, 300, 0, 5])
+    single.next_index(7)
+    single.next_index(300)
+    # The draws made before the bad bound stay consumed, as with next_index.
+    assert bulk.next_bits(32) == single.next_bits(32)
+
+
+def test_next_indices_bad_bound_after_a_long_run():
+    bulk = KeystreamState(b"s", b"t")
+    single = KeystreamState(b"s", b"t")
+    bulk.next_bits(5)
+    single.next_bits(5)
+    with pytest.raises(ParameterError):
+        bulk.next_indices([300] * 200 + [0])
+    for _ in range(200):
+        single.next_index(300)
+    assert bulk.next_bits(13) == single.next_bits(13)
+    assert bulk.next_bytes(700) == single.next_bytes(700)
+
+
 def _per_draw_shuffle(draw, size):
     """Forward Fisher-Yates with one draw(bound) call per swap."""
     table = list(range(size))
@@ -174,7 +240,7 @@ def test_stream_matches_shake256_definition():
     rng = random.Random(2024)
     seen = set()
     while ref.pos < 8 * 2400:
-        op = rng.choice(("bits", "bytes", "aligned bytes", "index", "shuffle"))
+        op = rng.choice(("bits", "bytes", "aligned bytes", "index", "indices", "shuffle"))
         if op == "aligned bytes" and ref.pos % 8:
             skip = -ref.pos % 8
             assert state.next_bits(skip) == ref.bits(skip)
@@ -190,10 +256,14 @@ def test_stream_matches_shake256_definition():
         elif op == "index":
             bound = rng.randint(1, 1 << rng.randint(1, 40))
             assert state.next_index(bound) == ref.index(bound)
+        elif op == "indices":
+            top = rng.randint(1, 300)
+            bounds = rng.choice((range(top, 0, -1), [top] * 20, [rng.randint(1, 99) for _ in range(9)]))
+            assert state.next_indices(bounds) == [ref.index(b) for b in bounds]
         else:
             size = rng.randint(1, 300)
             assert state.shuffle(size) == _per_draw_shuffle(ref.index, size)
-    assert seen == {"bits", "bytes", "aligned bytes", "index", "shuffle"}
+    assert seen == {"bits", "bytes", "aligned bytes", "index", "indices", "shuffle"}
 
 
 def test_next_index_matches_shake256_definition_across_widths():
