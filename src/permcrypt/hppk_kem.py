@@ -11,7 +11,7 @@ secret.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import ClassVar
 
@@ -31,8 +31,7 @@ PRIMES_BY_BITS = {
 }
 
 # The one table of shipped sets: field bits per level for the KEM (noise
-# count 2 or 3) and for the signature scheme (noise count 1), which doubles
-# the field and hashes messages to a SHA3 digest of 4 * field_bits bits.
+# count 2 or 3) and for the signature scheme (noise count 1), which doubles it.
 KEM_FIELD_BITS = {"I": 32, "III": 48, "V": 64}
 DS_FIELD_BITS = {"I": 64, "III": 96, "V": 128}
 LEVELS = tuple(KEM_FIELD_BITS)
@@ -42,15 +41,16 @@ _RESAMPLE_LIMIT = 64
 
 @dataclass(frozen=True)
 class KemParams:
-    """Parameter set shared by the KEM and signature schemes.
+    """Parameter set shared by the KEM and signature schemes: a prime and a noise count.
 
     The polynomial shape is fixed: a base polynomial linear in the secret
     point x, times two linear secret factors f0 + f1*x and h0 + h1*x, so
     each public matrix has `rows` rows (powers x**0..x**2) of `noise_count`
     entries.  `base_order` and `factor_order` are constants, which the HPK1
-    header still records.  The hidden rings hold `ring_bits` bits and the
-    verification radix is 2**shift_bits.  `level` is not stored: it names
-    the shipped set equal to this one, if any.
+    header still records.  Each width follows from the prime's bit length
+    b = `field_bits`: `ring_bits` = 2b + 8, radix shift `shift_bits` =
+    ring_bits + 32, and the shortest SHA3 digest of at least 4b bits,
+    `hash_bytes`.  `level` names the shipped set equal to this one, if any.
     """
 
     base_order: ClassVar[int] = 1
@@ -59,30 +59,32 @@ class KemParams:
 
     prime: int
     noise_count: int
-    ring_bits: int
-    shift_bits: int
-    hash_bytes: int = 32
+    field_bits: int = field(init=False, compare=False)
+    ring_bits: int = field(init=False, compare=False)
+    shift_bits: int = field(init=False, compare=False)
+    hash_bytes: int = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.prime < 2:
             raise ParameterError("prime must be at least 2")
         if self.noise_count < 1:
             raise ParameterError("noise count must be >= 1")
-        if (1 << self.ring_bits) < self.prime**2 * self.terms:
-            raise ParameterError(
-                "ring_bits too small for decryptable evaluations"
-            )
-        if self.shift_bits < self.ring_bits + 32:
-            raise ParameterError("shift_bits must be at least ring_bits + 32")
+        bits = self.prime.bit_length()
+        hash_bytes = next((w for w in (32, 48, 64) if 2 * w >= bits), None)
+        if hash_bytes is None:
+            raise ParameterError("no SHA3 digest covers a field wider than 128 bits")
+        ring_bits = 2 * bits + 8
+        if (1 << ring_bits) < self.prime**2 * self.terms:
+            raise ParameterError("noise count too large for decryptable evaluations")
+        object.__setattr__(self, "field_bits", bits)
+        object.__setattr__(self, "ring_bits", ring_bits)
+        object.__setattr__(self, "shift_bits", ring_bits + 32)
+        object.__setattr__(self, "hash_bytes", hash_bytes)
 
     @property
     def level(self) -> str | None:
         """The level of the shipped set equal to this one; None for any other set."""
         return _LEVEL_OF.get(self)
-
-    @property
-    def field_bits(self) -> int:
-        return self.prime.bit_length()
 
     @property
     def terms(self) -> int:
@@ -107,16 +109,8 @@ def kem_params(level: str, noise_count: int = 2) -> KemParams:
 
 
 def _build(level: str, noise_count: int) -> KemParams:
-    signs = noise_count == 1
-    bits = (DS_FIELD_BITS if signs else KEM_FIELD_BITS)[level]
-    ring_bits = 2 * bits + 8
-    return KemParams(
-        prime=PRIMES_BY_BITS[bits],
-        noise_count=noise_count,
-        ring_bits=ring_bits,
-        shift_bits=ring_bits + 32,
-        hash_bytes=bits // 2 if signs else 32,
-    )
+    field_bits = DS_FIELD_BITS if noise_count == 1 else KEM_FIELD_BITS
+    return KemParams(PRIMES_BY_BITS[field_bits[level]], noise_count)
 
 
 _SHIPPED = {(level, m): _build(level, m) for level in LEVELS for m in (1, 2, 3)}
@@ -125,12 +119,16 @@ _LEVEL_OF = {params: level for (level, _), params in _SHIPPED.items()}
 
 @dataclass(frozen=True)
 class KemPrivateKey:
-    """Secret factors plus the two ring operators that hide the public key."""
+    """Secret linear factors (constant, leading) and the two ring operators hiding the public key."""
 
     numer_coeffs: tuple
     denom_coeffs: tuple
     ring1: RingOperator
     ring2: RingOperator
+
+    def __post_init__(self):
+        if len(self.numer_coeffs) != 2 or len(self.denom_coeffs) != 2:
+            raise ParameterError("each secret factor must have two coefficients")
 
 
 @dataclass(frozen=True)

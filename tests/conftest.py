@@ -1,6 +1,5 @@
 """Shared helpers for the test suite."""
 
-from permcrypt.hppk_kem import KemParams
 from permcrypt.keystream import KeystreamState
 
 
@@ -31,18 +30,3 @@ class ZeroEntropy(KeystreamState):
     def next_bytes(self, n):
         super().next_bytes(n)
         return bytes(n)
-
-
-def toy_params(prime: int, noise_count: int = 1, ring_bits: int | None = None,
-               shift_bits: int | None = None) -> KemParams:
-    """Small-field parameter set for exhaustive oracle tests."""
-    if ring_bits is None:
-        ring_bits = 2 * prime.bit_length() + 8
-    if shift_bits is None:
-        shift_bits = ring_bits + 32
-    return KemParams(
-        prime=prime,
-        noise_count=noise_count,
-        ring_bits=ring_bits,
-        shift_bits=shift_bits,
-    )

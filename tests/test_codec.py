@@ -10,6 +10,7 @@ from permcrypt.hppk_ds import DsVerificationKey, Signature, ds_keygen, ds_params
 from permcrypt.hppk_kem import (
     LEVELS,
     KemCiphertext,
+    KemParams,
     KemPublicKey,
     encapsulate,
     kem_params,
@@ -450,7 +451,7 @@ def test_decode_returns_the_shipped_parameter_object(level):
 def test_encode_rejects_a_set_its_header_would_name_as_another():
     params, _, _, _, sig = ds_material()
     with pytest.raises(ParameterError, match="shipped set"):
-        codec.encode_signature(sig, replace(params, hash_bytes=48))
+        codec.encode_signature(sig, replace(params, prime=params.prime - 2))
 
 
 def test_encode_rejects_a_noise_count_decode_would_refuse():
@@ -471,9 +472,7 @@ def test_decode_secret_reports_length_like_the_envelopes():
 
 
 def test_toy_parameters_are_not_serializable():
-    from conftest import toy_params
-
-    params = toy_params(7, noise_count=1)
+    params = KemParams(7, 1)
     sk, pk = keygen(params, KeystreamState(b"toy", TAG_HPPK_KEYGEN))
     with pytest.raises(ParameterError):
         codec.encode_kem_public(pk, params)

@@ -1,5 +1,5 @@
 import pytest
-from conftest import ScriptedEntropy, toy_params
+from conftest import ScriptedEntropy
 
 from permcrypt.errors import FormatError, ParameterError, SigningError
 from permcrypt.hidden_ring import new_operator
@@ -12,7 +12,7 @@ from permcrypt.hppk_ds import (
     sign,
     verify,
 )
-from permcrypt.hppk_kem import DS_FIELD_BITS, KemPrivateKey, keygen
+from permcrypt.hppk_kem import DS_FIELD_BITS, KemParams, KemPrivateKey, keygen
 from permcrypt.keystream import (
     TAG_HPPK_HASH,
     TAG_HPPK_KEYGEN,
@@ -51,6 +51,7 @@ def test_ds_params_shapes():
         assert params.noise_count == 1
         assert params.rows == 3
         assert params.shift_bits == 2 * bits + 8 + 32
+        assert params.hash_bytes == bits // 2
 
 
 def test_verification_key_dimensions_level1():
@@ -61,7 +62,7 @@ def test_verification_key_dimensions_level1():
 
 
 def test_unit_blind_reduces_to_plain_residues():
-    params = toy_params(7, ring_bits=8, shift_bits=40)
+    params = KemParams(7, 1)
     rng = KeystreamState(b"unit-blind", TAG_HPPK_KEYGEN)
     sk, pk = keygen(params, rng)
     vk = derive_verification_key(sk, pk, 1, params)
@@ -70,19 +71,19 @@ def test_unit_blind_reduces_to_plain_residues():
 
 
 def test_quotients_match_long_division():
-    params = toy_params(7, ring_bits=8, shift_bits=40)
+    params = KemParams(7, 1)
     sk, pk, vk = seeded_triple(params, b"quotients")
     for i in range(3):
         assert int(vk.numer_quot[i]) == long_division_quotient(
-            int(pk.numer_matrix[i]) << 40, int(sk.ring1.modulus)
+            int(pk.numer_matrix[i]) << params.shift_bits, int(sk.ring1.modulus)
         )
         assert int(vk.denom_quot[i]) == long_division_quotient(
-            int(pk.denom_matrix[i]) << 40, int(sk.ring2.modulus)
+            int(pk.denom_matrix[i]) << params.shift_bits, int(sk.ring2.modulus)
         )
 
 
 def test_blind_must_be_nonzero_field_element():
-    params = toy_params(7, ring_bits=8, shift_bits=40)
+    params = KemParams(7, 1)
     sk, pk, _ = seeded_triple(params, b"blind")
     with pytest.raises(ParameterError):
         derive_verification_key(sk, pk, 0, params)
@@ -120,7 +121,7 @@ def test_signature_algebra_on_toy_field():
     # Recover the blinding scalar from the signature, then check that each
     # unreduced verifier coefficient equals the blinded factor times the
     # plain matrix entry.
-    params = toy_params(7, ring_bits=8, shift_bits=40)
+    params = KemParams(7, 1)
     sk, pk, vk = seeded_triple(params, b"algebra")
     p = params.prime
     message = b"toy algebra"
@@ -183,7 +184,7 @@ def test_zero_signature_values_unconstructible():
 def test_degenerate_hash_is_unsignable():
     # Build a key whose numerator factor vanishes exactly at the message
     # hash; no blinding scalar can fix that.
-    params = toy_params(251, ring_bits=18, shift_bits=50)
+    params = KemParams(251, 1)
     p = params.prime
     message = b"unsignable"
     x = hash_to_field(message, p, params.hash_bytes)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 import sympy
-from conftest import ScriptedEntropy, toy_params
+from conftest import ScriptedEntropy
 
 from permcrypt.errors import DecapsulationError, FormatError, GenerationError, ParameterError
 from permcrypt.hppk_ds import ds_params
@@ -69,7 +69,7 @@ def constant_noise(sk, pk, params):
 
 
 def exhaustive_toy_key(prime: int):
-    params = toy_params(prime, noise_count=2)
+    params = KemParams(prime, 2)
     for trial in range(64):
         sk, pk = seeded_keygen(params, b"toy-kem-%d-%d" % (prime, trial))
         noise = constant_noise(sk, pk, params)
@@ -95,6 +95,7 @@ def test_standard_param_shapes():
             assert params.field_bits == bits
             assert params.ring_bits == 2 * bits + 8
             assert params.shift_bits == params.ring_bits + 32
+            assert params.hash_bytes == 32
             assert params.rows == 3
             assert params.terms == 3 * m
 
@@ -109,10 +110,14 @@ def test_params_validation():
     for bad in (lambda: kem_params(["I"]), lambda: kem_params("I", 4), lambda: ds_params(None)):
         with pytest.raises(ParameterError):
             bad()
-    with pytest.raises(ParameterError):
-        KemParams(prime=7, noise_count=2, ring_bits=8, shift_bits=40)  # 49*6 > 2**8
-    with pytest.raises(ParameterError):
-        KemParams(prime=7, noise_count=1, ring_bits=14, shift_bits=14 + 31)
+    # Every width follows from the prime: the 14-bit ring of p = 7 holds
+    # 111 noise values (49 * 333 <= 2**14) but not 112, and no digest
+    # covers a field wider than 128 bits.
+    assert KemParams(7, 111).ring_bits == 14
+    with pytest.raises(ParameterError, match="noise count"):
+        KemParams(7, 112)
+    with pytest.raises(ParameterError, match="128 bits"):
+        KemParams((1 << 128) + 51, 1)
     # The signature set does not leak through kem_params, and the one table
     # names nothing but its nine sets.
     for bad in (
@@ -131,14 +136,17 @@ def test_params_validation():
 
 
 def test_polynomial_shape_is_fixed():
-    # Linear base and factors in every set; the orders are constants, not fields.
-    for params in (kem_params("I"), ds_params("V"), toy_params(7)):
+    # Linear base and factors in every set; the orders are constants and the
+    # widths follow from the prime, so neither is a constructor argument.
+    for params in (kem_params("I"), ds_params("V"), KemParams(7, 1)):
         assert (params.base_order, params.factor_order, params.rows) == (1, 1, 3)
-    for knob in ("base_order", "factor_order"):
+    for knob in ("base_order", "factor_order", "ring_bits", "shift_bits", "hash_bytes"):
         with pytest.raises(TypeError):
-            KemParams(prime=7, noise_count=1, ring_bits=14, shift_bits=46, **{knob: 1})
+            KemParams(prime=7, noise_count=1, **{knob: 1})
+    with pytest.raises(ValueError):
+        replace(KemParams(7, 1), ring_bits=20)
     with pytest.raises(ParameterError, match="noise count"):
-        KemParams(prime=7, noise_count=0, ring_bits=14, shift_bits=46)
+        KemParams(prime=7, noise_count=0)
 
 
 def test_shipped_sets_are_shared_and_equal_to_a_fresh_build():
@@ -168,7 +176,7 @@ def test_keygen_level1_dimensions_and_ranges():
 
 def test_keygen_convolution_against_schoolbook():
     # Fixed draws: f=2+3x, h=1+4x, base column (4, 6).
-    params = toy_params(7, noise_count=1)
+    params = KemParams(7, 1)
     draws = [
         2, 3 - 1,       # numerator factor: constant, then nonzero leading - 1
         1, 4 - 1,       # denominator factor
@@ -188,7 +196,7 @@ def test_keygen_convolution_against_schoolbook():
 def test_keygen_cross_multiplied_identity_for_all_points():
     # numer(x)*h(x) == denom(x)*f(x) at every field point: both sides are
     # f*h*base.
-    params = toy_params(7, noise_count=2)
+    params = KemParams(7, 2)
     sk, pk = seeded_keygen(params, b"identity")
     numer, denom = plain_matrices(sk, pk, params)
     for x in range(7):
@@ -201,7 +209,7 @@ def test_keygen_cross_multiplied_identity_for_all_points():
 
 
 def test_keygen_resamples_proportional_factors():
-    params = toy_params(7, noise_count=1)
+    params = KemParams(7, 1)
     draws = [
         1, 2 - 1,       # f = 1 + 2x
         2, 4 - 1,       # first h draw = 2 + 4x, proportional: rejected
@@ -217,7 +225,7 @@ def test_keygen_resamples_proportional_factors():
 def test_keygen_redraws_an_all_zero_base_column_in_row_order():
     # The base is drawn row by row; column 1 comes out all zero, so it is
     # redrawn top to bottom before the rings draw.
-    params = toy_params(7, noise_count=2)
+    params = KemParams(7, 2)
     draws = [
         2, 3 - 1,       # f = 2 + 3x
         1, 4 - 1,       # h = 1 + 4x
@@ -236,7 +244,7 @@ def test_keygen_redraws_an_all_zero_base_column_in_row_order():
 
 
 def test_keygen_gives_up_on_a_base_column_that_stays_zero():
-    params = toy_params(7, noise_count=2)
+    params = KemParams(7, 2)
     draws = [2, 3 - 1, 1, 4 - 1, 4, 0, 6, 0, *([0, 0] * _RESAMPLE_LIMIT)]
     rng = ScriptedEntropy(draws)
     with pytest.raises(GenerationError, match="could not draw a nonzero base column"):
@@ -246,7 +254,7 @@ def test_keygen_gives_up_on_a_base_column_that_stays_zero():
 
 def test_keygen_accepts_a_base_column_nonzero_on_its_last_redraw():
     # Every redraw is checked, the last one allowed included.
-    params = toy_params(7, noise_count=2)
+    params = KemParams(7, 2)
     draws = [
         2, 3 - 1, 1, 4 - 1,
         4, 0, 6, 0,                          # column 1 is zero
@@ -291,6 +299,16 @@ def test_encapsulate_refuses_a_public_key_of_the_wrong_length():
             encapsulate(bad, params, ScriptedEntropy([]))  # refused before any draw
 
 
+def test_private_key_refuses_factors_that_are_not_linear():
+    # Refused when built, so neither decapsulate nor sign can receive one.
+    sk, _ = seeded_keygen(kem_params("I", 2), b"factor-shape")
+    for bad in ({"numer_coeffs": sk.numer_coeffs + (1,)},
+                {"denom_coeffs": sk.denom_coeffs[:1]},
+                {"numer_coeffs": ()}):
+        with pytest.raises(ParameterError, match="two coefficients"):
+            replace(sk, **bad)
+
+
 def test_noise_randomizes_ciphertexts():
     params = kem_params("I", 2)
     sk, pk = seeded_keygen(params, b"randomized")
@@ -323,7 +341,7 @@ def test_decapsulation_independent_of_noise_exhaustively():
 def test_plain_matrix_ratio_cancels_base_exhaustively():
     # Before any ring encryption, the two evaluation sums differ only by
     # the secret factors: their ratio is f(x)/h(x) for every x and noise.
-    params = toy_params(7, noise_count=2)
+    params = KemParams(7, 2)
     sk, pk = seeded_keygen(params, b"plain-ratio")
     numer, denom = plain_matrices(sk, pk, params)
     p = params.prime
