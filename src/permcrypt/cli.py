@@ -285,15 +285,12 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except (FormatError, ParameterError) as exc:
+    except (FormatError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PermcryptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

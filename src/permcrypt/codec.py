@@ -80,7 +80,7 @@ def _bytes_for(bits: int) -> int:
 
 def ciphertext_word_size(params: KemParams) -> int:
     """Fixed width of one ciphertext evaluation."""
-    return _bytes_for(params.ring_bits + params.field_bits + (params.terms - 1).bit_length())
+    return _bytes_for((ciphertext_bound(params) - 1).bit_length())
 
 
 def _payload(kind: int, params: KemParams) -> tuple:

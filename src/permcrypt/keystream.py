@@ -95,12 +95,10 @@ class KeystreamState:
         self._bit = 0  # stream bits consumed
 
     def _squeeze(self, end: int) -> None:
-        # Re-squeezing from scratch with a doubled length keeps the stream
-        # identical to one long squeeze at amortized linear cost.
-        size = max(len(self._buf), 256)
-        while size < end:
-            size *= 2
-        self._buf = hashlib.shake_256(self._material).digest(size)
+        # A shorter SHAKE-256 output is a prefix of a longer one, so squeezing
+        # again from the start keeps the stream.  One squeeze covers the
+        # request and at least doubles the buffer, so small draws stay linear.
+        self._buf = hashlib.shake_256(self._material).digest(max(end, 2 * len(self._buf), 256))
 
     def next_bits(self, k: int) -> int:
         """The next k bits of the stream as an unsigned integer."""

@@ -10,6 +10,7 @@ smaller key space of affine maps x -> (a*x + b) mod 2**n with odd a.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, cycle, islice, repeat
 from operator import getitem
@@ -42,30 +43,33 @@ def _check_block_bits(n: int) -> None:
         raise ParameterError(f"block size must be in [{MIN_BLOCK_BITS}, {MAX_BLOCK_BITS}] bits")
 
 
+@dataclass(frozen=True)
 class Permutation:
     """Bijection on [0, 2**n) stored as a lookup table."""
 
-    def __init__(self, n: int, table):
-        _check_block_bits(n)
-        table = tuple(table)
-        if sorted(table) != list(range(1 << n)):
+    n: int
+    table: tuple
+
+    def __post_init__(self):
+        _check_block_bits(self.n)
+        table = tuple(self.table)
+        if sorted(table) != list(range(1 << self.n)):
             raise ParameterError("table is not a bijection on the block range")
-        self.n = n
-        self.table = table
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def _unchecked(cls, n: int, table) -> "Permutation":
         """A permutation from a table already known to be a bijection."""
         perm = cls.__new__(cls)
-        perm.n = n
-        perm.table = tuple(table)
+        object.__setattr__(perm, "n", n)
+        object.__setattr__(perm, "table", tuple(table))
         return perm
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(n, range(1 << n))
 
-    @cached_property
+    @cached_property  # written straight into __dict__, so freezing does not block it
     def _inverse_table(self) -> tuple:
         inv = [0] * len(self.table)
         for m, c in enumerate(self.table):
@@ -88,28 +92,21 @@ class Permutation:
             raise ParameterError("cannot compose permutations of different sizes")
         return Permutation(self.n, tuple(self.table[v] for v in other.table))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Permutation)
-            and self.n == other.n
-            and self.table == other.table
-        )
 
-    def __hash__(self):
-        return hash((self.n, self.table))
-
-
+@dataclass(frozen=True)
 class PermutationPad:
     """Ordered list of permutations sharing one block size."""
 
-    def __init__(self, n: int, perms):
-        perms = tuple(perms)
+    n: int
+    perms: tuple
+
+    def __post_init__(self):
+        perms = tuple(self.perms)
         if not perms:
             raise ParameterError("pad must hold at least one permutation")
-        if any(p.n != n for p in perms):
+        if any(p.n != self.n for p in perms):
             raise ParameterError("all pad permutations must share the block size")
-        self.n = n
-        self.perms = perms
+        object.__setattr__(self, "perms", perms)
 
     @property
     def size(self) -> int:
@@ -209,13 +206,12 @@ def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
 
     granule = math.lcm(n, 8) // 8  # bytes holding a whole number of blocks
     step = _CHUNK_BYTES - _CHUNK_BYTES % granule
-    prerand = KeystreamState(seed, TAG_QPP_PRERAND)
+    # Block i is masked by stream bits [i*n, (i+1)*n), so the mask is the
+    # stream's first len(data) bytes, squeezed once and sliced like the data.
+    masks = KeystreamState(seed, TAG_QPP_PRERAND).next_bytes(len(data))
     out = bytearray()
     for start in range(0, len(data), step):
-        chunk = data[start:start + step]
-        # Chunks start on block boundaries, so the chunk's mask is exactly
-        # the next n bits of the stream for each of its blocks.
-        mask = prerand.next_bytes(len(chunk))
+        chunk, mask = data[start:start + step], masks[start:start + step]
         if decrypt:
             out += _xor(substitute(chunk), mask)
         else:
@@ -232,11 +228,12 @@ def encrypt_stream(
     permutation from the dispatch stream (or round-robin in sequential
     mode), and substitute through its table.
 
-    The input is processed in chunks of about 8 KiB of whole blocks: one
-    integer XOR masks a chunk, its dispatch indices are read in bulk, and
-    one pass over its blocks substitutes them.  The working set per chunk
-    is fixed, but the keystream buffers and the output still grow with the
-    input.
+    The mask is one squeeze of len(plaintext) prerandomization bytes.  The
+    input is processed in chunks of about 8 KiB of whole blocks: one
+    integer XOR masks a chunk with its slice of the mask, its dispatch
+    indices are read in bulk, and one pass over its blocks substitutes
+    them.  The working set per chunk is fixed, but the mask, the dispatch
+    stream's buffer and the output still grow with the input.
     """
     if mode not in _MODES:
         raise ParameterError(f"unknown dispatch mode {mode!r}")

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -58,6 +59,24 @@ def test_apply_rejects_out_of_range():
         p.apply(4)
     with pytest.raises(ParameterError):
         p.invert(-1)
+
+
+def test_qpp_key_objects_are_frozen():
+    # A swapped table would leave its cached inverse stale, and a changed
+    # block size would no longer match the tables.
+    pad = generate_pad(b"frozen", 8, 2)
+    data = bytes(range(256))
+    assert decrypt_stream(pad, b"k", encrypt_stream(pad, b"k", data)) == data
+    perm = pad.perms[0]
+    for obj, name, value in (
+        (perm, "table", pad.perms[1].table),
+        (perm, "n", 4),
+        (pad, "n", 4),
+        (pad, "perms", pad.perms[::-1]),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+    assert decrypt_stream(pad, b"k", encrypt_stream(pad, b"k", data)) == data
 
 
 def test_generated_permutations_are_injective():
@@ -338,6 +357,25 @@ def test_ciphertext_is_pinned(n, size, mode):
     ct = encrypt_stream(pad, b"qpp-pin-session", data, mode)
     assert hashlib.sha256(ct).hexdigest() == PINNED_CIPHERTEXTS[n, size, mode]
     assert decrypt_stream(pad, b"qpp-pin-session", ct, mode) == data
+
+
+def test_encrypt_stream_squeezes_its_mask_once(monkeypatch):
+    # Sequential mode has no dispatch stream, so the mask is the only squeeze.
+    pad = generate_pad(b"one-squeeze", 8, 64)
+    lengths = []
+    shake = hashlib.shake_256
+
+    class Recording:
+        def __init__(self, material):
+            self._xof = shake(material)
+
+        def digest(self, n):
+            lengths.append(n)
+            return self._xof.digest(n)
+
+    monkeypatch.setattr(hashlib, "shake_256", Recording)
+    encrypt_stream(pad, b"k", bytes(20000), MODE_SEQUENTIAL)
+    assert lengths == [20000]
 
 
 def test_encrypt_empty_is_empty():
