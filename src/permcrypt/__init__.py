@@ -29,7 +29,7 @@ from .hppk_kem import (
     kem_params,
     keygen,
 )
-from .keystream import KeystreamState, SystemEntropy, hash_to_field
+from .keystream import KeystreamState, hash_to_field
 from .qpp import (
     Permutation,
     PermutationPad,

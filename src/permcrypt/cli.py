@@ -15,13 +15,7 @@ from . import codec, kat
 from .errors import FormatError, ParameterError, PermcryptError
 from .hppk_ds import ds_keygen, ds_params, sign, verify
 from .hppk_kem import LEVELS, attack_complexity, decapsulate, encapsulate
-from .keystream import (
-    TAG_HPPK_HASH,
-    TAG_HPPK_KEYGEN,
-    TAG_HPPK_U,
-    KeystreamState,
-    SystemEntropy,
-)
+from .keystream import TAG_HPPK_HASH, TAG_HPPK_KEYGEN, TAG_HPPK_U, KeystreamState
 from .qpp import MODE_RANDOM, MODE_SEQUENTIAL, decrypt_stream, encrypt_stream, generate_pad, pad_entropy
 
 _SEED_BYTES = 32
@@ -117,6 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _seed_material(args) -> bytes:
+    """The seed of a command's keystreams: --seed-hex, else 32 bytes from the OS."""
     if args.seed_hex is None:
         return secrets.token_bytes(_SEED_BYTES)
     if not args.unsafe_seed:
@@ -127,15 +122,9 @@ def _seed_material(args) -> bytes:
         raise ParameterError("--seed-hex is not valid hex") from None
 
 
-def _entropy(args, tag: bytes):
-    if args.seed_hex is None:
-        return SystemEntropy()
-    return KeystreamState(_seed_material(args), tag)
-
-
 def _cmd_keygen(args) -> int:
     params = ds_params(args.level)
-    sk, pk, vk = ds_keygen(params, _entropy(args, TAG_HPPK_KEYGEN))
+    sk, pk, vk = ds_keygen(params, KeystreamState(_seed_material(args), TAG_HPPK_KEYGEN))
     Path(args.sk).write_bytes(codec.encode_kem_private(sk, params))
     Path(args.pk).write_bytes(codec.encode_kem_public(pk, params))
     Path(args.vk).write_bytes(codec.encode_verification_key(vk, params))
@@ -144,7 +133,7 @@ def _cmd_keygen(args) -> int:
 
 def _cmd_encaps(args) -> int:
     pk, params = codec.decode_kem_public(Path(args.pk).read_bytes())
-    secret, ct = encapsulate(pk, params, _entropy(args, TAG_HPPK_U))
+    secret, ct = encapsulate(pk, params, KeystreamState(_seed_material(args), TAG_HPPK_U))
     Path(args.out).write_bytes(codec.encode_kem_ciphertext(ct, params))
     Path(args.ss).write_bytes(codec.encode_secret(secret, params))
     return 0
@@ -168,7 +157,7 @@ def _cmd_sign(args) -> int:
         if vk_params != params:
             raise FormatError("key and verification key parameter sets differ")
     message = Path(args.infile).read_bytes()
-    sig = sign(sk, params, message, _entropy(args, TAG_HPPK_HASH), vk=vk)
+    sig = sign(sk, params, message, KeystreamState(_seed_material(args), TAG_HPPK_HASH), vk=vk)
     Path(args.out).write_bytes(codec.encode_signature(sig, params))
     return 0
 

@@ -21,7 +21,6 @@ known-answer-test files, which run the schemes, live in `permcrypt.kat`.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .errors import FormatError, ParameterError
@@ -45,6 +44,7 @@ from .qpp import (
     Permutation,
     PermutationPad,
     _check_block_bits,
+    _granule,
     blocks_from_bytes,
     bytes_from_blocks,
 )
@@ -390,12 +390,6 @@ def decode_qpp_stream(data: bytes):
     if (8 * len(body)) % n:
         raise FormatError("stream body is not a whole number of blocks", offset=start)
     return body, n, pad_size, mode
-
-
-def _granule(n: int) -> int:
-    """Bytes per bit-padding granule: the fewest whole bytes that hold whole n-bit blocks."""
-    _check_block_bits(n)
-    return math.lcm(n, 8) // 8
 
 
 def pad_bits(data: bytes, n: int) -> bytes:

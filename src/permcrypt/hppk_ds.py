@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import FormatError, GenerationError, ParameterError, SigningError
 from .hppk_kem import KemParams, KemPrivateKey, KemPublicKey, keygen, shipped_params
-from .keystream import SystemEntropy, hash_to_field
+from .keystream import hash_to_field
 
 _SELF_CHECK_LIMIT = 64
 
@@ -72,13 +72,13 @@ def derive_verification_key(
     )
 
 
-def ds_keygen(params: KemParams, rng=None):
+def ds_keygen(params: KemParams, rng):
     """Generate the full key triple (private, encapsulation, verification).
 
     One private key serves both decapsulation and signing; the blinding
-    scalar is folded into the verification key and not retained.
+    scalar is folded into the verification key and not retained.  rng
+    feeds keygen and then draws the scalar, all through next_index.
     """
-    rng = rng if rng is not None else SystemEntropy()
     sk, pk = keygen(params, rng)
     blind = 1 + rng.next_index(params.prime - 1)
     return sk, pk, derive_verification_key(sk, pk, blind, params)
@@ -88,10 +88,10 @@ def sign(
     sk: KemPrivateKey,
     params: KemParams,
     message: bytes,
-    rng=None,
+    rng,
     vk: DsVerificationKey | None = None,
 ) -> Signature:
-    """Sign a message with a fresh blinding scalar per attempt.
+    """Sign a message with a fresh blinding scalar per attempt, drawn by rng.next_index.
 
     When the verification key is supplied the signer self-checks each
     candidate and redraws the scalar on the rare radix-quotient mismatch,
@@ -102,7 +102,6 @@ def sign(
     """
     if vk is not None:
         _check_verification_key(vk, params)
-    rng = rng if rng is not None else SystemEntropy()
     p = params.prime
     x = hash_to_field(message, p, params.hash_bytes)
     f0, f1 = sk.numer_coeffs

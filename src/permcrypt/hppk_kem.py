@@ -17,7 +17,6 @@ from typing import ClassVar
 
 from .errors import DecapsulationError, FormatError, GenerationError, ParameterError
 from .hidden_ring import RingOperator, encrypt_coefficients, new_operator
-from .keystream import SystemEntropy
 
 # Largest prime below 2**bits for every shipped field width, pinned so key
 # material and test vectors stay stable across builds.  A regeneration test
@@ -181,14 +180,15 @@ def _factor_times_base(factor, base, params: KemParams) -> list:
     return [(f0 * b + f1 * a) % params.prime for a, b in zip(pad + base, base + pad)]
 
 
-def keygen(params: KemParams, rng=None):
+def keygen(params: KemParams, rng):
     """Generate a key pair.  Returns (private_key, public_key).
 
-    Degenerate draws (proportional factors, an all-zero base column) are
-    resampled internally; the resample budget is bounded so a broken
-    entropy source fails loudly instead of looping.
+    Every random value comes from rng.next_index(bound), a uniform draw
+    from [0, bound); a KeystreamState serves.  Degenerate draws
+    (proportional factors, an all-zero base column) are resampled
+    internally; the resample budget is bounded so a broken entropy source
+    fails loudly instead of looping.
     """
-    rng = rng if rng is not None else SystemEntropy()
     numer = _sample_factor(rng, params.prime)
     for _ in range(_RESAMPLE_LIMIT):
         denom = _sample_factor(rng, params.prime)
@@ -225,16 +225,16 @@ def _evaluate(pk: KemPublicKey, params: KemParams, secret: int, noise) -> KemCip
     )
 
 
-def encapsulate(pk: KemPublicKey, params: KemParams, rng=None):
+def encapsulate(pk: KemPublicKey, params: KemParams, rng):
     """Encapsulate a fresh secret.  Returns (secret, ciphertext).
 
     The secret is uniform over the field; the noise values are uniform
-    nonzero so the ciphertext never collapses to zero.  A public key whose
-    matrices are not `params.terms` long raises FormatError.
+    nonzero so the ciphertext never collapses to zero.  Both are drawn by
+    rng.next_index, as in keygen.  A public key whose matrices are not
+    `params.terms` long raises FormatError.
     """
     if len(pk.numer_matrix) != params.terms or len(pk.denom_matrix) != params.terms:
         raise FormatError("public key has the wrong shape for these parameters")
-    rng = rng if rng is not None else SystemEntropy()
     secret = rng.next_index(params.prime)
     noise = [1 + rng.next_index(params.prime - 1) for _ in range(params.noise_count)]
     return secret, _evaluate(pk, params, secret, noise)

@@ -79,7 +79,7 @@ def _kat_header(seed: bytes, label: str, count: int) -> str:
     ])
 
 
-def emit_kat(seed: bytes, label: str, count: int = 25) -> str:
+def emit_kat(seed: bytes, label: str, count: int) -> str:
     """Deterministic KAT file text for one configuration."""
     params = kat_params(label)
     seeds = KeystreamState(seed + b"|" + label.encode("ascii"), TAG_KAT)

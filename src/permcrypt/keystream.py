@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import secrets
 import struct
 from functools import lru_cache
 from operator import length_hint
@@ -181,20 +180,7 @@ class KeystreamState:
         return iter(_split(self.next_bytes(nbytes), k))
 
 
-class SystemEntropy:
-    """OS-backed uniform index draws, the only draw the schemes' rng makes.
-
-    keygen, encapsulate, ds_keygen and sign take entropy through
-    next_index alone, so this is the one method it offers.
-    """
-
-    def next_index(self, bound: int) -> int:
-        if bound < 1:
-            raise ParameterError("bound must be positive")
-        return secrets.randbelow(bound)
-
-
-def hash_to_field(message: bytes, p: int, digest_bytes: int = 32) -> int:
+def hash_to_field(message: bytes, p: int, digest_bytes: int) -> int:
     """Reduce the message digest into [0, p).
 
     digest_bytes selects the fixed-width digest (32, 48, or 64 bytes,

@@ -43,6 +43,12 @@ def _check_block_bits(n: int) -> None:
         raise ParameterError(f"block size must be in [{MIN_BLOCK_BITS}, {MAX_BLOCK_BITS}] bits")
 
 
+def _granule(n: int) -> int:
+    """The fewest whole bytes that hold whole n-bit blocks: chunk and padding unit."""
+    _check_block_bits(n)
+    return math.lcm(n, 8) // 8
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection on [0, 2**n) stored as a lookup table."""
@@ -53,7 +59,9 @@ class Permutation:
     def __post_init__(self):
         _check_block_bits(self.n)
         table = tuple(self.table)
-        if sorted(table) != list(range(1 << self.n)):
+        # 1.0 == 1, so the sort alone would pass a table of integral floats.
+        ints = all(map(isinstance, table, repeat(int)))
+        if not ints or sorted(table) != list(range(1 << self.n)):
             raise ParameterError("table is not a bijection on the block range")
         object.__setattr__(self, "table", table)
 
@@ -204,8 +212,7 @@ def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
             chosen = islice(dispatched, count)
             return _join(map(getitem, chosen, _split(chunk, n)), n, count)
 
-    granule = math.lcm(n, 8) // 8  # bytes holding a whole number of blocks
-    step = _CHUNK_BYTES - _CHUNK_BYTES % granule
+    step = _CHUNK_BYTES - _CHUNK_BYTES % _granule(n)
     # Block i is masked by stream bits [i*n, (i+1)*n), so the mask is the
     # stream's first len(data) bytes, squeezed once and sliced like the data.
     masks = KeystreamState(seed, TAG_QPP_PRERAND).next_bytes(len(data))

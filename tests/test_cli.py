@@ -64,6 +64,27 @@ def test_keygen_matches_library_under_same_seed(tmp_path, triple):
     assert triple["vk"].read_bytes() == codec.encode_verification_key(vk, params)
 
 
+def test_unseeded_commands_draw_the_seeded_keystream(tmp_path, monkeypatch):
+    # Without --seed-hex the seed is 32 OS bytes; pinning them to the
+    # --seed-hex value must give the seeded run's bytes in every file.
+    monkeypatch.setattr("secrets.token_bytes", lambda count: bytes.fromhex("aa" * 32))
+    msg = tmp_path / "msg.txt"
+    msg.write_bytes(b"one entropy path")
+    outputs = []
+    for seed_flags in ((), ("--seed-hex", "aa" * 32, "--unsafe-seed")):
+        d = tmp_path / ("seeded" if seed_flags else "unseeded")
+        d.mkdir()
+        assert run("keygen", "--level", "I", "--sk", d / "sk", "--pk", d / "pk",
+                   "--vk", d / "vk", *seed_flags) == 0
+        assert run("encaps", "--pk", d / "pk", "--out", d / "ct", "--ss", d / "ss",
+                   *seed_flags) == 0
+        assert run("sign", "--sk", d / "sk", "--vk", d / "vk", "--in", msg,
+                   "--out", d / "sig", *seed_flags) == 0
+        outputs.append({name: (d / name).read_bytes()
+                        for name in ("sk", "pk", "vk", "ct", "ss", "sig")})
+    assert outputs[0] == outputs[1]
+
+
 def test_seed_requires_unsafe_acknowledgement(tmp_path, capsys):
     code = run("keygen", "--level", "I",
                "--sk", tmp_path / "sk", "--pk", tmp_path / "pk",

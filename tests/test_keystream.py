@@ -8,7 +8,6 @@ from permcrypt.keystream import (
     TAG_QPP_DISPATCH,
     TAG_QPP_PAD,
     KeystreamState,
-    SystemEntropy,
     hash_to_field,
 )
 
@@ -289,11 +288,6 @@ def test_next_index_rejects_a_bound_below_one_without_drawing():
         with pytest.raises(ParameterError):
             state.next_index(bound)
     assert state.next_bits(64) == KeystreamState(b"s", b"t").next_bits(64)
-
-
-def test_system_entropy_interface():
-    rng = SystemEntropy()
-    assert 0 <= rng.next_index(10) < 10
 
 
 # --- hash_to_field ----------------------------------------------------------

@@ -53,6 +53,14 @@ def test_permutation_rejects_non_bijections():
         Permutation(2, [0, 1, 2])
 
 
+def test_permutation_rejects_non_int_entries():
+    # 1.0 == 1, so these pass a sort-and-compare bijection check.
+    for n, table in ((1, (1.0, 0.0)), (2, (0, 1, 2, 3.0))):
+        with pytest.raises(ParameterError, match="not a bijection"):
+            Permutation(n, table)
+    assert Permutation(1, (True, False)).table == (1, 0)
+
+
 def test_apply_rejects_out_of_range():
     p = Permutation.identity(2)
     with pytest.raises(ParameterError):
