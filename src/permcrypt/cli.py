@@ -70,17 +70,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=64, help="number of pad permutations")
     add_seed_flags(p)
 
+    key_help = ("shared session key driving the keystream; a stream carries no nonce, "
+                "so files under one pad and key show which of their blocks are equal")
     p = sub.add_parser("qpp-encrypt", help="encrypt a file with a pad")
     p.add_argument("--pad", required=True)
-    p.add_argument("--key-hex", required=True, metavar="HEX",
-                   help="shared session key driving the keystream")
+    p.add_argument("--key-hex", required=True, metavar="HEX", help=key_help)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=(MODE_RANDOM, MODE_SEQUENTIAL), default=MODE_RANDOM)
 
     p = sub.add_parser("qpp-decrypt", help="decrypt a pad-encrypted file")
     p.add_argument("--pad", required=True)
-    p.add_argument("--key-hex", required=True, metavar="HEX")
+    p.add_argument("--key-hex", required=True, metavar="HEX", help=key_help)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
@@ -103,8 +104,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--kind", choices=("matrix", "arithmetic"), default="matrix")
     pc = info_sub.add_parser("complexity", help="log2 of a brute-force search over both rings' "
                              "(multiplier, modulus) pairs; not a lattice-attack bound: pk "
-                             "and a ciphertext give the one-noise KEM's secret, and vk "
-                             "alone exposes both hidden moduli, and with them pk")
+                             "and a ciphertext give the one-noise KEM's secret, an attack "
+                             "run outside the tests (ROADMAP.md's Baseline table) took the "
+                             "two- and three-noise sets' secrets from pk (plus a "
+                             "ciphertext), and vk alone exposes both hidden moduli, and "
+                             "with them pk")
     pc.add_argument("--L", type=int, required=True)
 
     return parser

@@ -326,7 +326,7 @@ def decode_secret(data: bytes, params: KemParams) -> int:
 
 def _qpp_header(version: int, n: int, size: int) -> bytes:
     _check_block_bits(n)
-    if not 1 <= size <= MAX_PAD_SIZE:
+    if not isinstance(size, int) or not 1 <= size <= MAX_PAD_SIZE:
         raise ParameterError(f"pad size {size} does not fit the QPP1 header")
     return MAGIC_QPP + bytes([version, n]) + size.to_bytes(2, "big")
 

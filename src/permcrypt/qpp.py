@@ -39,7 +39,7 @@ _MODES = (MODE_RANDOM, MODE_SEQUENTIAL)
 
 
 def _check_block_bits(n: int) -> None:
-    if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
+    if not isinstance(n, int) or not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
         raise ParameterError(f"block size must be in [{MIN_BLOCK_BITS}, {MAX_BLOCK_BITS}] bits")
 
 
@@ -85,12 +85,12 @@ class Permutation:
         return tuple(inv)
 
     def apply(self, m: int) -> int:
-        if not 0 <= m < len(self.table):
+        if not isinstance(m, int) or not 0 <= m < len(self.table):
             raise ParameterError("block out of range")
         return self.table[m]
 
     def invert(self, c: int) -> int:
-        if not 0 <= c < len(self.table):
+        if not isinstance(c, int) or not 0 <= c < len(self.table):
             raise ParameterError("block out of range")
         return self._inverse_table[c]
 
@@ -109,11 +109,12 @@ class PermutationPad:
     perms: tuple
 
     def __post_init__(self):
+        _check_block_bits(self.n)
         perms = tuple(self.perms)
         if not perms:
             raise ParameterError("pad must hold at least one permutation")
-        if any(p.n != self.n for p in perms):
-            raise ParameterError("all pad permutations must share the block size")
+        if any(not isinstance(p, Permutation) or p.n != self.n for p in perms):
+            raise ParameterError("all pad members must be permutations of one block size")
         object.__setattr__(self, "perms", perms)
 
     @property
@@ -131,7 +132,7 @@ def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
     construction, so they are not checked again.
     """
     _check_block_bits(n)
-    if not 1 <= size <= MAX_PAD_SIZE:
+    if not isinstance(size, int) or not 1 <= size <= MAX_PAD_SIZE:
         raise ParameterError(f"pad size must be in [1, {MAX_PAD_SIZE}]")
     state = KeystreamState(seed, TAG_QPP_PAD)
     tables = (state.shuffle(1 << n) for _ in range(size))
@@ -267,7 +268,7 @@ def pad_entropy(n: int, size: int, kind: str = "matrix") -> float:
     only from the 2**(2n-1) odd-multiplier maps, hence the collapse.
     """
     _check_block_bits(n)
-    if size < 1:
+    if not isinstance(size, int) or size < 1:
         raise ParameterError("pad size must be at least 1")
     if kind == "matrix":
         return size * math.fsum(math.log2(k) for k in range(2, (1 << n) + 1))

@@ -1,9 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from permcrypt import codec
 from permcrypt.cli import main
+from permcrypt.errors import DecapsulationError
 from permcrypt.hppk_ds import ds_keygen, ds_params
 from permcrypt.keystream import TAG_HPPK_KEYGEN, KeystreamState
 from permcrypt.qpp import generate_pad
@@ -108,6 +110,53 @@ def test_missing_file_is_a_usage_error(tmp_path):
 
 def test_unknown_subcommand_is_usage_error():
     assert run("frobnicate") == 2
+
+
+@pytest.fixture
+def mixed_files(tmp_path, triple):
+    """The level-I triple next to level-III envelopes, a pad and an empty directory."""
+    seed = ("--seed-hex", "bb" * 32, "--unsafe-seed")
+    f = {**triple, **{name: tmp_path / name for name in (
+        "skIII", "pkIII", "vkIII", "ctIII", "ssIII", "sigIII", "msg", "pad", "out", "empty")}}
+    f["msg"].write_bytes(b"one message, two levels")
+    f["empty"].mkdir()
+    assert run("keygen", "--level", "III", "--sk", f["skIII"], "--pk", f["pkIII"],
+               "--vk", f["vkIII"], *seed) == 0
+    assert run("encaps", "--pk", f["pkIII"], "--out", f["ctIII"], "--ss", f["ssIII"], *seed) == 0
+    assert run("sign", "--sk", f["skIII"], "--in", f["msg"], "--out", f["sigIII"], *seed) == 0
+    assert run("qpp-keygen", "--n", 8, "--M", 1, "--out", f["pad"], *seed) == 0
+    return {name: str(path) for name, path in f.items()}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (lambda f: ("decaps", "--sk", f["sk"], "--in", f["ctIII"], "--out", f["out"]),
+     "key and ciphertext parameter sets differ"),
+    (lambda f: ("sign", "--sk", f["sk"], "--vk", f["vkIII"], "--in", f["msg"], "--out", f["out"]),
+     "key and verification key parameter sets differ"),
+    (lambda f: ("verify", "--vk", f["vk"], "--sig", f["sigIII"], "--in", f["msg"]),
+     "signature and verification key parameter sets differ"),
+    (lambda f: ("qpp-encrypt", "--pad", f["pad"], "--key-hex", "", "--in", f["msg"],
+                "--out", f["out"]),
+     "--key-hex must not be empty"),
+    (lambda f: ("kat", "check", "--in", f["empty"]), "no .kat files under {empty}"),
+], ids=["decaps-other-level-ciphertext", "sign-other-level-vk", "verify-other-level-signature",
+        "empty-session-key", "kat-check-empty-directory"])
+def test_mismatched_or_empty_inputs_are_usage_errors(mixed_files, capsys, argv, message):
+    assert run(*argv(mixed_files)) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**mixed_files)}\n"
+    assert not Path(mixed_files["out"]).exists()
+
+
+def test_a_cryptographic_refusal_exits_1(tmp_path, triple, monkeypatch, capsys):
+    def refuse(sk, ct, params):
+        raise DecapsulationError("degenerate ciphertext: base polynomial vanished")
+
+    monkeypatch.setattr("permcrypt.cli.decapsulate", refuse)
+    ct, ss = tmp_path / "ct.bin", tmp_path / "ss.bin"
+    assert run("encaps", "--pk", triple["pk"], "--out", ct, "--ss", tmp_path / "ss0.bin") == 0
+    assert run("decaps", "--sk", triple["sk"], "--in", ct, "--out", ss) == 1
+    assert capsys.readouterr().err == "error: degenerate ciphertext: base polynomial vanished\n"
+    assert not ss.exists()
 
 
 # --- pad encryption ---------------------------------------------------------

@@ -471,6 +471,21 @@ def test_decode_secret_reports_length_like_the_envelopes():
     assert err.value.offset == 4
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda p: codec.encode_secret(p.prime, p), ParameterError, "secret out of field range"),
+    (lambda p: codec.decode_secret(p.prime.to_bytes(codec.shared_secret_size(p), "big"), p),
+     FormatError, r"shared secret out of field range \(offset 0\)"),
+    (lambda p: codec.encode_qpp_stream(b"", 8, 1, "zigzag"), ParameterError,
+     "unknown dispatch mode 'zigzag'"),
+    (lambda p: codec.encode_qpp_stream(b"ab", 3, 1, MODE_RANDOM), ParameterError,
+     "stream body is not a whole number of blocks"),
+], ids=["encode-secret-at-prime", "decode-secret-at-prime", "stream-unknown-mode",
+        "stream-partial-block"])
+def test_codec_refuses_a_value_outside_its_rule(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(kem_params("I"))
+
+
 def test_toy_parameters_are_not_serializable():
     params = KemParams(7, 1)
     sk, pk = keygen(params, KeystreamState(b"toy", TAG_HPPK_KEYGEN))

@@ -87,6 +87,27 @@ def test_qpp_key_objects_are_frozen():
     assert decrypt_stream(pad, b"k", encrypt_stream(pad, b"k", data)) == data
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Permutation(2.0, (0, 1, 2, 3)),
+    lambda: PermutationPad(8, [1]),
+    lambda: PermutationPad(8.0, [Permutation.identity(8)]),
+    lambda: Permutation.identity(2).apply(1.0),
+    lambda: Permutation.identity(2).invert(1.5),
+    lambda: generate_pad(b"s", 8, 3.0),
+    lambda: codec.encode_qpp_stream(b"ab", 8, 3.0, MODE_RANDOM),
+    lambda: pad_entropy(8, 2.5),
+    lambda: PermutationPad(8, []),
+    lambda: PermutationPad(8, [Permutation.identity(8), Permutation.identity(4)]),
+    lambda: decrypt_stream(generate_pad(b"mode", 8, 2), b"k", b"x", "zigzag"),
+], ids=["float-block-size", "non-permutation-member", "float-pad-block-size",
+        "float-block-to-apply", "float-block-to-invert", "float-pad-size",
+        "float-stream-pad-size", "float-entropy-pad-size", "empty-pad", "mixed-block-sizes",
+        "unknown-decrypt-mode"])
+def test_qpp_refuses_bad_arguments_as_parameter_errors(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
 def test_generated_permutations_are_injective():
     pad = generate_pad(b"inject", 4, 4)
     for perm in pad.perms:
@@ -260,8 +281,10 @@ def test_block_packing_rejects_misalignment():
     lambda: bytes_from_blocks([0] * 8, 17),  # whole bytes, but no 17-bit blocks
     lambda: blocks_from_bytes(b"ab", 0),  # would divide by zero
     lambda: blocks_from_bytes(bytes(17), 17),
+    lambda: bytes_from_blocks([1], 3),  # three bits do not fill a byte
 ], ids=["spilling-block", "overflowing-block", "negative-block", "block-past-16-bits",
-        "pack-zero-bits", "pack-17-bits", "split-zero-bits", "split-17-bits"])
+        "pack-zero-bits", "pack-17-bits", "split-zero-bits", "split-17-bits",
+        "pack-partial-byte"])
 def test_block_packing_raises_parameter_error_outside_its_ranges(call):
     with pytest.raises(ParameterError):
         call()
@@ -418,6 +441,18 @@ def test_modes_produce_different_ciphertexts():
     assert encrypt_stream(pad, b"k", data, MODE_RANDOM) != encrypt_stream(
         pad, b"k", data, MODE_SEQUENTIAL
     )
+
+
+def test_one_key_shows_which_blocks_of_two_files_are_equal():
+    # QPP1 carries no nonce: under one pad and key, block i of every file
+    # meets the same mask and the same table, so equal plaintext blocks
+    # give equal ciphertext blocks and unequal ones stay unequal.
+    pad = generate_pad(b"no-nonce", 8, 64)
+    rnd = random.Random(4096)
+    a = rnd.randbytes(4096)
+    b = bytes(x if i % 3 == 0 else x ^ rnd.randrange(1, 256) for i, x in enumerate(a))
+    ca, cb = encrypt_stream(pad, b"one key", a), encrypt_stream(pad, b"one key", b)
+    assert [i for i in range(4096) if ca[i] == cb[i]] == list(range(0, 4096, 3))
 
 
 def test_wrong_seed_fails_to_decrypt():
