@@ -78,11 +78,6 @@ def _bytes_for(bits: int) -> int:
     return (bits + 7) // 8
 
 
-def ciphertext_word_size(params: KemParams) -> int:
-    """Fixed width of one ciphertext evaluation."""
-    return _bytes_for((ciphertext_bound(params) - 1).bit_length())
-
-
 def _payload(kind: int, params: KemParams) -> tuple:
     """The payload of an HPPK envelope as ordered (name, count, width, low, high) runs.
 
@@ -100,8 +95,8 @@ def _payload(kind: int, params: KemParams) -> tuple:
         operator = ("ring multiplier", 1, rw, 1, ring), ("ring modulus", 1, rw, ring >> 1, ring)
         return factor * 2 + operator * 2
     if kind == KIND_KEM_CIPHERTEXT:
-        return (("ciphertext evaluation", 2, ciphertext_word_size(params), 0,
-                 ciphertext_bound(params)),)
+        bound = ciphertext_bound(params)
+        return (("ciphertext evaluation", 2, _bytes_for((bound - 1).bit_length()), 0, bound),)
     if kind == KIND_DS_VERIFICATION:
         resid = ("residue entry", terms, fw, 0, p)
         quot = ("quotient entry", terms, _bytes_for(shift), 0, 1 << shift)

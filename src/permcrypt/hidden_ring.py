@@ -32,9 +32,9 @@ class RingOperator:
     bits: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.modulus < 2:
+        if not isinstance(self.modulus, int) or self.modulus < 2:
             raise ParameterError("modulus must exceed 1")
-        if not 0 < self.multiplier < self.modulus:
+        if not isinstance(self.multiplier, int) or not 0 < self.multiplier < self.modulus:
             raise ParameterError("multiplier must lie in [1, modulus)")
         if math.gcd(self.multiplier, self.modulus) != 1:
             raise ParameterError("multiplier and modulus must be coprime")
@@ -57,7 +57,7 @@ def new_operator(rng, bits: int) -> RingOperator:
     length is exact) and the multiplier uniform over [1, modulus) with
     non-coprime draws rejected.
     """
-    if bits < 8:
+    if not isinstance(bits, int) or bits < 8:
         raise ParameterError("ring size below 8 bits is not supported")
     half = 1 << (bits - 1)
     modulus = half + rng.next_index(half)
@@ -91,7 +91,7 @@ def count_coprime_pairs(bits: int) -> int:
     desk-scale ground truth the closed-form attack estimate is checked
     against.  Cost grows as 4**bits, so keep bits small.
     """
-    if not 2 <= bits <= 14:
+    if not isinstance(bits, int) or not 2 <= bits <= 14:
         raise ParameterError("exhaustive count only supported for 2..14 bits")
     total = 0
     for modulus in range(1 << (bits - 1), 1 << bits):

@@ -95,10 +95,12 @@ def sign(
 
     When the verification key is supplied the signer self-checks each
     candidate and redraws the scalar on the rare radix-quotient mismatch,
-    so released signatures verify deterministically.  Without it, about
-    one signature in 10**6 fails to verify (not 2**-32): a fold fails when
-    tag * entry lands just above a multiple of the hidden modulus, closer
-    than the radix quotient's rounding error.
+    so released signatures verify deterministically.  Without it a
+    signature can fail to verify: a fold fails when tag * entry lands just
+    above a multiple of the hidden modulus, closer than the radix
+    quotient's rounding error.  The rate depends on the key and no test
+    pins it: 0 of 800 000 signatures over 8 DS-I and DS-III keys failed,
+    and 1 of 210 000 on another DS-III key.
     """
     if vk is not None:
         _check_verification_key(vk, params)

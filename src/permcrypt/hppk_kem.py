@@ -64,9 +64,9 @@ class KemParams:
     hash_bytes: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.prime < 2:
+        if not isinstance(self.prime, int) or self.prime < 2:
             raise ParameterError("prime must be at least 2")
-        if self.noise_count < 1:
+        if not isinstance(self.noise_count, int) or self.noise_count < 1:
             raise ParameterError("noise count must be >= 1")
         bits = self.prime.bit_length()
         hash_bytes = next((w for w in (32, 48, 64) if 2 * w >= bits), None)
@@ -267,6 +267,6 @@ def attack_complexity(ring_bits: int) -> float:
 
     Counts only that search over coprime pairs; it is not a bound on lattice attacks.
     """
-    if ring_bits < 2:
+    if not isinstance(ring_bits, int) or ring_bits < 2:
         raise ParameterError("ring size must be at least 2 bits")
     return 2 * ring_bits + math.log2(9 / (2 * math.pi**2))

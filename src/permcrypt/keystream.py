@@ -101,7 +101,7 @@ class KeystreamState:
 
     def next_bits(self, k: int) -> int:
         """The next k bits of the stream as an unsigned integer."""
-        if k < 1:
+        if not isinstance(k, int) or k < 1:
             raise ParameterError("bit count must be positive")
         end = self._bit + k
         last = (end + 7) >> 3
@@ -113,7 +113,7 @@ class KeystreamState:
 
     def next_bytes(self, n: int) -> bytes:
         """The next 8*n bits, packed big-endian; b"" for n == 0."""
-        if n < 0:
+        if not isinstance(n, int) or n < 0:
             raise ParameterError("byte count must not be negative")
         if self._bit & 7 and n:
             return self.next_bits(8 * n).to_bytes(n, "big")
@@ -129,19 +129,14 @@ class KeystreamState:
         Draws ceil(log2(bound)) bits and redraws on overshoot, so the
         distribution is exactly uniform; bound 1 consumes no bits.
         """
-        if bound < 1:
+        if not isinstance(bound, int) or bound < 1:
             raise ParameterError("bound must be positive")
         k = (bound - 1).bit_length()
-        if bound == (1 << k) or bound == 1:
-            return self.next_bits(k) if k else 0
-        while True:
+        while k:
             v = self.next_bits(k)
             if v < bound:
                 return v
-
-    def next_indices(self, bounds) -> list:
-        """[self.next_index(b) for b in bounds]: one rejection draw per bound."""
-        return [self.next_index(b) for b in bounds]
+        return 0
 
     def shuffle(self, size: int) -> list:
         """The forward Fisher-Yates arrangement of range(size); size <= 2**16.
@@ -153,7 +148,7 @@ class KeystreamState:
         counts the bound down to the run's floor.  The bit position then
         steps back over the fields the run did not use.
         """
-        if not 0 <= size <= 1 << 16:
+        if not isinstance(size, int) or not 0 <= size <= 1 << 16:
             raise ParameterError("shuffle size must lie in [0, 2**16]")
         table = list(range(size))
         i, bound = 0, size
@@ -186,7 +181,7 @@ def hash_to_field(message: bytes, p: int, digest_bytes: int) -> int:
     digest_bytes selects the fixed-width digest (32, 48, or 64 bytes,
     matching the scheme's per-level hash column).
     """
-    if p < 2:
+    if not isinstance(p, int) or p < 2:
         raise ParameterError("field modulus must be at least 2")
     try:
         digest = _DIGESTS[digest_bytes]

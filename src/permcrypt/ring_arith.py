@@ -13,7 +13,7 @@ def mul_mod(a: int, b: int, s: int) -> int:
     """a*b mod s, exact.  Requires a, b < s and s > 0."""
     if s <= 0:
         raise ParameterError("modulus must be positive")
-    if not 0 <= a < s or not 0 <= b < s:
+    if not isinstance(a, int) or not isinstance(b, int) or not 0 <= a < s or not 0 <= b < s:
         raise ParameterError("operands must lie in [0, modulus)")
     return a * b % s
 

@@ -80,72 +80,6 @@ def test_next_index_uniformity_chi_square():
     assert stat < CHI2_999_DF51
 
 
-BULK_BOUNDS = [
-    [1],
-    [2] * 100,
-    [1 << k for k in range(1, 17)] * 3,
-    [3] * 200,
-    [300] * 50,
-    [65536] * 9,
-    list(range(4096, 0, -1)),
-    [1, 2, 3, 4, 5, 300, 1, 65536, 255, 7, 1] * 20,
-    # One width run that reads fields several times.
-    pytest.param([3] * 5000, id="one-run-5000-draws"),
-    # The bounds of every Fisher-Yates table size.
-    *(pytest.param(list(range(1 << k, 1, -1)), id=f"table-{1 << k}") for k in range(1, 17)),
-    pytest.param([2, 65536] * 50, id="width-changes-every-draw"),
-    pytest.param([70000, 3, 1 << 20, 1 << 20, 5] * 4, id="widths-above-16-bits"),
-]
-
-
-@pytest.mark.parametrize("bounds", BULK_BOUNDS, ids=lambda b: f"{len(b)}-draws")
-@pytest.mark.parametrize("lead_bits", [0, 3, 13])
-def test_next_indices_matches_next_index(bounds, lead_bits):
-    bulk = KeystreamState(b"bulk", b"test")
-    single = KeystreamState(b"bulk", b"test")
-    if lead_bits:  # start the draws off a byte boundary
-        assert bulk.next_bits(lead_bits) == single.next_bits(lead_bits)
-    assert bulk.next_indices(bounds) == [single.next_index(b) for b in bounds]
-    # Both states must now sit at the same place in the stream.
-    assert bulk.next_bits(13) == single.next_bits(13)
-    assert bulk.next_bytes(5) == single.next_bytes(5)
-    assert bulk.next_index(300) == single.next_index(300)
-    assert bulk.next_bytes(700) == single.next_bytes(700)
-
-
-def test_next_indices_accepts_any_iterable():
-    a = KeystreamState(b"s", b"t")
-    b = KeystreamState(b"s", b"t")
-    assert a.next_indices(range(256, 1, -1)) == b.next_indices(list(range(256, 1, -1)))
-    assert a.next_indices(iter([5, 6])) == b.next_indices((5, 6))
-    assert a.next_indices([]) == []
-    assert a.next_bits(64) == b.next_bits(64)
-
-
-def test_next_indices_rejects_bad_bound_where_next_index_would():
-    bulk = KeystreamState(b"s", b"t")
-    single = KeystreamState(b"s", b"t")
-    with pytest.raises(ParameterError):
-        bulk.next_indices([7, 300, 0, 5])
-    single.next_index(7)
-    single.next_index(300)
-    # The draws made before the bad bound stay consumed, as with next_index.
-    assert bulk.next_bits(32) == single.next_bits(32)
-
-
-def test_next_indices_bad_bound_after_a_long_run():
-    bulk = KeystreamState(b"s", b"t")
-    single = KeystreamState(b"s", b"t")
-    bulk.next_bits(5)
-    single.next_bits(5)
-    with pytest.raises(ParameterError):
-        bulk.next_indices([300] * 200 + [0])
-    for _ in range(200):
-        single.next_index(300)
-    assert bulk.next_bits(13) == single.next_bits(13)
-    assert bulk.next_bytes(700) == single.next_bytes(700)
-
-
 def _per_draw_shuffle(draw, size):
     """Forward Fisher-Yates with one draw(bound) call per swap."""
     table = list(range(size))
@@ -212,14 +146,15 @@ class _ShakeBits:
 
     def __init__(self, seed: bytes, tag: bytes, nbytes: int):
         digest = hashlib.shake_256(bytes([len(tag)]) + tag + seed).digest(nbytes)
-        self.value = int.from_bytes(digest, "big")
-        self.nbits = 8 * nbytes
+        # One character per bit: a read slices k characters instead of
+        # shifting the whole digest, which stays cheap on long runs.
+        self.text = format(int.from_bytes(digest, "big"), f"0{8 * nbytes}b")
         self.pos = 0
 
     def bits(self, k: int) -> int:
         self.pos += k
-        assert self.pos <= self.nbits
-        return (self.value >> (self.nbits - self.pos)) & ((1 << k) - 1)
+        assert self.pos <= len(self.text)
+        return int(self.text[self.pos - k:self.pos], 2)
 
     def index(self, bound: int) -> int:
         k = (bound - 1).bit_length()
@@ -239,7 +174,7 @@ def test_stream_matches_shake256_definition():
     rng = random.Random(2024)
     seen = set()
     while ref.pos < 8 * 2400:
-        op = rng.choice(("bits", "bytes", "aligned bytes", "index", "indices", "shuffle"))
+        op = rng.choice(("bits", "bytes", "aligned bytes", "index", "shuffle"))
         if op == "aligned bytes" and ref.pos % 8:
             skip = -ref.pos % 8
             assert state.next_bits(skip) == ref.bits(skip)
@@ -255,31 +190,51 @@ def test_stream_matches_shake256_definition():
         elif op == "index":
             bound = rng.randint(1, 1 << rng.randint(1, 40))
             assert state.next_index(bound) == ref.index(bound)
-        elif op == "indices":
-            top = rng.randint(1, 300)
-            bounds = rng.choice((range(top, 0, -1), [top] * 20, [rng.randint(1, 99) for _ in range(9)]))
-            assert state.next_indices(bounds) == [ref.index(b) for b in bounds]
         else:
             size = rng.randint(1, 300)
             assert state.shuffle(size) == _per_draw_shuffle(ref.index, size)
-    assert seen == {"bits", "bytes", "aligned bytes", "index", "indices", "shuffle"}
+    assert seen == {"bits", "bytes", "aligned bytes", "index", "shuffle"}
 
 
-def test_next_index_matches_shake256_definition_across_widths():
-    # Widths above 16 bits, exactly 2**16, and bound 1 (no bits) between
-    # draws; then every power-of-two width up to 2**16 (raw draws), a long
-    # run of one width, and a width that changes every draw.  Each from a
-    # byte boundary and off it.
-    mixed = [70000, 3, 1 << 20, 1, 1 << 16, 65535, 1, 2, (1 << 40) + 1, 1 << 17, 5] * 4
-    runs = [1 << k for k in range(1, 17)] * 3 + [3] * 200 + [2, 65536, 300, 255, 7] * 20
-    for bounds in (mixed, runs):
-        for lead in (0, 3, 13):
-            ref = _ShakeBits(b"widths", b"test", 4096)
-            state = KeystreamState(b"widths", b"test")
-            if lead:
-                assert state.next_bits(lead) == ref.bits(lead)
-            assert [state.next_index(b) for b in bounds] == [ref.index(b) for b in bounds]
-            assert state.next_bits(64) == ref.bits(64)
+BULK_BOUNDS = [
+    # Widths above 16 bits, exactly 2**16, and bound 1 (no bits) between draws.
+    pytest.param([70000, 3, 1 << 20, 1, 1 << 16, 65535, 1, 2, (1 << 40) + 1, 1 << 17, 5] * 4,
+                 id="mixed-widths"),
+    # Every power-of-two width up to 2**16 (raw draws), a long run of one
+    # width, and a width that changes every draw.
+    pytest.param([1 << k for k in range(1, 17)] * 3 + [3] * 200 + [2, 65536, 300, 255, 7] * 20,
+                 id="width-runs"),
+    [1],
+    [2] * 100,
+    [1 << k for k in range(1, 17)] * 3,
+    [3] * 200,
+    [300] * 50,
+    [65536] * 9,
+    list(range(4096, 0, -1)),
+    [1, 2, 3, 4, 5, 300, 1, 65536, 255, 7, 1] * 20,
+    # One width run that reads fields several times.
+    pytest.param([3] * 5000, id="one-run-5000-draws"),
+    # The bounds of every Fisher-Yates table size.
+    *(pytest.param(list(range(1 << k, 1, -1)), id=f"table-{1 << k}") for k in range(1, 17)),
+    pytest.param([2, 65536] * 50, id="width-changes-every-draw"),
+    pytest.param([70000, 3, 1 << 20, 1 << 20, 5] * 4, id="widths-above-16-bits"),
+]
+
+
+@pytest.mark.parametrize("bounds", BULK_BOUNDS, ids=lambda b: f"{len(b)}-draws")
+@pytest.mark.parametrize("lead_bits", [0, 3, 13])
+def test_next_index_matches_shake256_definition_across_widths(bounds, lead_bits):
+    # Each list from a byte boundary and off it; afterwards every kind of
+    # read must take the bits that follow the last draw.
+    ref = _ShakeBits(b"widths", b"test", 4 * len(bounds) + 1024)
+    state = KeystreamState(b"widths", b"test")
+    if lead_bits:
+        assert state.next_bits(lead_bits) == ref.bits(lead_bits)
+    assert [state.next_index(b) for b in bounds] == [ref.index(b) for b in bounds]
+    assert state.next_bits(13) == ref.bits(13)
+    assert state.next_bytes(5) == ref.bits(40).to_bytes(5, "big")
+    assert state.next_index(300) == ref.index(300)
+    assert state.next_bytes(700) == ref.bits(8 * 700).to_bytes(700, "big")
 
 
 def test_next_index_rejects_a_bound_below_one_without_drawing():

@@ -4,6 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from permcrypt.errors import ParameterError
+from permcrypt.hidden_ring import RingOperator, count_coprime_pairs, new_operator
+from permcrypt.hppk_kem import KemParams, attack_complexity
+from permcrypt.keystream import KeystreamState, hash_to_field
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -17,3 +24,27 @@ def test_importing_the_package_loads_no_module():
     location, loaded = json.loads(out)
     assert Path(location).resolve() == SRC / "permcrypt" / "__init__.py"
     assert loaded == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: KeystreamState(b"s", b"t").next_bits(2.0),
+    lambda: KeystreamState(b"s", b"t").next_bytes(1.5),
+    lambda: KeystreamState(b"s", b"t").shuffle(4.0),
+    lambda: KeystreamState(b"s", b"t").next_index(3.0),
+    lambda: RingOperator(3.0, 7),
+    lambda: RingOperator(3, 7.0),
+    lambda: RingOperator(3, 7).apply(2.0),
+    lambda: RingOperator(3, 7).invert(2.0),
+    lambda: new_operator(KeystreamState(b"s", b"t"), 72.0),
+    lambda: count_coprime_pairs(4.0),
+    lambda: attack_complexity(72.5),
+    lambda: hash_to_field(b"m", 7.0, 32),
+    lambda: KemParams(7.0, 2),
+    lambda: KemParams(4294967291, 2.0),
+], ids=["next-bits", "next-bytes", "shuffle", "next-index", "ring-multiplier", "ring-modulus",
+        "ring-apply", "ring-invert", "new-operator-bits", "coprime-pair-bits",
+        "attack-ring-bits", "field-modulus", "kem-prime", "kem-noise-count"])
+def test_non_int_arguments_outside_qpp_are_parameter_errors(call):
+    # The QPP counterparts are in test_qpp.
+    with pytest.raises(ParameterError):
+        call()

@@ -337,13 +337,13 @@ def _assert_matches_reference(pad, data, mode):
 
 
 @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_SEQUENTIAL])
-@pytest.mark.parametrize("size", [1, 2, 3, 5, 64, 100, 255, 256, 257, 300])
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 64, 100, 255, 256, 257, 300, 512])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 16])
 def test_stream_matches_per_block_reference(n, size, mode, monkeypatch):
     # A 48-byte chunk puts chunk and dispatch-draw boundaries inside short
     # inputs; the longest input is two whole chunks and a partial third.
     # Pad sizes 255, 256 and 257 reject one 8-bit field value, none, and
-    # the 9-bit fields from 257 up.
+    # the 9-bit fields from 257 up; 512 keeps every 9-bit field unfiltered.
     monkeypatch.setattr(qpp, "_CHUNK_BYTES", 48)
     granule = math.lcm(n, 8) // 8
     step = 48 - 48 % granule
