@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain, cycle, islice, repeat
+from functools import cached_property
+from itertools import cycle, islice, repeat
 from operator import getitem
 
 from .errors import FormatError, ParameterError
@@ -32,6 +32,8 @@ MAX_PAD_SIZE = 0xFFFF  # the pad size is a u16 in the QPP1 header
 # Bytes per pipeline chunk (rounded down to whole blocks): bounds the
 # per-chunk working set while keeping the per-chunk overhead small.
 _CHUNK_BYTES = 8192
+# Longest byte period that gets phase tables: at most 64 KiB per direction.
+_MAX_PERIOD = 256
 
 MODE_RANDOM = "random"
 MODE_SEQUENTIAL = "sequential"
@@ -121,6 +123,14 @@ class PermutationPad:
     def size(self) -> int:
         return len(self.perms)
 
+    @cached_property
+    def _phase_tables(self) -> tuple:
+        return _compose_phases([p.table for p in self.perms], self.n)
+
+    @cached_property
+    def _inverse_phase_tables(self) -> tuple:
+        return _compose_phases([p._inverse_table for p in self.perms], self.n)
+
 
 def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
     """Derive a pad of `size` permutations from the seed.
@@ -157,35 +167,53 @@ def bytes_from_blocks(blocks, n: int) -> bytes:
     return _join(blocks, n, len(blocks))
 
 
-@lru_cache(maxsize=32)
-def _byte_table(table: tuple, n: int) -> bytes:
-    """Applies table to every n-bit block of a byte at once; n must divide 8."""
-    blocks = _split(bytes(range(256)), n)
-    return _join(map(table.__getitem__, blocks), n, len(blocks))
+def _compose_phases(tables: list, n: int) -> tuple:
+    """One byte table per phase of round-robin dispatch's byte period, or ().
+
+    With g = 8/n blocks per byte, byte j meets the g tables from (j*g) mod M
+    on, a run that repeats every M / gcd(M, g) bytes.  Empty when n does not
+    divide 8 or that period exceeds _MAX_PERIOD.
+    """
+    size, g = len(tables), 8 // n
+    period = size // math.gcd(size, g)
+    if 8 % n or period > _MAX_PERIOD:
+        return ()
+    fields = _split(bytes(range(256)), n)
+    runs = ([tables[(p * g + i) % size] for i in range(g)] for p in range(period))
+    return tuple(_join(map(getitem, cycle(run), fields), n, len(fields)) for run in runs)
 
 
 def _dispatch(tables: list, seed: bytes, mode: str):
-    """Endless iterator over the table that substitutes each block, in order.
+    """A function from a chunk's block count to its blocks' tables, in order.
 
-    Random mode reproduces one next_index(M) call per block in bulk: the
-    dispatch stream is consecutive k = ceil(log2 M)-bit fields, and rejection
-    sampling only drops the fields >= M.  Each draw reads _CHUNK_BYTES fields;
-    fields a chunk does not use stay in the iterator for the next one.  For
-    k <= 8 the fields are bytes and bytes.translate deletes the rejected ones;
-    wider fields are filtered one by one.
+    Sequential mode cycles through the tables.  Random mode reproduces one
+    next_index(M) call per block in bulk: the dispatch stream is consecutive
+    k = ceil(log2 M)-bit fields, and rejection sampling only drops the
+    fields >= M.  Each chunk's indices are one slice of a pending buffer
+    (bytes for k <= 8, else a tuple), refilled by draws of _CHUNK_BYTES
+    fields at a time.
     """
     size = len(tables)
     if mode == MODE_SEQUENTIAL or size == 1:
-        return cycle(tables)
+        cycled = cycle(tables)  # islice takes exactly count: map would draw one more
+        return lambda count: islice(cycled, count)
     stream = KeystreamState(seed, TAG_QPP_DISPATCH)
     k = (size - 1).bit_length()
-    draws = (_split(stream.next_bytes(k * _CHUNK_BYTES // 8), k) for _ in repeat(None))
-    if k <= 8:  # one byte per field: translate deletes those >= M in C
-        reject = bytes(range(size, 1 << k))
-        draws = (fields.translate(None, reject) for fields in draws)
-    elif size != 1 << k:
-        draws = (filter(size.__gt__, fields) for fields in draws)
-    return map(tables.__getitem__, chain.from_iterable(draws))
+    pending = b"" if k <= 8 else ()
+
+    def take(count):
+        nonlocal pending
+        while len(pending) < count:
+            fields = _split(stream.next_bytes(k * _CHUNK_BYTES // 8), k)
+            if k <= 8:  # one byte per field: translate deletes those >= M in C
+                fields = fields.translate(None, bytes(range(size, 1 << k)))
+            elif size != 1 << k:
+                fields = tuple(filter(size.__gt__, fields))
+            pending += fields
+        chosen, pending = pending[:count], pending[count:]
+        return map(tables.__getitem__, chosen)
+
+    return take
 
 
 def _xor(chunk: bytes, mask: bytes) -> bytes:
@@ -196,22 +224,24 @@ def _xor(chunk: bytes, mask: bytes) -> bytes:
 
 def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
     n = pad.n
-    tables = [p._inverse_table if decrypt else p.table for p in pad.perms]
-    if len(tables) == 1 and 8 % n == 0:
-        byte_table = _byte_table(tables[0], n)
+    periodic = mode == MODE_SEQUENTIAL or pad.size == 1
+    phases = (pad._inverse_phase_tables if decrypt else pad._phase_tables) if periodic else ()
+    if phases:
+        period = len(phases)
 
-        def substitute(chunk):
-            return chunk.translate(byte_table)
+        def substitute(chunk, start):  # one strided translate per byte phase
+            out = bytearray(len(chunk))
+            for p in range(min(period, len(chunk))):
+                out[p::period] = chunk[p::period].translate(phases[(start + p) % period])
+            return out
 
     else:
+        tables = [p._inverse_table if decrypt else p.table for p in pad.perms]
         dispatched = _dispatch(tables, seed, mode)
 
-        def substitute(chunk):
+        def substitute(chunk, start):
             count = 8 * len(chunk) // n
-            # islice stops the draw at the chunk's last block; map alone
-            # would consume one more table before noticing the end.
-            chosen = islice(dispatched, count)
-            return _join(map(getitem, chosen, _split(chunk, n)), n, count)
+            return _join(map(getitem, dispatched(count), _split(chunk, n)), n, count)
 
     step = _CHUNK_BYTES - _CHUNK_BYTES % _granule(n)
     # Block i is masked by stream bits [i*n, (i+1)*n), so the mask is the
@@ -221,9 +251,9 @@ def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
     for start in range(0, len(data), step):
         chunk, mask = data[start:start + step], masks[start:start + step]
         if decrypt:
-            out += _xor(substitute(chunk), mask)
+            out += _xor(substitute(chunk, start), mask)
         else:
-            out += substitute(_xor(chunk, mask))
+            out += substitute(_xor(chunk, mask), start)
     return bytes(out)
 
 
@@ -237,10 +267,14 @@ def encrypt_stream(
     mode), and substitute through its table.
 
     The mask is one squeeze of len(plaintext) prerandomization bytes.  The
-    input is processed in chunks of about 8 KiB of whole blocks: one
-    integer XOR masks a chunk with its slice of the mask, its dispatch
-    indices are read in bulk, and one pass over its blocks substitutes
-    them.  The working set per chunk is fixed, but the mask, the dispatch
+    input is processed in chunks of about 8 KiB of whole blocks, and one
+    integer XOR masks a chunk with its slice of the mask.  Round-robin
+    dispatch (sequential mode, or M = 1) with n dividing 8 substitutes a
+    chunk by one strided bytes.translate per phase of its byte period,
+    through byte tables cached on the pad, while that period is at most
+    256 bytes.  Otherwise the chunk's dispatch indices are one slice of
+    the dispatch buffer and one pass over its blocks substitutes them.
+    The working set per chunk is fixed, but the mask, the dispatch
     stream's buffer and the output still grow with the input.
     """
     if mode not in _MODES:

@@ -378,6 +378,12 @@ PINNED_CIPHERTEXTS = {
         "c31b98a3b6c15773c063eaf05811cb01852120ccd5616eea28baf1b94151ae27",
     (1, 1, MODE_SEQUENTIAL):
         "c31b98a3b6c15773c063eaf05811cb01852120ccd5616eea28baf1b94151ae27",
+    # A byte period of 3 with two tables per byte, and a period of 300,
+    # above the limit for phase tables.
+    (4, 6, MODE_SEQUENTIAL):
+        "508b437b7ee47b7a2655f8e907b0e98f8562c714de0b018f9fa2fd1fb06c140b",
+    (8, 300, MODE_SEQUENTIAL):
+        "74a5f5f14691f4eb33d3934e3ebb9de88aeee2207beefe374d69254962afff15",
 }
 
 
@@ -388,6 +394,23 @@ def test_ciphertext_is_pinned(n, size, mode):
     ct = encrypt_stream(pad, b"qpp-pin-session", data, mode)
     assert hashlib.sha256(ct).hexdigest() == PINNED_CIPHERTEXTS[n, size, mode]
     assert decrypt_stream(pad, b"qpp-pin-session", ct, mode) == data
+
+
+def test_round_robin_dispatch_over_whole_bytes_uses_phase_tables(monkeypatch):
+    # Digests alone would still pass if these shapes fell back to per-block
+    # dispatch, so a dispatch call fails the round trip outright.
+    def no_dispatch(*args):
+        raise AssertionError("per-block dispatch")
+
+    monkeypatch.setattr(qpp, "_dispatch", no_dispatch)
+    data = KeystreamState(b"phase-path", b"test").next_bytes(20481)
+    for n, size, mode in ((8, 64, MODE_SEQUENTIAL), (4, 6, MODE_SEQUENTIAL), (1, 1, MODE_RANDOM)):
+        pad = generate_pad(b"phase-path", n, size)
+        ct = encrypt_stream(pad, b"k", data, mode)
+        assert decrypt_stream(pad, b"k", ct, mode) == data
+    # A byte period of 257 is above the limit, so it takes the per-block path.
+    with pytest.raises(AssertionError, match="per-block dispatch"):
+        encrypt_stream(generate_pad(b"phase-path", 8, 257), b"k", data, MODE_SEQUENTIAL)
 
 
 def test_encrypt_stream_squeezes_its_mask_once(monkeypatch):

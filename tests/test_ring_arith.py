@@ -64,6 +64,21 @@ def test_mul_mod_rejects_out_of_range():
         mul_mod(1, 1, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: mul_mod(2, 3, 7.0),
+    lambda: inv_mod(2.0, 7),
+    lambda: inv_mod(3, 7.0),
+], ids=["float-modulus-to-mul", "float-operand-to-inv", "float-modulus-to-inv"])
+def test_ring_arith_refuses_non_int_arguments(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_ring_arith_takes_bools_as_ints():
+    assert mul_mod(True, 3, 7) == 3
+    assert inv_mod(True, 7) == 1
+
+
 # --- inv_mod ----------------------------------------------------------------
 
 
