@@ -32,7 +32,7 @@ MAX_PAD_SIZE = 0xFFFF  # the pad size is a u16 in the QPP1 header
 # Bytes per pipeline chunk (rounded down to whole blocks): bounds the
 # per-chunk working set while keeping the per-chunk overhead small.
 _CHUNK_BYTES = 8192
-# Longest byte period that gets phase tables: at most 64 KiB per direction.
+# Longest byte period that gets phase tables: at most 64 KiB per pad.
 _MAX_PERIOD = 256
 
 MODE_RANDOM = "random"
@@ -80,11 +80,11 @@ class Permutation:
         return cls(n, range(1 << n))
 
     @cached_property  # written straight into __dict__, so freezing does not block it
-    def _inverse_table(self) -> tuple:
+    def _inverse(self) -> "Permutation":
         inv = [0] * len(self.table)
         for m, c in enumerate(self.table):
             inv[c] = m
-        return tuple(inv)
+        return Permutation._unchecked(self.n, inv)
 
     def apply(self, m: int) -> int:
         if not isinstance(m, int) or not 0 <= m < len(self.table):
@@ -92,9 +92,7 @@ class Permutation:
         return self.table[m]
 
     def invert(self, c: int) -> int:
-        if not isinstance(c, int) or not 0 <= c < len(self.table):
-            raise ParameterError("block out of range")
-        return self._inverse_table[c]
+        return self._inverse.apply(c)
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Permutation applying `other` first, then self."""
@@ -128,8 +126,8 @@ class PermutationPad:
         return _compose_phases([p.table for p in self.perms], self.n)
 
     @cached_property
-    def _inverse_phase_tables(self) -> tuple:
-        return _compose_phases([p._inverse_table for p in self.perms], self.n)
+    def _inverse(self) -> "PermutationPad":
+        return PermutationPad(self.n, (p._inverse for p in self.perms))
 
 
 def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
@@ -183,20 +181,20 @@ def _compose_phases(tables: list, n: int) -> tuple:
     return tuple(_join(map(getitem, cycle(run), fields), n, len(fields)) for run in runs)
 
 
-def _dispatch(tables: list, seed: bytes, mode: str):
+def _dispatch(tables: list, seed: bytes, round_robin: bool):
     """A function from a chunk's block count to its blocks' tables, in order.
 
-    Sequential mode cycles through the tables.  Random mode reproduces one
+    Round-robin dispatch cycles through the tables.  Random mode reproduces one
     next_index(M) call per block in bulk: the dispatch stream is consecutive
     k = ceil(log2 M)-bit fields, and rejection sampling only drops the
     fields >= M.  Each chunk's indices are one slice of a pending buffer
     (bytes for k <= 8, else a tuple), refilled by draws of _CHUNK_BYTES
     fields at a time.
     """
-    size = len(tables)
-    if mode == MODE_SEQUENTIAL or size == 1:
+    if round_robin:
         cycled = cycle(tables)  # islice takes exactly count: map would draw one more
         return lambda count: islice(cycled, count)
+    size = len(tables)
     stream = KeystreamState(seed, TAG_QPP_DISPATCH)
     k = (size - 1).bit_length()
     pending = b"" if k <= 8 else ()
@@ -224,8 +222,8 @@ def _xor(chunk: bytes, mask: bytes) -> bytes:
 
 def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
     n = pad.n
-    periodic = mode == MODE_SEQUENTIAL or pad.size == 1
-    phases = (pad._inverse_phase_tables if decrypt else pad._phase_tables) if periodic else ()
+    round_robin = mode == MODE_SEQUENTIAL or pad.size == 1
+    phases = pad._phase_tables if round_robin else ()
     if phases:
         period = len(phases)
 
@@ -236,8 +234,7 @@ def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
             return out
 
     else:
-        tables = [p._inverse_table if decrypt else p.table for p in pad.perms]
-        dispatched = _dispatch(tables, seed, mode)
+        dispatched = _dispatch([p.table for p in pad.perms], seed, round_robin)
 
         def substitute(chunk, start):
             count = 8 * len(chunk) // n
@@ -292,7 +289,7 @@ def decrypt_stream(
         raise ParameterError(f"unknown dispatch mode {mode!r}")
     if (8 * len(ciphertext)) % pad.n:
         raise FormatError("ciphertext is not a whole number of blocks")
-    return _run_pipeline(pad, seed, ciphertext, mode, decrypt=True)
+    return _run_pipeline(pad._inverse, seed, ciphertext, mode, decrypt=True)
 
 
 def pad_entropy(n: int, size: int, kind: str = "matrix") -> float:

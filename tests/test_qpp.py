@@ -293,12 +293,22 @@ def test_block_packing_raises_parameter_error_outside_its_ranges(call):
 # --- stream cipher ----------------------------------------------------------
 
 
+_INVERSES = {}  # id(table) -> (table, inverse); holding the table keeps its id unique
+
+
+def _reference_inverse(table):
+    """The table's argsort, which is its inverse: position c holds the m with table[m] == c."""
+    if id(table) not in _INVERSES:  # pool pads repeat seven tables up to 512 times
+        _INVERSES[id(table)] = (table, sorted(range(len(table)), key=table.__getitem__))
+    return _INVERSES[id(table)][1]
+
+
 def _reference_cipher(pad, seed, data, mode, decrypt):
     """The per-block pipeline: one mask draw and one dispatch draw per block."""
     prerand = KeystreamState(seed, TAG_QPP_PRERAND)
     dispatch = KeystreamState(seed, TAG_QPP_DISPATCH)
     if decrypt:
-        tables = [p._inverse_table for p in pad.perms]
+        tables = [_reference_inverse(p.table) for p in pad.perms]
     else:
         tables = [p.table for p in pad.perms]
     out = []
