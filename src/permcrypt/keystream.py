@@ -31,6 +31,11 @@ TAG_KAT = b"KAT-vectors"
 _DIGESTS = {32: hashlib.sha3_256, 48: hashlib.sha3_384, 64: hashlib.sha3_512}
 
 
+def _check_bytes(value, name: str) -> None:
+    if not isinstance(value, (bytes, bytearray, memoryview)):
+        raise ParameterError(f"{name} must be bytes, not {type(value).__name__}")
+
+
 @lru_cache(maxsize=64)  # the pipeline's shapes and every draw width
 def _spread_masks(width: int, slot: int, steps: int) -> tuple:
     # Step b (highest first) moves the upper half of every group of 2**(b+1)
@@ -87,6 +92,8 @@ class KeystreamState:
     """
 
     def __init__(self, seed: bytes, domain_tag: bytes):
+        _check_bytes(seed, "seed")
+        _check_bytes(domain_tag, "domain tag")
         if len(domain_tag) > 255:
             raise ParameterError("domain tag longer than 255 bytes")
         self._material = bytes([len(domain_tag)]) + domain_tag + seed
@@ -181,6 +188,7 @@ def hash_to_field(message: bytes, p: int, digest_bytes: int) -> int:
     digest_bytes selects the fixed-width digest (32, 48, or 64 bytes,
     matching the scheme's per-level hash column).
     """
+    _check_bytes(message, "message")
     if not isinstance(p, int) or p < 2:
         raise ParameterError("field modulus must be at least 2")
     try:

@@ -21,6 +21,7 @@ from .keystream import (
     TAG_QPP_PAD,
     TAG_QPP_PRERAND,
     KeystreamState,
+    _check_bytes,
     _join,
     _split,
 )
@@ -92,6 +93,7 @@ class Permutation:
         return self.table[m]
 
     def invert(self, c: int) -> int:
+        """The block m with apply(m) == c: apply through the inverse permutation."""
         return self._inverse.apply(c)
 
     def compose(self, other: "Permutation") -> "Permutation":
@@ -127,6 +129,7 @@ class PermutationPad:
 
     @cached_property
     def _inverse(self) -> "PermutationPad":
+        """The pad of the members' inverses, in order: the decryption key."""
         return PermutationPad(self.n, (p._inverse for p in self.perms))
 
 
@@ -221,6 +224,7 @@ def _xor(chunk: bytes, mask: bytes) -> bytes:
 
 
 def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
+    """Mask, then substitute through pad; decrypt passes the inverse pad and unmasks last."""
     n = pad.n
     round_robin = mode == MODE_SEQUENTIAL or pad.size == 1
     phases = pad._phase_tables if round_robin else ()
@@ -228,6 +232,8 @@ def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
         period = len(phases)
 
         def substitute(chunk, start):  # one strided translate per byte phase
+            if period == 1:
+                return chunk.translate(phases[0])
             out = bytearray(len(chunk))
             for p in range(min(period, len(chunk))):
                 out[p::period] = chunk[p::period].translate(phases[(start + p) % period])
@@ -248,7 +254,7 @@ def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
     for start in range(0, len(data), step):
         chunk, mask = data[start:start + step], masks[start:start + step]
         if decrypt:
-            out += _xor(substitute(chunk, start), mask)
+            out += _xor(substitute(bytes(chunk), start), mask)  # no copy of bytes
         else:
             out += substitute(_xor(chunk, mask), start)
     return bytes(out)
@@ -276,6 +282,7 @@ def encrypt_stream(
     """
     if mode not in _MODES:
         raise ParameterError(f"unknown dispatch mode {mode!r}")
+    _check_bytes(plaintext, "plaintext")
     if (8 * len(plaintext)) % pad.n:
         raise ParameterError("plaintext is not a whole number of blocks")
     return _run_pipeline(pad, seed, plaintext, mode, decrypt=False)
@@ -284,9 +291,14 @@ def encrypt_stream(
 def decrypt_stream(
     pad: PermutationPad, seed: bytes, ciphertext: bytes, mode: str = MODE_RANDOM
 ) -> bytes:
-    """Exact inverse of encrypt_stream under the same pad, seed, and mode."""
+    """Exact inverse of encrypt_stream under the same pad, seed, and mode.
+
+    It is the same pipeline over the inverse pad, whose members are the
+    inverse tables, except that each chunk is unmasked after substitution.
+    """
     if mode not in _MODES:
         raise ParameterError(f"unknown dispatch mode {mode!r}")
+    _check_bytes(ciphertext, "ciphertext")
     if (8 * len(ciphertext)) % pad.n:
         raise FormatError("ciphertext is not a whole number of blocks")
     return _run_pipeline(pad._inverse, seed, ciphertext, mode, decrypt=True)

@@ -159,6 +159,17 @@ def test_a_cryptographic_refusal_exits_1(tmp_path, triple, monkeypatch, capsys):
     assert not ss.exists()
 
 
+def test_decaps_of_an_all_zero_ciphertext_exits_1(tmp_path, triple, capsys):
+    # Zero evaluations lift to zero in both rings: a real refusal, not a patched one.
+    ct, ss = tmp_path / "ct.bin", tmp_path / "ss.bin"
+    assert run("encaps", "--pk", triple["pk"], "--out", ct, "--ss", tmp_path / "ss0.bin") == 0
+    data = ct.read_bytes()
+    ct.write_bytes(data[:codec.HEADER_LEN] + bytes(len(data) - codec.HEADER_LEN))
+    assert run("decaps", "--sk", triple["sk"], "--in", ct, "--out", ss) == 1
+    assert capsys.readouterr().err == "error: degenerate ciphertext: base polynomial vanished\n"
+    assert not ss.exists()
+
+
 # --- pad encryption ---------------------------------------------------------
 
 

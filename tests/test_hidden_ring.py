@@ -2,8 +2,9 @@ import math
 
 import pytest
 import sympy
+from conftest import ScriptedEntropy
 
-from permcrypt.errors import ParameterError
+from permcrypt.errors import GenerationError, ParameterError
 from permcrypt.hidden_ring import (
     RingOperator,
     count_coprime_pairs,
@@ -38,6 +39,14 @@ def test_new_operator_deterministic_under_fixed_entropy():
 def test_new_operator_rejects_tiny_rings():
     with pytest.raises(ParameterError):
         new_operator(seeded(b"tiny"), 7)
+
+
+def test_new_operator_gives_up_on_multipliers_that_stay_non_coprime():
+    # Modulus 128 + 0, then multiplier 1 + 1 = 2 on every one of the 256 retries.
+    rng = ScriptedEntropy([0] + [1] * 256)
+    with pytest.raises(GenerationError, match="could not draw a coprime multiplier"):
+        new_operator(rng, 8)
+    assert rng.pos == 257
 
 
 def test_create_validates_inputs():

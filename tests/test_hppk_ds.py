@@ -1,7 +1,7 @@
 import pytest
 from conftest import ScriptedEntropy
 
-from permcrypt.errors import FormatError, ParameterError, SigningError
+from permcrypt.errors import FormatError, GenerationError, ParameterError, SigningError
 from permcrypt.hidden_ring import new_operator
 from permcrypt.hppk_ds import (
     DsVerificationKey,
@@ -174,6 +174,17 @@ def test_self_check_redraws_a_signature_that_fails_verification(level):
     checked = sign(sk, params, message, rng, vk=vk)
     assert rng.pos == 2
     assert verify(vk, params, message, checked)
+
+
+def test_self_check_gives_up_against_another_keys_vk():
+    # No candidate verifies under a foreign vk; the 65th draw would be an IndexError.
+    params = ds_params("I")
+    sk, _, _ = seeded_triple(params, b"self-check-signer")
+    _, _, other_vk = seeded_triple(params, b"self-check-other")
+    rng = ScriptedEntropy(range(1, 65))
+    with pytest.raises(GenerationError, match="signer self-check kept failing"):
+        sign(sk, params, b"foreign vk", rng, vk=other_vk)
+    assert rng.pos == 64
 
 
 def test_zero_signature_values_unconstructible():

@@ -2,13 +2,14 @@ from dataclasses import replace
 
 import pytest
 import sympy
-from conftest import ScriptedEntropy
+from conftest import ScriptedEntropy, ZeroEntropy
 
 from permcrypt.errors import DecapsulationError, FormatError, GenerationError, ParameterError
 from permcrypt.hppk_ds import ds_params
 from permcrypt.hppk_kem import (
     KEM_FIELD_BITS,
     PRIMES_BY_BITS,
+    KemCiphertext,
     KemParams,
     _RESAMPLE_LIMIT,
     _evaluate,
@@ -222,6 +223,12 @@ def test_keygen_resamples_proportional_factors():
     assert sk.denom_coeffs == (3, 1)
 
 
+def test_keygen_gives_up_on_factors_that_stay_proportional():
+    # Every draw is zero, so each factor is 0 + 1x and every h equals f.
+    with pytest.raises(GenerationError, match="could not draw independent secret factors"):
+        keygen(kem_params("I"), ZeroEntropy())
+
+
 def test_keygen_redraws_an_all_zero_base_column_in_row_order():
     # The base is drawn row by row; column 1 comes out all zero, so it is
     # redrawn top to bottom before the rings draw.
@@ -307,6 +314,14 @@ def test_private_key_refuses_factors_that_are_not_linear():
                 {"numer_coeffs": ()}):
         with pytest.raises(ParameterError, match="two coefficients"):
             replace(sk, **bad)
+
+
+def test_decapsulate_refuses_a_ciphertext_whose_lifts_vanish():
+    # Both lifts are zero, so the cross-multiplied ratio has no solution.
+    params = kem_params("I")
+    sk, _ = seeded_keygen(params, b"vanish")
+    with pytest.raises(DecapsulationError, match="base polynomial vanished"):
+        decapsulate(sk, KemCiphertext(0, 0), params)
 
 
 def test_noise_randomizes_ciphertexts():

@@ -44,6 +44,13 @@ def test_monobit_frequency_over_a_megabyte():
     assert abs(ones - nbits / 2) < 3 * sigma
 
 
+def test_domain_tag_is_at_most_255_bytes():
+    # The tag's length is one prefix byte of the SHAKE input.
+    KeystreamState(b"", bytes(255))
+    with pytest.raises(ParameterError, match="domain tag longer than 255 bytes"):
+        KeystreamState(b"", bytes(256))
+
+
 def test_next_bits_requires_positive_count():
     with pytest.raises(ParameterError):
         KeystreamState(b"s", b"t").next_bits(0)

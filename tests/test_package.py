@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ import pytest
 
 from permcrypt.errors import ParameterError
 from permcrypt.hidden_ring import RingOperator, count_coprime_pairs, new_operator
+from permcrypt.hppk_ds import ds_keygen, ds_params, sign, verify
 from permcrypt.hppk_kem import KemParams, attack_complexity
-from permcrypt.keystream import KeystreamState, hash_to_field
+from permcrypt.keystream import TAG_HPPK_HASH, TAG_HPPK_KEYGEN, KeystreamState, hash_to_field
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -48,3 +50,35 @@ def test_non_int_arguments_outside_qpp_are_parameter_errors(call):
     # The QPP counterparts are in test_qpp.
     with pytest.raises(ParameterError):
         call()
+
+
+@functools.cache
+def _ds_session():
+    params = ds_params("I")
+    sk, _, vk = ds_keygen(params, KeystreamState(b"bytes-rule", TAG_HPPK_KEYGEN))
+    sig = sign(sk, params, b"m", KeystreamState(b"bytes-rule", TAG_HPPK_HASH), vk=vk)
+    return sk, vk, params, sig
+
+
+@pytest.mark.parametrize("call", [
+    lambda: KeystreamState("s", b"t"),
+    lambda: KeystreamState(b"s", "t"),
+    lambda: KeystreamState(b"s", 5),
+    lambda: hash_to_field("m", 7, 32),
+    lambda: sign(_ds_session()[0], _ds_session()[2], "m", KeystreamState(b"s", TAG_HPPK_HASH)),
+    lambda: verify(_ds_session()[1], _ds_session()[2], "m", _ds_session()[3]),
+], ids=["str-seed", "str-tag", "int-tag", "str-hashed-message", "str-signed-message",
+        "str-verified-message"])
+def test_non_bytes_arguments_outside_qpp_are_parameter_errors(call):
+    # The QPP counterparts are in test_qpp.
+    with pytest.raises(ParameterError):
+        call()
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_bytes_like_arguments_act_as_bytes(wrap):
+    expected = KeystreamState(b"seed", b"tag").next_bytes(64)
+    assert KeystreamState(wrap(b"seed"), wrap(b"tag")).next_bytes(64) == expected
+    assert hash_to_field(wrap(b"m"), 2**61 - 1, 32) == hash_to_field(b"m", 2**61 - 1, 32)
+    sk, vk, params, sig = _ds_session()
+    assert verify(vk, params, wrap(b"m"), sig)

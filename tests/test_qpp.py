@@ -99,10 +99,15 @@ def test_qpp_key_objects_are_frozen():
     lambda: PermutationPad(8, []),
     lambda: PermutationPad(8, [Permutation.identity(8), Permutation.identity(4)]),
     lambda: decrypt_stream(generate_pad(b"mode", 8, 2), b"k", b"x", "zigzag"),
+    lambda: generate_pad("seed", 8, 4),
+    lambda: encrypt_stream(generate_pad(b"mode", 8, 2), "k", b"ab"),
+    lambda: encrypt_stream(generate_pad(b"mode", 8, 2), b"k", "ab"),
+    lambda: decrypt_stream(generate_pad(b"mode", 8, 2), b"k", "ab"),
 ], ids=["float-block-size", "non-permutation-member", "float-pad-block-size",
         "float-block-to-apply", "float-block-to-invert", "float-pad-size",
         "float-stream-pad-size", "float-entropy-pad-size", "empty-pad", "mixed-block-sizes",
-        "unknown-decrypt-mode"])
+        "unknown-decrypt-mode", "str-pad-seed", "str-session-key", "str-plaintext",
+        "str-ciphertext"])
 def test_qpp_refuses_bad_arguments_as_parameter_errors(call):
     with pytest.raises(ParameterError):
         call()
@@ -421,6 +426,19 @@ def test_round_robin_dispatch_over_whole_bytes_uses_phase_tables(monkeypatch):
     # A byte period of 257 is above the limit, so it takes the per-block path.
     with pytest.raises(AssertionError, match="per-block dispatch"):
         encrypt_stream(generate_pad(b"phase-path", 8, 257), b"k", data, MODE_SEQUENTIAL)
+
+
+@pytest.mark.parametrize("wrap", [memoryview, bytearray])
+@pytest.mark.parametrize("n,size,mode", [
+    (8, 64, MODE_SEQUENTIAL), (4, 6, MODE_SEQUENTIAL), (1, 1, MODE_RANDOM), (8, 64, MODE_RANDOM),
+], ids=["n8m64-sequential", "n4m6-sequential", "n1m1-random", "n8m64-random"])
+def test_stream_accepts_bytes_like_input(n, size, mode, wrap):
+    # The first three take the phase tables, which substitute by bytes.translate.
+    pad = generate_pad(b"bytes-like", n, size)
+    data = KeystreamState(b"bytes-like", b"test").next_bytes(20481)
+    ct = encrypt_stream(pad, b"k", data, mode)
+    assert encrypt_stream(pad, b"k", wrap(data), mode) == ct
+    assert decrypt_stream(pad, b"k", wrap(ct), mode) == data
 
 
 def test_encrypt_stream_squeezes_its_mask_once(monkeypatch):
