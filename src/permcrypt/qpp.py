@@ -254,7 +254,7 @@ def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
     for start in range(0, len(data), step):
         chunk, mask = data[start:start + step], masks[start:start + step]
         if decrypt:
-            out += _xor(substitute(bytes(chunk), start), mask)  # no copy of bytes
+            out += _xor(substitute(bytes(chunk), start), mask)  # memoryview has no translate
         else:
             out += substitute(_xor(chunk, mask), start)
     return bytes(out)
