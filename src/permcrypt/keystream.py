@@ -34,6 +34,9 @@ _DIGESTS = {32: hashlib.sha3_256, 48: hashlib.sha3_384, 64: hashlib.sha3_512}
 def _check_bytes(value, name: str) -> None:
     if not isinstance(value, (bytes, bytearray, memoryview)):
         raise ParameterError(f"{name} must be bytes, not {type(value).__name__}")
+    # len() of any other view counts items or rows, not bytes.
+    if isinstance(value, memoryview) and (value.itemsize != 1 or value.ndim != 1):
+        raise ParameterError(f"{name} must be a flat memoryview of single bytes")
 
 
 @lru_cache(maxsize=64)  # the pipeline's shapes and every draw width
@@ -51,22 +54,30 @@ def _spread_masks(width: int, slot: int, steps: int) -> tuple:
     return tuple(masks)
 
 
+def _spread(data: bytes, width: int, slot: int) -> bytes:
+    """data with each width-bit field moved into its own slot-bit slot, big-endian.
+
+    Logarithmically many whole-integer mask-and-shift steps move them, not a loop.
+    """
+    if width == slot:
+        return data
+    count = 8 * len(data) // width
+    value = int.from_bytes(data, "big")
+    for mask, shift in _spread_masks(width, slot, (count - 1).bit_length()):
+        high = value & mask
+        value ^= high ^ (high << shift)
+    return value.to_bytes(count * slot // 8, "big")
+
+
 def _split(data: bytes, width: int):
     """The width-bit fields of data, most-significant first; 1 <= width <= 16.
 
-    Returns bytes for width <= 8 and a tuple of ints above.  The fields are
-    moved into 8- or 16-bit slots by a logarithmic number of whole-integer
-    mask-and-shift steps instead of a loop over fields.
+    Returns bytes (8-bit slots) for width <= 8 and a tuple of ints above.
     """
-    slot = 8 if width <= 8 else 16
-    count = 8 * len(data) // width
-    if width != slot:
-        value = int.from_bytes(data, "big")
-        for mask, shift in _spread_masks(width, slot, (count - 1).bit_length()):
-            high = value & mask
-            value ^= high ^ (high << shift)
-        data = value.to_bytes(count * slot // 8, "big")
-    return data if slot == 8 else struct.unpack(f">{count}H", data)
+    if width <= 8:
+        return _spread(data, width, 8)
+    data = _spread(data, width, 16)
+    return struct.unpack(f">{len(data) // 2}H", data)
 
 
 def _join(fields, width: int, count: int) -> bytes:
@@ -163,7 +174,7 @@ class KeystreamState:
             k = (bound - 1).bit_length()
             floor = 1 << k >> 1  # the run ends where the width drops
             while bound > floor:
-                fields = self._read_fields(k, 2 * (bound - floor))
+                fields = iter(self._read_fields(k, 2 * (bound - floor)))
                 for v in fields:
                     if v < bound:
                         j = i + v
@@ -176,10 +187,10 @@ class KeystreamState:
         return table
 
     def _read_fields(self, k: int, want: int):
-        """An iterator over the next k-bit fields, at least `want` of them."""
+        """The next k-bit fields, at least `want` of them, split as by _split."""
         group = math.lcm(k, 8)  # bits in whole fields and whole bytes
         nbytes = -(-want * k // group) * group // 8
-        return iter(_split(self.next_bytes(nbytes), k))
+        return _split(self.next_bytes(nbytes), k)
 
 
 def hash_to_field(message: bytes, p: int, digest_bytes: int) -> int:

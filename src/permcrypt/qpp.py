@@ -10,10 +10,11 @@ smaller key space of affine maps x -> (a*x + b) mod 2**n with odd a.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import cycle, islice, repeat
-from operator import getitem
+from itertools import chain, cycle, islice, repeat
+from operator import getitem, itemgetter
 
 from .errors import FormatError, ParameterError
 from .keystream import (
@@ -24,6 +25,7 @@ from .keystream import (
     _check_bytes,
     _join,
     _split,
+    _spread,
 )
 
 MIN_BLOCK_BITS = 1
@@ -132,6 +134,18 @@ class PermutationPad:
         """The pad of the members' inverses, in order: the decryption key."""
         return PermutationPad(self.n, (p._inverse for p in self.perms))
 
+    @cached_property
+    def _flat_table(self):
+        """The tables end to end, entry (i << n) | b being tables[i][b]; bytes for n <= 8.
+
+        None unless k = ceil(log2 M) <= 8 and n + k <= 16, so a 16-bit key reaches it all.
+        """
+        k = (self.size - 1).bit_length()
+        if k > 8 or self.n + k > 16:
+            return None
+        tables = [p.table for p in self.perms]
+        return b"".join(map(bytes, tables)) if self.n <= 8 else tuple(chain.from_iterable(tables))
+
 
 def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
     """Derive a pad of `size` permutations from the seed.
@@ -184,20 +198,15 @@ def _compose_phases(tables: list, n: int) -> tuple:
     return tuple(_join(map(getitem, cycle(run), fields), n, len(fields)) for run in runs)
 
 
-def _dispatch(tables: list, seed: bytes, round_robin: bool):
-    """A function from a chunk's block count to its blocks' tables, in order.
+def _draw_indices(size: int, seed: bytes):
+    """A function from a count to the next `count` random dispatch indices.
 
-    Round-robin dispatch cycles through the tables.  Random mode reproduces one
-    next_index(M) call per block in bulk: the dispatch stream is consecutive
-    k = ceil(log2 M)-bit fields, and rejection sampling only drops the
-    fields >= M.  Each chunk's indices are one slice of a pending buffer
-    (bytes for k <= 8, else a tuple), refilled by draws of _CHUNK_BYTES
-    fields at a time.
+    It reproduces one next_index(M) call per block in bulk: the dispatch
+    stream is consecutive k = ceil(log2 M)-bit fields, and rejection sampling
+    only drops the fields >= M.  The indices are sliced from a pending buffer
+    (bytes for k <= 8, else a tuple) that a refill tops up with the
+    ceil(shortfall * 2**k / M) fields it needs on average, in whole bytes.
     """
-    if round_robin:
-        cycled = cycle(tables)  # islice takes exactly count: map would draw one more
-        return lambda count: islice(cycled, count)
-    size = len(tables)
     stream = KeystreamState(seed, TAG_QPP_DISPATCH)
     k = (size - 1).bit_length()
     pending = b"" if k <= 8 else ()
@@ -205,16 +214,25 @@ def _dispatch(tables: list, seed: bytes, round_robin: bool):
     def take(count):
         nonlocal pending
         while len(pending) < count:
-            fields = _split(stream.next_bytes(k * _CHUNK_BYTES // 8), k)
+            fields = stream._read_fields(k, -(-(count - len(pending) << k) // size))
             if k <= 8:  # one byte per field: translate deletes those >= M in C
                 fields = fields.translate(None, bytes(range(size, 1 << k)))
             elif size != 1 << k:
                 fields = tuple(filter(size.__gt__, fields))
             pending += fields
         chosen, pending = pending[:count], pending[count:]
-        return map(tables.__getitem__, chosen)
+        return chosen
 
     return take
+
+
+def _dispatch(tables: list, seed: bytes, round_robin: bool):
+    """A function from a chunk's block count to its blocks' tables, in order."""
+    if round_robin:
+        cycled = cycle(tables)  # islice takes exactly count: map would draw one more
+        return lambda count: islice(cycled, count)
+    draw = _draw_indices(len(tables), seed)
+    return lambda count: map(tables.__getitem__, draw(count))
 
 
 def _xor(chunk: bytes, mask: bytes) -> bytes:
@@ -228,6 +246,7 @@ def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
     n = pad.n
     round_robin = mode == MODE_SEQUENTIAL or pad.size == 1
     phases = pad._phase_tables if round_robin else ()
+    flat = None if round_robin else pad._flat_table
     if phases:
         period = len(phases)
 
@@ -238,6 +257,21 @@ def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
             for p in range(min(period, len(chunk))):
                 out[p::period] = chunk[p::period].translate(phases[(start + p) % period])
             return out
+
+    elif flat is not None:
+        draw = _draw_indices(pad.size, seed)
+
+        def substitute(chunk, start):  # one gather by 16-bit keys (index << n) | block
+            count = 8 * len(chunk) // n
+            keys = bytearray(2 * count)
+            if n == 8:
+                keys[0::2], keys[1::2] = draw(count), chunk
+            else:
+                keys[1::2] = draw(count)
+                blocks = int.from_bytes(_spread(chunk, n, 16), "big")
+                keys = (int.from_bytes(keys, "big") << n | blocks).to_bytes(2 * count, "big")
+            found = itemgetter(*struct.unpack(f">{count}H", keys))(flat)
+            return _join(found if count > 1 else (found,), n, count)  # one key: no tuple
 
     else:
         dispatched = _dispatch([p.table for p in pad.perms], seed, round_robin)
@@ -275,11 +309,15 @@ def encrypt_stream(
     dispatch (sequential mode, or M = 1) with n dividing 8 substitutes a
     chunk by one strided bytes.translate per phase of its byte period,
     through byte tables cached on the pad, while that period is at most
-    256 bytes.  Otherwise the chunk's dispatch indices are one slice of
-    the dispatch buffer and one pass over its blocks substitutes them.
-    The working set per chunk is fixed, but the mask, the dispatch
-    stream's buffer and the output still grow with the input.
+    256 bytes.  Random dispatch slices a chunk's indices from the dispatch
+    buffer, refilled by the fields the chunk still needs on average; with
+    k = ceil(log2 M) <= 8 and n + k <= 16, one gather from the pad's flat
+    table by keys (index << n) | block substitutes the chunk.  Other shapes
+    take one pass over the blocks.  The working set per chunk is fixed, but
+    the mask, the dispatch stream's buffer and the output grow with the input.
     """
+    if not isinstance(pad, PermutationPad):
+        raise ParameterError(f"pad must be a PermutationPad, not {type(pad).__name__}")
     if mode not in _MODES:
         raise ParameterError(f"unknown dispatch mode {mode!r}")
     _check_bytes(plaintext, "plaintext")
@@ -296,6 +334,8 @@ def decrypt_stream(
     It is the same pipeline over the inverse pad, whose members are the
     inverse tables, except that each chunk is unmasked after substitution.
     """
+    if not isinstance(pad, PermutationPad):
+        raise ParameterError(f"pad must be a PermutationPad, not {type(pad).__name__}")
     if mode not in _MODES:
         raise ParameterError(f"unknown dispatch mode {mode!r}")
     _check_bytes(ciphertext, "ciphertext")

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+from array import array
 import hashlib
 import math
 import random
@@ -87,6 +88,11 @@ def test_qpp_key_objects_are_frozen():
     assert decrypt_stream(pad, b"k", encrypt_stream(pad, b"k", data)) == data
 
 
+# len() of these 16-byte views counts 8 items or 4 rows, not bytes.
+_WIDE_ITEMS = memoryview(array("H", range(8)))
+_ROWS = memoryview(bytes(16)).cast("B", (4, 4))
+
+
 @pytest.mark.parametrize("call", [
     lambda: Permutation(2.0, (0, 1, 2, 3)),
     lambda: PermutationPad(8, [1]),
@@ -103,11 +109,17 @@ def test_qpp_key_objects_are_frozen():
     lambda: encrypt_stream(generate_pad(b"mode", 8, 2), "k", b"ab"),
     lambda: encrypt_stream(generate_pad(b"mode", 8, 2), b"k", "ab"),
     lambda: decrypt_stream(generate_pad(b"mode", 8, 2), b"k", "ab"),
+    lambda: encrypt_stream("pad", b"k", b"ab"),
+    lambda: decrypt_stream(None, b"k", b"ab"),
+    lambda: encrypt_stream(generate_pad(b"mode", 8, 2), b"k", _WIDE_ITEMS),
+    lambda: decrypt_stream(generate_pad(b"mode", 8, 2), b"k", _WIDE_ITEMS),
+    lambda: decrypt_stream(generate_pad(b"mode", 8, 2), b"k", _ROWS),
 ], ids=["float-block-size", "non-permutation-member", "float-pad-block-size",
         "float-block-to-apply", "float-block-to-invert", "float-pad-size",
         "float-stream-pad-size", "float-entropy-pad-size", "empty-pad", "mixed-block-sizes",
         "unknown-decrypt-mode", "str-pad-seed", "str-session-key", "str-plaintext",
-        "str-ciphertext"])
+        "str-ciphertext", "str-pad", "none-pad", "wide-item-plaintext", "wide-item-ciphertext",
+        "two-dimensional-ciphertext"])
 def test_qpp_refuses_bad_arguments_as_parameter_errors(call):
     with pytest.raises(ParameterError):
         call()
@@ -378,6 +390,26 @@ def test_stream_matches_per_block_reference_over_full_chunks(n, size, mode):
     _assert_matches_reference(_pool_pad(n, size), data, mode)
 
 
+# Random dispatch gathers from one flat table while k = ceil(log2 M) <= 8
+# and n + k <= 16; these shapes lie on either side of that rule.
+_FLAT_RULE_SHAPES = {
+    "n12m16-inside": (12, 16), "n12m17-outside": (12, 17), "n9m128-inside": (9, 128),
+    "n8m256-inside": (8, 256), "n8m257-outside": (8, 257), "n16m2-outside": (16, 2),
+    "n16m1-round-robin": (16, 1),
+}
+
+
+@pytest.mark.parametrize("n,size", list(_FLAT_RULE_SHAPES.values()), ids=list(_FLAT_RULE_SHAPES))
+def test_stream_matches_per_block_reference_across_the_flat_table_rule(n, size, monkeypatch):
+    monkeypatch.setattr(qpp, "_CHUNK_BYTES", 48)
+    granule = math.lcm(n, 8) // 8
+    step = 48 - 48 % granule
+    pad = _pool_pad(n, size)
+    for length in (0, granule, 2 * step + granule):
+        data = KeystreamState(b"flat-%d" % length, b"test").next_bytes(length)
+        _assert_matches_reference(pad, data, MODE_RANDOM)
+
+
 # SHA-256 of the ciphertext of 20481 seeded bytes (2.5 pipeline chunks),
 # computed with the per-block implementation the pipeline replaced.
 PINNED_CIPHERTEXTS = {
@@ -428,6 +460,24 @@ def test_round_robin_dispatch_over_whole_bytes_uses_phase_tables(monkeypatch):
         encrypt_stream(generate_pad(b"phase-path", 8, 257), b"k", data, MODE_SEQUENTIAL)
 
 
+def test_random_dispatch_inside_the_flat_table_rule_gathers(monkeypatch):
+    # As above: per-block dispatch fails the round trip, so digests alone
+    # cannot hide a shape that falls back to it.
+    def no_dispatch(*args):
+        raise AssertionError("per-block dispatch")
+
+    monkeypatch.setattr(qpp, "_dispatch", no_dispatch)
+    data = KeystreamState(b"flat-path", b"test").next_bytes(20481 - 20481 % 9)
+    for n, size in ((8, 64), (8, 2), (8, 256), (4, 6), (1, 2), (12, 16), (9, 128)):
+        pad = _pool_pad(n, size)
+        ct = encrypt_stream(pad, b"k", data, MODE_RANDOM)
+        assert decrypt_stream(pad, b"k", ct, MODE_RANDOM) == data
+    # M > 256, or n + k > 16, keeps the per-block path.
+    for n, size in ((8, 257), (12, 17), (16, 2)):
+        with pytest.raises(AssertionError, match="per-block dispatch"):
+            encrypt_stream(_pool_pad(n, size), b"k", data[:18], MODE_RANDOM)
+
+
 @pytest.mark.parametrize("wrap", [memoryview, bytearray])
 @pytest.mark.parametrize("n,size,mode", [
     (8, 64, MODE_SEQUENTIAL), (4, 6, MODE_SEQUENTIAL), (1, 1, MODE_RANDOM), (8, 64, MODE_RANDOM),
@@ -441,9 +491,8 @@ def test_stream_accepts_bytes_like_input(n, size, mode, wrap):
     assert decrypt_stream(pad, b"k", wrap(ct), mode) == data
 
 
-def test_encrypt_stream_squeezes_its_mask_once(monkeypatch):
-    # Sequential mode has no dispatch stream, so the mask is the only squeeze.
-    pad = generate_pad(b"one-squeeze", 8, 64)
+def _record_squeezes(monkeypatch) -> list:
+    """The output length of every SHAKE-256 squeeze from here on, in order."""
     lengths = []
     shake = hashlib.shake_256
 
@@ -456,8 +505,23 @@ def test_encrypt_stream_squeezes_its_mask_once(monkeypatch):
             return self._xof.digest(n)
 
     monkeypatch.setattr(hashlib, "shake_256", Recording)
+    return lengths
+
+
+def test_encrypt_stream_squeezes_its_mask_once(monkeypatch):
+    # Sequential mode has no dispatch stream, so the mask is the only squeeze.
+    pad = generate_pad(b"one-squeeze", 8, 64)
+    lengths = _record_squeezes(monkeypatch)
     encrypt_stream(pad, b"k", bytes(20000), MODE_SEQUENTIAL)
     assert lengths == [20000]
+
+
+def test_random_dispatch_squeezes_only_the_fields_a_chunk_needs(monkeypatch):
+    # M = 64 rejects no 6-bit field, so 6144 blocks need 6144 * 6 / 8 bytes.
+    pad = generate_pad(b"one-squeeze", 8, 64)
+    lengths = _record_squeezes(monkeypatch)
+    encrypt_stream(pad, b"k", bytes(6144), MODE_RANDOM)
+    assert lengths == [6144, 4608]
 
 
 def test_encrypt_empty_is_empty():
