@@ -39,34 +39,43 @@ def _check_bytes(value, name: str) -> None:
         raise ParameterError(f"{name} must be a flat memoryview of single bytes")
 
 
-@lru_cache(maxsize=64)  # the pipeline's shapes and every draw width
-def _spread_masks(width: int, slot: int, steps: int) -> tuple:
-    # Step b (highest first) moves the upper half of every group of 2**(b+1)
-    # fields up by (slot - width) * 2**b bits.  Groups, counted from the
-    # least-significant end, are slot * 2**(b+1) bits apart after the higher
-    # steps, so each step's mask is one group pattern repeated.
+@lru_cache(maxsize=64)  # the pipeline's chunk shapes and the shuffle's runs
+def _spread_masks(width: int, slot: int, words: int) -> tuple:
+    # A word holds one granule, g = 8/gcd(width, 8) fields, right-aligned in g
+    # slots.  Step b (highest first) moves the upper half of every group of
+    # 2**(b+1) fields up by (slot - width) * 2**b bits; groups are slot * 2**(b+1)
+    # bits apart after the higher steps, so each mask is one group pattern
+    # repeated over the words.  Each step is (mask, mask << shift, shift).
+    steps = (8 // math.gcd(width, 8)).bit_length() - 1
     masks = []
     for b in reversed(range(steps)):
-        run = width << b
+        run, shift = width << b, (slot - width) << b
         pattern = (((1 << run) - 1) << run).to_bytes(slot << b >> 2, "big")
-        mask = int.from_bytes(pattern * (1 << (steps - 1 - b)), "big")
-        masks.append((mask, (slot - width) << b))
+        mask = int.from_bytes(pattern * (words << (steps - 1 - b)), "big")
+        masks.append((mask, mask << shift, shift))
     return tuple(masks)
 
 
 def _spread(data: bytes, width: int, slot: int) -> bytes:
     """data with each width-bit field moved into its own slot-bit slot, big-endian.
 
-    Logarithmically many whole-integer mask-and-shift steps move them, not a loop.
+    A granule of G = lcm(width, 8)/8 bytes holds g = 8/gcd(width, 8) fields.
+    G strided copies right-align each granule in its own word of g slots, and
+    at most log2(g) <= 3 whole-integer mask-and-shift steps spread the fields.
     """
     if width == slot:
         return data
-    count = 8 * len(data) // width
-    value = int.from_bytes(data, "big")
-    for mask, shift in _spread_masks(width, slot, (count - 1).bit_length()):
+    unit = math.gcd(width, 8)
+    grain, word = width // unit, slot // unit  # bytes per granule and per word
+    words = len(data) // grain
+    out = bytearray(words * word)
+    for b in range(grain):
+        out[word - grain + b::word] = data[b::grain]
+    value = int.from_bytes(out, "big")
+    for mask, _, shift in _spread_masks(width, slot, words):
         high = value & mask
         value ^= high ^ (high << shift)
-    return value.to_bytes(count * slot // 8, "big")
+    return value.to_bytes(len(out), "big")
 
 
 def _split(data: bytes, width: int):
@@ -86,11 +95,20 @@ def _join(fields, width: int, count: int) -> bytes:
     data = bytes(fields) if slot == 8 else struct.pack(f">{count}H", *fields)
     if width == slot:
         return data
+    unit = math.gcd(width, 8)
+    grain, word = width // unit, slot // unit
+    words = len(data) // word
     value = int.from_bytes(data, "big")
-    for mask, shift in reversed(_spread_masks(width, slot, (count - 1).bit_length())):
-        high = value & (mask << shift)
+    for _, moved, shift in reversed(_spread_masks(width, slot, words)):
+        high = value & moved
         value ^= high ^ (high >> shift)
-    return value.to_bytes(count * width // 8, "big")
+    data = value.to_bytes(len(data), "big")
+    if grain == 1:
+        return data[word - 1::word]
+    out = bytearray(words * grain)
+    for b in range(grain):
+        out[b::grain] = data[word - grain + b::word]
+    return bytes(out)
 
 
 class KeystreamState:
@@ -160,30 +178,41 @@ class KeystreamState:
         """The forward Fisher-Yates arrangement of range(size); size <= 2**16.
 
         Position i swaps with i + next_index(size - i), and the stream is
-        used exactly as by those calls.  Bounds of one bit width k form a
-        run: it reads about twice its remaining draws as k-bit fields,
-        split by one whole-integer pass, and one loop rejects, swaps and
-        counts the bound down to the run's floor.  The bit position then
-        steps back over the fields the run did not use.
+        used exactly as by those calls.  Bounds of one bit width k above 16
+        form a run: it reads about 1.5 times its remaining draws as k-bit
+        fields, split by one granule pass, and one loop accepts j = i + v <
+        size and swaps.  The last 16 bounds are cut from 128-bit windows.
+        Either way the bit position then steps back over the bits not used.
         """
         if not isinstance(size, int) or not 0 <= size <= 1 << 16:
             raise ParameterError("shuffle size must lie in [0, 2**16]")
         table = list(range(size))
-        i, bound = 0, size
-        while bound > 1:
-            k = (bound - 1).bit_length()
-            floor = 1 << k >> 1  # the run ends where the width drops
-            while bound > floor:
-                fields = iter(self._read_fields(k, 2 * (bound - floor)))
+        i, tail = 0, size - 16
+        while i < tail:
+            k = (size - 1 - i).bit_length()
+            stop = size - (1 << k >> 1)  # the run ends where the width drops
+            while i < stop:
+                fields = iter(self._read_fields(k, (stop - i) * 3 // 2 + 4))
                 for v in fields:
-                    if v < bound:
-                        j = i + v
+                    j = i + v
+                    if j < size:
                         table[i], table[j] = table[j], table[i]
                         i += 1
-                        bound -= 1
-                        if bound == floor:
+                        if i == stop:
                             self._bit -= length_hint(fields) * k
                             break
+        left = 0
+        while i < size - 1:
+            k = (size - 1 - i).bit_length()
+            if left < k:
+                self._bit -= left
+                window, left = self.next_bits(128), 128
+            left -= k
+            j = i + (window >> left & (1 << k) - 1)
+            if j < size:
+                table[i], table[j] = table[j], table[i]
+                i += 1
+        self._bit -= left
         return table
 
     def _read_fields(self, k: int, want: int):

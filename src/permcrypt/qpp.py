@@ -206,15 +206,20 @@ def _draw_indices(size: int, seed: bytes):
     only drops the fields >= M.  The indices are sliced from a pending buffer
     (bytes for k <= 8, else a tuple) that a refill tops up with the
     ceil(shortfall * 2**k / M) fields it needs on average, in whole bytes.
+    When M rejects fields, the refill adds 2 * sqrt of that many, at least
+    four standard deviations of the rejected count, so it seldom falls short
+    and squeezes the dispatch stream again from its start.
     """
     stream = KeystreamState(seed, TAG_QPP_DISPATCH)
     k = (size - 1).bit_length()
     pending = b"" if k <= 8 else ()
+    spare = 0 if size == 1 << k else 2  # fields per sqrt(want) when M rejects
 
     def take(count):
         nonlocal pending
         while len(pending) < count:
-            fields = stream._read_fields(k, -(-(count - len(pending) << k) // size))
+            want = -(-(count - len(pending) << k) // size)
+            fields = stream._read_fields(k, want + spare * math.isqrt(want))
             if k <= 8:  # one byte per field: translate deletes those >= M in C
                 fields = fields.translate(None, bytes(range(size, 1 << k)))
             elif size != 1 << k:
@@ -310,7 +315,8 @@ def encrypt_stream(
     chunk by one strided bytes.translate per phase of its byte period,
     through byte tables cached on the pad, while that period is at most
     256 bytes.  Random dispatch slices a chunk's indices from the dispatch
-    buffer, refilled by the fields the chunk still needs on average; with
+    buffer, refilled by the fields the chunk still needs on average, with a
+    margin when M rejects fields; with
     k = ceil(log2 M) <= 8 and n + k <= 16, one gather from the pad's flat
     table by keys (index << n) | block substitutes the chunk.  Other shapes
     take one pass over the blocks.  The working set per chunk is fixed, but

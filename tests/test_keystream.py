@@ -104,9 +104,36 @@ def test_shuffle_leaves_the_stream_where_per_draw_swaps_do(lead_bits):
     single = KeystreamState(b"fused", b"test")
     if lead_bits:
         assert fused.next_bits(lead_bits) == single.next_bits(lead_bits)
-    for size in [1 << n for n in (*range(1, 13), 16)] + [1, 3, 300]:
+    # 5 to 33 sit around the last 16 bounds, which the shuffle cuts from one window.
+    for size in [1 << n for n in (*range(1, 13), 16)] + [1, 3, 300, 5, 9, 16, 17, 31, 33]:
         assert fused.shuffle(size) == _per_draw_shuffle(single.next_index, size)
         assert fused.next_bits(64) == single.next_bits(64)
+
+
+def test_shuffle_tail_takes_fresh_windows_where_per_draw_swaps_do(monkeypatch):
+    # A stream of nine one-bits in ten rejects most tail draws, so the last
+    # 16 bounds need more than one 128-bit window.
+    rng = random.Random(16)
+    stream = bytes(rng.choices(range(256), [0.1 ** (8 - b.bit_count()) * 0.9 ** b.bit_count()
+                                            for b in range(256)], k=1 << 16))
+
+    class Biased:
+        def __init__(self, material):
+            pass
+
+        def digest(self, n):
+            return stream[:n]
+
+    monkeypatch.setattr(hashlib, "shake_256", Biased)
+    fused = KeystreamState(b"biased", b"test")
+    single = KeystreamState(b"biased", b"test")
+    windows = []
+    read = fused.next_bits
+    fused.next_bits = lambda k: windows.append(k) or read(k)
+    for size in (2, 5, 16, 17, 33, 16, 9, 300):
+        assert fused.shuffle(size) == _per_draw_shuffle(single.next_index, size)
+        assert fused.next_bits(7) == single.next_bits(7)
+    assert windows.count(128) >= 8 + 8  # 8 tails, and at least 8 second windows
 
 
 def test_shuffle_rejects_sizes_wider_than_16_bit_fields():

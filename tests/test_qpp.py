@@ -4,11 +4,12 @@ from array import array
 import hashlib
 import math
 import random
+import struct
 
 import pytest
 from conftest import ZeroEntropy
 
-from permcrypt import codec, qpp
+from permcrypt import codec, keystream, qpp
 from permcrypt.errors import FormatError, ParameterError
 from permcrypt.keystream import (
     TAG_QPP_DISPATCH,
@@ -273,15 +274,27 @@ def _reference_bytes(blocks, n):
     return bytes(out)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 16])
+@pytest.mark.parametrize("n", range(1, 17))
 def test_block_packing_round_trip(n):
     state = KeystreamState(b"packing", b"test")
-    for length in (0, 3 * n, 3000 * n):  # 24n bits: always a whole block count
+    # One granule, the fewest whole bytes of whole blocks; 24n bits is always whole blocks.
+    for length in (0, math.lcm(n, 8) // 8, 3 * n, 3000 * n):
         data = state.next_bytes(length)
         blocks = blocks_from_bytes(data, n)
         assert blocks == _reference_blocks(data, n)
         assert all(b < (1 << n) for b in blocks)
         assert bytes_from_blocks(blocks, n) == data == _reference_bytes(blocks, n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_spread_into_16_bit_slots_matches_per_field_reference(n):
+    # The flat-table kernel spreads blocks of n < 8 bits this way to build its keys.
+    state = KeystreamState(b"spread", b"test")
+    for length in (0, math.lcm(n, 8) // 8, 3 * n, 3000 * n):
+        data = state.next_bytes(length)
+        spread = keystream._spread(data, n, 16)
+        slots = struct.unpack(f">{len(spread) // 2}H", spread)
+        assert list(slots) == _reference_blocks(data, n)
 
 
 def test_block_packing_rejects_misalignment():
@@ -522,6 +535,17 @@ def test_random_dispatch_squeezes_only_the_fields_a_chunk_needs(monkeypatch):
     lengths = _record_squeezes(monkeypatch)
     encrypt_stream(pad, b"k", bytes(6144), MODE_RANDOM)
     assert lengths == [6144, 4608]
+
+
+def test_rejecting_dispatch_fills_a_chunk_from_one_squeeze(monkeypatch):
+    # M = 3 rejects a quarter of the 2-bit fields; the refill's margin covers
+    # the spread of that count, so no key squeezes its dispatch stream twice.
+    for i in range(20):
+        pad = generate_pad(b"margin %d" % i, 12, 3)
+        lengths = _record_squeezes(monkeypatch)
+        encrypt_stream(pad, b"key %d" % i, bytes(6144), MODE_RANDOM)
+        monkeypatch.undo()
+        assert len(lengths) == 2, (i, lengths)
 
 
 def test_encrypt_empty_is_empty():
