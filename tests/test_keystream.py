@@ -104,7 +104,7 @@ def test_shuffle_leaves_the_stream_where_per_draw_swaps_do(lead_bits):
     single = KeystreamState(b"fused", b"test")
     if lead_bits:
         assert fused.next_bits(lead_bits) == single.next_bits(lead_bits)
-    # 5 to 33 sit around the last 16 bounds, which the shuffle cuts from one window.
+    # 5 to 33 sit around the last 16 bounds, which the shuffle cuts from 128-bit windows.
     for size in [1 << n for n in (*range(1, 13), 16)] + [1, 3, 300, 5, 9, 16, 17, 31, 33]:
         assert fused.shuffle(size) == _per_draw_shuffle(single.next_index, size)
         assert fused.next_bits(64) == single.next_bits(64)
