@@ -8,6 +8,7 @@ import struct
 
 import pytest
 from conftest import ZeroEntropy
+from hypothesis import given, settings, strategies as st
 
 from permcrypt import codec, keystream, qpp
 from permcrypt.errors import FormatError, ParameterError
@@ -421,6 +422,36 @@ def test_stream_matches_per_block_reference_across_the_flat_table_rule(n, size, 
     for length in (0, granule, 2 * step + granule):
         data = KeystreamState(b"flat-%d" % length, b"test").next_bytes(length)
         _assert_matches_reference(pad, data, MODE_RANDOM)
+
+
+# The kernel rules change at M = 2**k (no field rejected) and 2**k + 1 (one
+# more field bit), and at 256 and 257, where the fields outgrow a byte.
+_EDGE_SIZES = sorted({1 << k for k in range(11)} | {(1 << k) + 1 for k in range(10)})
+
+
+@st.composite
+def _stream_cases(draw):
+    n = draw(st.sampled_from(range(1, 17)))
+    size = draw(st.one_of(
+        st.sampled_from(_EDGE_SIZES), st.sampled_from((256, 257)), st.integers(1, 1024)
+    ))
+    granule = math.lcm(n, 8) // 8
+    units = draw(st.sampled_from(range(3 * (48 // granule) + 1)))  # up to three 48-byte chunks
+    data = draw(st.binary(min_size=units * granule, max_size=units * granule))
+    mode = draw(st.sampled_from((MODE_RANDOM, MODE_SEQUENTIAL)))
+    return n, size, data, mode, draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_stream_cases())
+def test_stream_matches_per_block_reference_over_drawn_shapes(case):
+    n, size, data, mode, decrypt = case
+    pad = _pool_pad(n, size)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qpp, "_CHUNK_BYTES", 48)
+        cipher = decrypt_stream if decrypt else encrypt_stream
+        got = cipher(pad, b"drawn", data, mode)
+    assert got == _reference_cipher(pad, b"drawn", data, mode, decrypt)
 
 
 # SHA-256 of the ciphertext of 20481 seeded bytes (2.5 pipeline chunks),
