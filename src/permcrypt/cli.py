@@ -215,15 +215,15 @@ def _cmd_qpp_decrypt(args) -> int:
 
 def _cmd_kat(args) -> int:
     if args.kat_command == "emit":
-        if args.count < 1:
-            raise ParameterError("--count must be at least 1")
         seed = _seed_material(args)
+        labels = list(kat.KAT_CONFIGS) if args.config == "all" else [args.config]
+        # Every file is emitted before --out is made, so a refused count leaves nothing.
+        texts = {label: kat.emit_kat(seed, label, args.count) for label in labels}
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        labels = list(kat.KAT_CONFIGS) if args.config == "all" else [args.config]
-        for label in labels:
+        for label, text in texts.items():
             path = out_dir / f"{label}.kat"
-            path.write_bytes(kat.emit_kat(seed, label, args.count).encode("ascii"))
+            path.write_bytes(text.encode("ascii"))
             print(f"wrote {path}")
         return 0
 

@@ -35,6 +35,7 @@ from .hppk_kem import (
     shipped_params,
 )
 from .hidden_ring import RingOperator
+from .keystream import _check_bytes
 from .qpp import (
     MAX_BLOCK_BITS,
     MAX_PAD_SIZE,
@@ -229,6 +230,7 @@ def _decode(data: bytes, kind: int):
     The header fixes the payload's length, which is checked once before
     any field is read; each field is then sliced out and range-checked.
     """
+    _check_bytes(data, "envelope")
     params, (_, layout, size) = _read_params_header(bytes(data[:HEADER_LEN]), kind)
     _check_length(data, size)
     values = []
@@ -308,6 +310,7 @@ def encode_secret(secret: int, params: KemParams) -> bytes:
 
 
 def decode_secret(data: bytes, params: KemParams) -> int:
+    _check_bytes(data, "shared secret")
     _check_length(data, shared_secret_size(params))
     value = int.from_bytes(data, "big")
     if value >= params.prime:
@@ -328,6 +331,7 @@ def _qpp_header(version: int, n: int, size: int) -> bytes:
 
 def _read_qpp_header(data: bytes, version: int, kind: str, header_len: int):
     """Magic, version, block size n (offset 5) and pad size M (u16, offset 6)."""
+    _check_bytes(data, f"{kind} file")
     _check_magic(data, MAGIC_QPP, header_len)
     if data[4] != version:
         raise FormatError(f"not a {kind} file", offset=4)
@@ -343,6 +347,8 @@ def _read_qpp_header(data: bytes, version: int, kind: str, header_len: int):
 
 
 def encode_pad(pad: PermutationPad) -> bytes:
+    if not isinstance(pad, PermutationPad):
+        raise ParameterError(f"pad must be a PermutationPad, not {type(pad).__name__}")
     slot = 8 * _bytes_for(pad.n)  # each table entry is a whole byte or two
     header = _qpp_header(QPP_VERSION_PAD, pad.n, pad.size)
     return header + b"".join(bytes_from_blocks(perm.table, slot) for perm in pad.perms)
@@ -366,6 +372,7 @@ def decode_pad(data: bytes) -> PermutationPad:
 def encode_qpp_stream(body: bytes, n: int, pad_size: int, mode: str) -> bytes:
     if mode not in _MODE_CODE:
         raise ParameterError(f"unknown dispatch mode {mode!r}")
+    _check_bytes(body, "stream body")
     header = _qpp_header(QPP_VERSION_STREAM, n, pad_size)
     if (8 * len(body)) % n:
         raise ParameterError("stream body is not a whole number of blocks")
@@ -381,7 +388,7 @@ def decode_qpp_stream(data: bytes):
         raise FormatError(
             f"unknown dispatch mode code {data[_QPP_HEADER_LEN]}", offset=_QPP_HEADER_LEN
         )
-    body = data[start:]
+    body = bytes(data[start:])
     if (8 * len(body)) % n:
         raise FormatError("stream body is not a whole number of blocks", offset=start)
     return body, n, pad_size, mode
@@ -393,13 +400,15 @@ def pad_bits(data: bytes, n: int) -> bytes:
     Always adds at least one bit, so unpadding is unambiguous.  Because the
     input is whole bytes, the marker lands on a byte boundary.
     """
+    _check_bytes(data, "message")
     group = _granule(n)
-    return data + b"\x80" + bytes(group - 1 - len(data) % group)
+    return bytes(data) + b"\x80" + bytes(group - 1 - len(data) % group)
 
 
 def unpad_bits(data: bytes, n: int) -> bytes:
     """Exact inverse of pad_bits: whole granules, the last ending in the marker then zeros."""
-    group = _granule(n)
+    _check_bytes(data, "padded message")
+    data, group = bytes(data), _granule(n)
     last = max(len(data) - (len(data) % group or group), 0)  # the last granule, whole or not
     marker = last + len(data[last:].rstrip(b"\x00")) - 1
     if len(data) % group or marker < last or data[marker] != 0x80:

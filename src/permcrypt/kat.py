@@ -11,10 +11,17 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from . import codec
-from .errors import FormatError, PermcryptError
+from .errors import FormatError, ParameterError, PermcryptError
 from .hppk_ds import ds_keygen, ds_params, sign, verify
 from .hppk_kem import LEVELS, KemParams, decapsulate, encapsulate, kem_params, keygen
-from .keystream import TAG_HPPK_HASH, TAG_HPPK_KEYGEN, TAG_HPPK_U, TAG_KAT, KeystreamState
+from .keystream import (
+    TAG_HPPK_HASH,
+    TAG_HPPK_KEYGEN,
+    TAG_HPPK_U,
+    TAG_KAT,
+    KeystreamState,
+    _check_bytes,
+)
 
 # Each label's shipped set; a "KEM-" label emits KEM vectors, a "DS-" label signatures.
 KAT_CONFIGS = {
@@ -82,6 +89,11 @@ def _kat_header(seed: bytes, label: str, count: int) -> str:
 def emit_kat(seed: bytes, label: str, count: int) -> str:
     """Deterministic KAT file text for one configuration."""
     params = kat_params(label)
+    # A plain int of at least 1 is the only `vectors` line check_kat accepts: not True or 2.0.
+    if type(count) is not int or count < 1:
+        raise ParameterError(f"KAT count must be an int of at least 1, got {count!r}")
+    _check_bytes(seed, "KAT seed")
+    seed = bytes(seed)
     seeds = KeystreamState(seed + b"|" + label.encode("ascii"), TAG_KAT)
     lines = [_kat_header(seed, label, count), ""]
     for i in range(count):

@@ -231,31 +231,34 @@ def _draw_indices(size: int, seed: bytes):
     return take
 
 
-def _dispatch(tables: list, seed: bytes, round_robin: bool):
-    """A function from a chunk's block count to its blocks' tables, in order."""
-    if round_robin:
-        cycled = cycle(tables)  # islice takes exactly count: map would draw one more
-        return lambda count: islice(cycled, count)
-    draw = _draw_indices(len(tables), seed)
-    return lambda count: map(tables.__getitem__, draw(count))
-
-
 def _xor(chunk: bytes, mask: bytes) -> bytes:
     return (int.from_bytes(chunk, "big") ^ int.from_bytes(mask, "big")).to_bytes(
         len(chunk), "big"
     )
 
 
-def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
-    """Mask, then substitute through pad; decrypt passes the inverse pad and unmasks last."""
+def _kernel(pad, seed, mode):
+    """The function substitute(chunk, start) for pad under mode: the one choice of kernel.
+
+    Round-robin dispatch (sequential mode, or M = 1) with n dividing 8 takes
+    one strided bytes.translate per phase of its byte period M / gcd(M, 8/n),
+    through the pad's cached byte tables, while that period is at most
+    _MAX_PERIOD bytes.  Random dispatch slices each chunk's indices from one
+    pending buffer (_draw_indices); with k = ceil(log2 M) <= 8 and
+    n + k <= 16 it gathers the chunk from the pad's flat table by 16-bit
+    keys (index << n) | block.  Every other shape takes one pass over the
+    blocks.  The function owns the dispatch state, so it must meet the
+    chunks in order; start is the chunk's byte offset.
+    """
     n = pad.n
     round_robin = mode == MODE_SEQUENTIAL or pad.size == 1
     phases = pad._phase_tables if round_robin else ()
     flat = None if round_robin else pad._flat_table
+    draw = None if round_robin else _draw_indices(pad.size, seed)
     if phases:
         period = len(phases)
 
-        def substitute(chunk, start):  # one strided translate per byte phase
+        def translate_phases(chunk, start):  # one strided translate per byte phase
             if period == 1:
                 return chunk.translate(phases[0])
             out = bytearray(len(chunk))
@@ -263,10 +266,10 @@ def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
                 out[p::period] = chunk[p::period].translate(phases[(start + p) % period])
             return out
 
-    elif flat is not None:
-        draw = _draw_indices(pad.size, seed)
+        return translate_phases
+    if flat is not None:
 
-        def substitute(chunk, start):  # one gather by 16-bit keys (index << n) | block
+        def gather_flat(chunk, start):  # one gather by 16-bit keys (index << n) | block
             count = 8 * len(chunk) // n
             keys = bytearray(2 * count)
             if n == 8:
@@ -278,14 +281,32 @@ def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
             found = itemgetter(*struct.unpack(f">{count}H", keys))(flat)
             return _join(found if count > 1 else (found,), n, count)  # one key: no tuple
 
-    else:
-        dispatched = _dispatch([p.table for p in pad.perms], seed, round_robin)
+        return gather_flat
+    tables = [p.table for p in pad.perms]
+    cycled = cycle(tables)  # islice takes exactly count: map would draw one more
 
-        def substitute(chunk, start):
-            count = 8 * len(chunk) // n
-            return _join(map(getitem, dispatched(count), _split(chunk, n)), n, count)
+    def per_block(chunk, start):
+        count = 8 * len(chunk) // n
+        chosen = islice(cycled, count) if round_robin else map(tables.__getitem__, draw(count))
+        return _join(map(getitem, chosen, _split(chunk, n)), n, count)
 
-    step = _CHUNK_BYTES - _CHUNK_BYTES % _granule(n)
+    return per_block
+
+
+def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
+    """Check the arguments, then mask and substitute; decryption unmasks last."""
+    if not isinstance(pad, PermutationPad):
+        raise ParameterError(f"pad must be a PermutationPad, not {type(pad).__name__}")
+    if mode not in _MODES:
+        raise ParameterError(f"unknown dispatch mode {mode!r}")
+    name = "ciphertext" if decrypt else "plaintext"
+    _check_bytes(data, name)
+    if (8 * len(data)) % pad.n:
+        # A misaligned ciphertext is a malformed file, not a caller's mistake.
+        error = FormatError if decrypt else ParameterError
+        raise error(f"{name} is not a whole number of blocks")
+    substitute = _kernel(pad._inverse if decrypt else pad, seed, mode)
+    step = _CHUNK_BYTES - _CHUNK_BYTES % _granule(pad.n)
     # Block i is masked by stream bits [i*n, (i+1)*n), so the mask is the
     # stream's first len(data) bytes, squeezed once and sliced like the data.
     masks = KeystreamState(seed, TAG_QPP_PRERAND).next_bytes(len(data))
@@ -306,29 +327,11 @@ def encrypt_stream(
 
     Per block: XOR with the next n prerandomization bits, pick a pad
     permutation from the dispatch stream (or round-robin in sequential
-    mode), and substitute through its table.
-
-    The mask is one squeeze of len(plaintext) prerandomization bytes.  The
-    input is processed in chunks of about 8 KiB of whole blocks, and one
-    integer XOR masks a chunk with its slice of the mask.  Round-robin
-    dispatch (sequential mode, or M = 1) with n dividing 8 substitutes a
-    chunk by one strided bytes.translate per phase of its byte period,
-    through byte tables cached on the pad, while that period is at most
-    256 bytes.  Random dispatch slices a chunk's indices from the dispatch
-    buffer, refilled by the fields the chunk still needs on average, with a
-    margin when M rejects fields; with
-    k = ceil(log2 M) <= 8 and n + k <= 16, one gather from the pad's flat
-    table by keys (index << n) | block substitutes the chunk.  Other shapes
-    take one pass over the blocks.  The working set per chunk is fixed, but
-    the mask, the dispatch stream's buffer and the output grow with the input.
+    mode), and substitute through its table.  The mask is one squeeze of
+    len(plaintext) prerandomization bytes.  The work runs in fixed-size
+    chunks, but the mask, the dispatch stream's buffer and the output grow
+    with the input.
     """
-    if not isinstance(pad, PermutationPad):
-        raise ParameterError(f"pad must be a PermutationPad, not {type(pad).__name__}")
-    if mode not in _MODES:
-        raise ParameterError(f"unknown dispatch mode {mode!r}")
-    _check_bytes(plaintext, "plaintext")
-    if (8 * len(plaintext)) % pad.n:
-        raise ParameterError("plaintext is not a whole number of blocks")
     return _run_pipeline(pad, seed, plaintext, mode, decrypt=False)
 
 
@@ -340,14 +343,7 @@ def decrypt_stream(
     It is the same pipeline over the inverse pad, whose members are the
     inverse tables, except that each chunk is unmasked after substitution.
     """
-    if not isinstance(pad, PermutationPad):
-        raise ParameterError(f"pad must be a PermutationPad, not {type(pad).__name__}")
-    if mode not in _MODES:
-        raise ParameterError(f"unknown dispatch mode {mode!r}")
-    _check_bytes(ciphertext, "ciphertext")
-    if (8 * len(ciphertext)) % pad.n:
-        raise FormatError("ciphertext is not a whole number of blocks")
-    return _run_pipeline(pad._inverse, seed, ciphertext, mode, decrypt=True)
+    return _run_pipeline(pad, seed, ciphertext, mode, decrypt=True)
 
 
 def pad_entropy(n: int, size: int, kind: str = "matrix") -> float:

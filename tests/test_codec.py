@@ -1,4 +1,5 @@
 import random
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -484,6 +485,50 @@ def test_decode_secret_reports_length_like_the_envelopes():
 def test_codec_refuses_a_value_outside_its_rule(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call(kem_params("I"))
+
+
+_WIDE_ITEMS = memoryview(array("H", range(8)))  # 16 bytes that len() counts as 8
+
+
+@pytest.mark.parametrize("call", [
+    lambda: codec.pad_bits("ab", 8),
+    lambda: codec.pad_bits(None, 8),
+    lambda: codec.pad_bits(_WIDE_ITEMS, 8),
+    lambda: codec.unpad_bits("ab\x80", 8),
+    lambda: codec.unpad_bits(_WIDE_ITEMS, 8),
+    lambda: codec.decode_kem_public("HPK1"),
+    lambda: codec.decode_kem_private(None),
+    lambda: codec.decode_kem_ciphertext(list(b"HPK1")),
+    lambda: codec.decode_verification_key(_WIDE_ITEMS),
+    lambda: codec.decode_signature("x"),
+    lambda: codec.decode_secret("x", kem_params("I")),
+    lambda: codec.decode_pad(None),
+    lambda: codec.decode_qpp_stream("QPP1"),
+    lambda: codec.encode_pad(None),
+    lambda: codec.encode_qpp_stream("ab", 8, 1, MODE_RANDOM),
+], ids=["str-padded", "none-padded", "wide-item-padded", "str-unpadded", "wide-item-unpadded",
+        "str-kem-public", "none-kem-private", "list-kem-ciphertext",
+        "wide-item-verification-key", "str-signature", "str-secret", "none-pad", "str-stream",
+        "none-encoded-pad", "str-stream-body"])
+def test_codec_refuses_non_bytes_input_as_parameter_errors(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_codec_takes_bytes_like_input_as_bytes(wrap):
+    for n in (8, 12):
+        padded = codec.pad_bits(wrap(b"message"), n)
+        assert type(padded) is bytes and padded == codec.pad_bits(b"message", n)
+        unpadded = codec.unpad_bits(wrap(padded), n)
+        assert type(unpadded) is bytes and unpadded == b"message"
+    pad = generate_pad(b"bytes-like", 4, 3)
+    assert codec.decode_pad(wrap(codec.encode_pad(pad))) == pad
+    stream = codec.encode_qpp_stream(wrap(b"body"), 8, 3, MODE_RANDOM)
+    body, *shape = codec.decode_qpp_stream(wrap(stream))
+    assert type(body) is bytes and (body, *shape) == (b"body", 8, 3, MODE_RANDOM)
+    params, *_, vk, sig = ds_material()
+    assert codec.decode_signature(wrap(codec.encode_signature(sig, params))) == (sig, params)
 
 
 def test_toy_parameters_are_not_serializable():

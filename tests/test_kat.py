@@ -4,7 +4,7 @@ import random
 import pytest
 
 from permcrypt import kat
-from permcrypt.errors import FormatError
+from permcrypt.errors import FormatError, ParameterError
 
 
 def _lines(text, prefix):
@@ -99,6 +99,16 @@ def test_kat_rejects_a_repeated_field(name, nth):
 def test_kat_rejects_a_file_with_no_vectors(vectors):
     with pytest.raises(FormatError, match="vectors"):
         kat.check_kat(f"alg = DS-I\nvectors = {vectors}\nseed = 00\n")
+
+
+@pytest.mark.parametrize("seed,count", [
+    (b"kat-seed", 0), (b"kat-seed", -3), (b"kat-seed", 2.0), (b"kat-seed", True),
+    ("kat-seed", 1), (None, 1),
+], ids=["zero-count", "negative-count", "float-count", "bool-count", "str-seed", "none-seed"])
+def test_kat_emit_refuses_what_check_would_as_parameter_errors(seed, count):
+    # None of these could head a file that check_kat accepts.
+    with pytest.raises(ParameterError):
+        kat.emit_kat(seed, "DS-I", count)
 
 
 def test_kat_counts_vectors_before_deriving_any(monkeypatch):

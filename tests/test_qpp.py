@@ -487,39 +487,35 @@ def test_ciphertext_is_pinned(n, size, mode):
     assert decrypt_stream(pad, b"qpp-pin-session", ct, mode) == data
 
 
-def test_round_robin_dispatch_over_whole_bytes_uses_phase_tables(monkeypatch):
-    # Digests alone would still pass if these shapes fell back to per-block
-    # dispatch, so a dispatch call fails the round trip outright.
-    def no_dispatch(*args):
-        raise AssertionError("per-block dispatch")
+def _kernels(pad, mode):
+    """The names of the kernels that encryption and decryption pick for pad."""
+    return {qpp._kernel(p, b"k", mode).__name__ for p in (pad, pad._inverse)}
 
-    monkeypatch.setattr(qpp, "_dispatch", no_dispatch)
+
+def test_round_robin_dispatch_over_whole_bytes_uses_phase_tables():
+    # Digests alone would still pass if these shapes fell back to per-block
+    # dispatch, so each must pick the phase tables in both directions.
     data = KeystreamState(b"phase-path", b"test").next_bytes(20481)
     for n, size, mode in ((8, 64, MODE_SEQUENTIAL), (4, 6, MODE_SEQUENTIAL), (1, 1, MODE_RANDOM)):
         pad = generate_pad(b"phase-path", n, size)
+        assert _kernels(pad, mode) == {"translate_phases"}, (n, size, mode)
         ct = encrypt_stream(pad, b"k", data, mode)
         assert decrypt_stream(pad, b"k", ct, mode) == data
     # A byte period of 257 is above the limit, so it takes the per-block path.
-    with pytest.raises(AssertionError, match="per-block dispatch"):
-        encrypt_stream(generate_pad(b"phase-path", 8, 257), b"k", data, MODE_SEQUENTIAL)
+    assert _kernels(generate_pad(b"phase-path", 8, 257), MODE_SEQUENTIAL) == {"per_block"}
 
 
-def test_random_dispatch_inside_the_flat_table_rule_gathers(monkeypatch):
-    # As above: per-block dispatch fails the round trip, so digests alone
-    # cannot hide a shape that falls back to it.
-    def no_dispatch(*args):
-        raise AssertionError("per-block dispatch")
-
-    monkeypatch.setattr(qpp, "_dispatch", no_dispatch)
+def test_random_dispatch_inside_the_flat_table_rule_gathers():
+    # As above: each shape must pick the flat gather in both directions.
     data = KeystreamState(b"flat-path", b"test").next_bytes(20481 - 20481 % 9)
-    for n, size in ((8, 64), (8, 2), (8, 256), (4, 6), (1, 2), (12, 16), (9, 128)):
+    for n, size in ((8, 64), (8, 2), (8, 256), (4, 6), (1, 2), (12, 3), (12, 16), (9, 128)):
         pad = _pool_pad(n, size)
+        assert _kernels(pad, MODE_RANDOM) == {"gather_flat"}, (n, size)
         ct = encrypt_stream(pad, b"k", data, MODE_RANDOM)
         assert decrypt_stream(pad, b"k", ct, MODE_RANDOM) == data
     # M > 256, or n + k > 16, keeps the per-block path.
     for n, size in ((8, 257), (12, 17), (16, 2)):
-        with pytest.raises(AssertionError, match="per-block dispatch"):
-            encrypt_stream(_pool_pad(n, size), b"k", data[:18], MODE_RANDOM)
+        assert _kernels(_pool_pad(n, size), MODE_RANDOM) == {"per_block"}, (n, size)
 
 
 @pytest.mark.parametrize("wrap", [memoryview, bytearray])
