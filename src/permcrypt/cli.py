@@ -108,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "run outside the tests (ROADMAP.md's Baseline table) took the "
                              "two- and three-noise sets' secrets from pk (plus a "
                              "ciphertext), and vk alone exposes both hidden moduli, and "
-                             "with them pk")
+                             "with them pk, and yields signatures that verify accepts "
+                             "(tests/test_attacks.py)")
     pc.add_argument("--L", type=int, required=True)
 
     return parser

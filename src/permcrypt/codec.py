@@ -150,6 +150,11 @@ def shared_secret_size(params: KemParams) -> int:
 # headers and the length check
 
 
+def _check_type(value, kind: type, name: str) -> None:
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be {kind.__name__}, not {type(value).__name__}")
+
+
 def _check_magic(data: bytes, magic: bytes, header_len: int) -> None:
     # A prefix of the magic is a truncated envelope, not a foreign one.
     if not magic.startswith(data[:4]):
@@ -212,6 +217,7 @@ def _encode(kind: int, params: KemParams, runs) -> bytes:
     Each value is checked against its run's range, the one its decoder
     enforces, so no envelope carries a field its decoder calls out of range.
     """
+    _check_type(params, KemParams, "params")
     header, layout, _ = _layout(kind, params)
     out = [header]
     for (what, width, low, high, where), values in zip(layout, runs):
@@ -244,6 +250,7 @@ def _decode(data: bytes, kind: int):
 
 
 def encode_kem_public(pk: KemPublicKey, params: KemParams) -> bytes:
+    _check_type(pk, KemPublicKey, "pk")
     return _encode(KIND_KEM_PUBLIC, params, (pk.numer_matrix, pk.denom_matrix))
 
 
@@ -253,6 +260,7 @@ def decode_kem_public(data: bytes):
 
 
 def encode_kem_private(sk: KemPrivateKey, params: KemParams) -> bytes:
+    _check_type(sk, KemPrivateKey, "sk")
     r1, r2 = sk.ring1, sk.ring2
     return _encode(KIND_KEM_PRIVATE, params, (
         sk.numer_coeffs[:-1], sk.numer_coeffs[-1:], sk.denom_coeffs[:-1], sk.denom_coeffs[-1:],
@@ -272,6 +280,7 @@ def decode_kem_private(data: bytes):
 
 
 def encode_kem_ciphertext(ct: KemCiphertext, params: KemParams) -> bytes:
+    _check_type(ct, KemCiphertext, "ct")
     return _encode(KIND_KEM_CIPHERTEXT, params, ((ct.numer_eval, ct.denom_eval),))
 
 
@@ -281,6 +290,8 @@ def decode_kem_ciphertext(data: bytes):
 
 
 def encode_verification_key(vk: DsVerificationKey, params: KemParams) -> bytes:
+    _check_type(vk, DsVerificationKey, "vk")
+    _check_type(params, KemParams, "params")  # read here, for the radix shift
     return _encode(KIND_DS_VERIFICATION, params, (
         vk.numer_resid, vk.denom_resid, vk.numer_quot, vk.denom_quot,
         (vk.ring1_resid, vk.ring2_resid), (params.shift_bits,),
@@ -294,6 +305,7 @@ def decode_verification_key(data: bytes):
 
 
 def encode_signature(sig: Signature, params: KemParams) -> bytes:
+    _check_type(sig, Signature, "sig")
     return _encode(KIND_DS_SIGNATURE, params, ((sig.numer_tag, sig.denom_tag),))
 
 
@@ -304,6 +316,8 @@ def decode_signature(data: bytes):
 
 def encode_secret(secret: int, params: KemParams) -> bytes:
     """Shared-secret bytes: the field element, fixed width, no KDF."""
+    _check_type(secret, int, "secret")
+    _check_type(params, KemParams, "params")
     if not 0 <= secret < params.prime:
         raise ParameterError("secret out of field range")
     return secret.to_bytes(shared_secret_size(params), "big")
@@ -311,6 +325,7 @@ def encode_secret(secret: int, params: KemParams) -> bytes:
 
 def decode_secret(data: bytes, params: KemParams) -> int:
     _check_bytes(data, "shared secret")
+    _check_type(params, KemParams, "params")
     _check_length(data, shared_secret_size(params))
     value = int.from_bytes(data, "big")
     if value >= params.prime:
@@ -347,8 +362,7 @@ def _read_qpp_header(data: bytes, version: int, kind: str, header_len: int):
 
 
 def encode_pad(pad: PermutationPad) -> bytes:
-    if not isinstance(pad, PermutationPad):
-        raise ParameterError(f"pad must be a PermutationPad, not {type(pad).__name__}")
+    _check_type(pad, PermutationPad, "pad")
     slot = 8 * _bytes_for(pad.n)  # each table entry is a whole byte or two
     header = _qpp_header(QPP_VERSION_PAD, pad.n, pad.size)
     return header + b"".join(bytes_from_blocks(perm.table, slot) for perm in pad.perms)

@@ -150,6 +150,7 @@ def _parse_header(head: str):
 
 def check_kat(text: str) -> KatReport:
     """Re-emit a KAT file from its header and compare it, block by block."""
+    codec._check_type(text, str, "KAT text")
     head, *blocks = text.removesuffix("\n").split("\n\n")
     label, count, seed = _parse_header(head)
     report = KatReport(label=label, total=count)

@@ -515,6 +515,38 @@ def test_codec_refuses_non_bytes_input_as_parameter_errors(call):
         call()
 
 
+def _level_i_objects():
+    params = ds_params("I")
+    sk, pk, vk = ds_keygen(params, KeystreamState(b"wrong-types", TAG_HPPK_KEYGEN))
+    _, ct = encapsulate(pk, params, KeystreamState(b"wrong-types", TAG_HPPK_U))
+    return params, {"pk": pk, "sk": sk, "ct": ct, "vk": vk, "sig": Signature(1, 1)}
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda o, p: codec.encode_kem_public(None, p), "pk"),
+    (lambda o, p: codec.encode_kem_public(o["pk"], None), "params"),
+    (lambda o, p: codec.encode_kem_private(None, p), "sk"),
+    (lambda o, p: codec.encode_kem_private(o["sk"], None), "params"),
+    (lambda o, p: codec.encode_kem_ciphertext(None, p), "ct"),
+    (lambda o, p: codec.encode_kem_ciphertext(o["ct"], None), "params"),
+    (lambda o, p: codec.encode_verification_key(None, p), "vk"),
+    (lambda o, p: codec.encode_verification_key(o["vk"], None), "params"),
+    (lambda o, p: codec.encode_signature(None, p), "sig"),
+    (lambda o, p: codec.encode_signature(o["sig"], None), "params"),
+    (lambda o, p: codec.encode_kem_public(o["vk"], p), "pk"),
+    (lambda o, p: codec.encode_secret(1.5, p), "secret"),
+    (lambda o, p: codec.encode_secret("x", p), "secret"),
+    (lambda o, p: codec.encode_secret(1, None), "params"),
+    (lambda o, p: codec.decode_secret(b"ab", None), "params"),
+], ids=["none-pk", "pk-none-params", "none-sk", "sk-none-params", "none-ct", "ct-none-params",
+        "none-vk", "vk-none-params", "none-sig", "sig-none-params", "vk-as-pk", "float-secret",
+        "str-secret", "secret-none-params", "decode-secret-none-params"])
+def test_hppk_codec_refuses_wrong_type_arguments_naming_them(call, name):
+    params, objects = _level_i_objects()
+    with pytest.raises(ParameterError, match=f"^{name} must be "):
+        call(objects, params)
+
+
 @pytest.mark.parametrize("wrap", [bytearray, memoryview])
 def test_codec_takes_bytes_like_input_as_bytes(wrap):
     for n in (8, 12):

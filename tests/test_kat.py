@@ -111,6 +111,12 @@ def test_kat_emit_refuses_what_check_would_as_parameter_errors(seed, count):
         kat.emit_kat(seed, "DS-I", count)
 
 
+@pytest.mark.parametrize("text", [None, b"alg = DS-I"], ids=["none", "bytes"])
+def test_kat_check_refuses_non_text_as_a_parameter_error(text):
+    with pytest.raises(ParameterError, match="^KAT text must be str, not "):
+        kat.check_kat(text)
+
+
 def test_kat_counts_vectors_before_deriving_any(monkeypatch):
     # A one-line edit must not make check derive 10^9 key pairs.
     text = kat.emit_kat(b"kat-seed", "DS-I", count=2)
