@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, _check_type
 from .hppk_ds import DsVerificationKey, Signature
 from .hppk_kem import (
     LEVELS,
@@ -148,11 +148,6 @@ def shared_secret_size(params: KemParams) -> int:
 
 # ---------------------------------------------------------------------------
 # headers and the length check
-
-
-def _check_type(value, kind: type, name: str) -> None:
-    if not isinstance(value, kind):
-        raise ParameterError(f"{name} must be {kind.__name__}, not {type(value).__name__}")
 
 
 def _check_magic(data: bytes, magic: bytes, header_len: int) -> None:

@@ -33,3 +33,9 @@ class DecapsulationError(PermcryptError):
 
 class SigningError(PermcryptError):
     """Message hash is degenerate for this key; the message cannot be signed."""
+
+
+def _check_type(value, kind: type, name: str) -> None:
+    """Refuse an argument of the wrong type as a ParameterError naming it."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be {kind.__name__}, not {type(value).__name__}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormatError, GenerationError, ParameterError, SigningError
+from .errors import FormatError, GenerationError, ParameterError, SigningError, _check_type
 from .hppk_kem import KemParams, KemPrivateKey, KemPublicKey, keygen, shipped_params
 from .keystream import hash_to_field
 
@@ -32,6 +32,8 @@ class Signature:
     denom_tag: int
 
     def __post_init__(self):
+        _check_type(self.numer_tag, int, "numer_tag")
+        _check_type(self.denom_tag, int, "denom_tag")
         if self.numer_tag == 0 or self.denom_tag == 0:
             raise ParameterError("signature values must be nonzero")
 
@@ -102,6 +104,8 @@ def sign(
     pins it: 0 of 800 000 signatures over 8 DS-I and DS-III keys failed,
     and 1 of 210 000 on another DS-III key.
     """
+    _check_type(sk, KemPrivateKey, "sk")
+    _check_type(params, KemParams, "params")
     if vk is not None:
         _check_verification_key(vk, params)
     p = params.prime
@@ -126,6 +130,7 @@ def sign(
 
 
 def _check_verification_key(vk: DsVerificationKey, params: KemParams):
+    _check_type(vk, DsVerificationKey, "vk")
     for name in ("numer_resid", "denom_resid", "numer_quot", "denom_quot"):
         if len(getattr(vk, name)) != params.terms:
             raise FormatError(f"{name} has the wrong shape for these parameters")
@@ -161,6 +166,8 @@ def verify(
     Malformed inputs (wrong shapes, out-of-range values) raise FormatError
     so callers can distinguish garbage from a cryptographic reject.
     """
+    _check_type(params, KemParams, "params")
+    _check_type(sig, Signature, "sig")
     _check_verification_key(vk, params)
     limit = 1 << params.ring_bits
     if not 0 < sig.numer_tag < limit or not 0 < sig.denom_tag < limit:

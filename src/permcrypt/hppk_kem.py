@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import ClassVar
 
-from .errors import DecapsulationError, FormatError, GenerationError, ParameterError
+from .errors import DecapsulationError, FormatError, GenerationError, ParameterError, _check_type
 from .hidden_ring import RingOperator, encrypt_coefficients, new_operator
 
 # Largest prime below 2**bits for every shipped field width, pinned so key
@@ -189,6 +189,7 @@ def keygen(params: KemParams, rng):
     internally; the resample budget is bounded so a broken entropy source
     fails loudly instead of looping.
     """
+    _check_type(params, KemParams, "params")
     numer = _sample_factor(rng, params.prime)
     for _ in range(_RESAMPLE_LIMIT):
         denom = _sample_factor(rng, params.prime)
@@ -233,6 +234,8 @@ def encapsulate(pk: KemPublicKey, params: KemParams, rng):
     rng.next_index, as in keygen.  A public key whose matrices are not
     `params.terms` long raises FormatError.
     """
+    _check_type(pk, KemPublicKey, "pk")
+    _check_type(params, KemParams, "params")
     if len(pk.numer_matrix) != params.terms or len(pk.denom_matrix) != params.terms:
         raise FormatError("public key has the wrong shape for these parameters")
     secret = rng.next_index(params.prime)
@@ -249,6 +252,9 @@ def decapsulate(sk: KemPrivateKey, ct: KemCiphertext, params: KemParams) -> int:
     cross-multiplied form, which also covers the pole where the
     denominator factor vanishes at the secret point.
     """
+    _check_type(sk, KemPrivateKey, "sk")
+    _check_type(ct, KemCiphertext, "ct")
+    _check_type(params, KemParams, "params")
     p = params.prime
     r1, r2 = sk.ring1, sk.ring2
     numer_lift = r1.invert(ct.numer_eval % r1.modulus) % p

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from . import codec
-from .errors import FormatError, ParameterError, PermcryptError
+from .errors import FormatError, ParameterError, PermcryptError, _check_type
 from .hppk_ds import ds_keygen, ds_params, sign, verify
 from .hppk_kem import LEVELS, KemParams, decapsulate, encapsulate, kem_params, keygen
 from .keystream import (
@@ -150,7 +150,7 @@ def _parse_header(head: str):
 
 def check_kat(text: str) -> KatReport:
     """Re-emit a KAT file from its header and compare it, block by block."""
-    codec._check_type(text, str, "KAT text")
+    _check_type(text, str, "KAT text")
     head, *blocks = text.removesuffix("\n").split("\n\n")
     label, count, seed = _parse_header(head)
     report = KatReport(label=label, total=count)

@@ -24,6 +24,7 @@ from .keystream import (
     KeystreamState,
     _check_bytes,
     _join,
+    _ordered,
     _split,
     _spread,
 )
@@ -56,7 +57,11 @@ def _granule(n: int) -> int:
 
 @dataclass(frozen=True)
 class Permutation:
-    """Bijection on [0, 2**n) stored as a lookup table."""
+    """Bijection on [0, 2**n) stored as a lookup table.
+
+    The checked constructor stores the entries as the ints of the shared
+    tuple(range(2**n)), so a decoded table of bools holds ints.
+    """
 
     n: int
     table: tuple
@@ -66,9 +71,10 @@ class Permutation:
         table = tuple(self.table)
         # 1.0 == 1, so the sort alone would pass a table of integral floats.
         ints = all(map(isinstance, table, repeat(int)))
-        if not ints or sorted(table) != list(range(1 << self.n)):
+        blocks = _ordered(1 << self.n)
+        if not ints or sorted(table) != list(blocks):
             raise ParameterError("table is not a bijection on the block range")
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", tuple(map(blocks.__getitem__, table)))
 
     @classmethod
     def _unchecked(cls, n: int, table) -> "Permutation":
@@ -84,8 +90,10 @@ class Permutation:
 
     @cached_property  # written straight into __dict__, so freezing does not block it
     def _inverse(self) -> "Permutation":
-        inv = [0] * len(self.table)
-        for m, c in enumerate(self.table):
+        """The inverse table, filled from the shared tuple(range(2**n)) like the tables."""
+        blocks = _ordered(len(self.table))
+        inv = [0] * len(blocks)
+        for c, m in zip(self.table, blocks):
             inv[c] = m
         return Permutation._unchecked(self.n, inv)
 
@@ -154,7 +162,8 @@ def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
     block range, drawn by one KeystreamState.shuffle call on the pad-tagged
     keystream; the result is a pure function of the seed and equals one
     next_index call per swap.  The shuffled tables are bijections by
-    construction, so they are not checked again.
+    construction, so they are not checked again.  Every table, its inverse
+    and the flat table point into one shared set of ints per block size.
     """
     _check_block_bits(n)
     if not isinstance(size, int) or not 1 <= size <= MAX_PAD_SIZE:

@@ -192,6 +192,25 @@ def test_zero_signature_values_unconstructible():
         Signature(0, 1)
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda p, sk, pk, vk, sig: sign(None, p, b"m", sign_rng(b"t")), "sk"),
+    (lambda p, sk, pk, vk, sig: sign(sk, None, b"m", sign_rng(b"t")), "params"),
+    (lambda p, sk, pk, vk, sig: sign(sk, p, b"m", sign_rng(b"t"), vk=pk), "vk"),
+    (lambda p, sk, pk, vk, sig: verify(None, p, b"m", sig), "vk"),
+    (lambda p, sk, pk, vk, sig: verify(vk, None, b"m", sig), "params"),
+    (lambda p, sk, pk, vk, sig: verify(vk, p, b"m", None), "sig"),
+    (lambda p, sk, pk, vk, sig: Signature(1.5, 1), "numer_tag"),
+    (lambda p, sk, pk, vk, sig: Signature(1, "1"), "denom_tag"),
+], ids=["none-sk", "sign-none-params", "pk-as-vk", "none-vk", "verify-none-params", "none-sig",
+        "float-numer-tag", "str-denom-tag"])
+def test_ds_refuses_wrong_type_arguments_naming_them(call, name):
+    params = ds_params("I")
+    sk, pk, vk = seeded_triple(params, b"wrong-types")
+    sig = sign(sk, params, b"m", sign_rng(b"t"), vk=vk)
+    with pytest.raises(ParameterError, match=f"^{name} must be "):
+        call(params, sk, pk, vk, sig)
+
+
 def test_degenerate_hash_is_unsignable():
     # Build a key whose numerator factor vanishes exactly at the message
     # hash; no blinding scalar can fix that.

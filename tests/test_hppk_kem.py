@@ -432,6 +432,25 @@ def test_level_round_trips_all_configurations():
                 assert decapsulate(sk, ct, params) == x
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda p, sk, pk, ct, rng: keygen(None, rng), "params"),
+    (lambda p, sk, pk, ct, rng: encapsulate(None, p, rng), "pk"),
+    (lambda p, sk, pk, ct, rng: encapsulate(ct, p, rng), "pk"),
+    (lambda p, sk, pk, ct, rng: encapsulate(pk, None, rng), "params"),
+    (lambda p, sk, pk, ct, rng: decapsulate(None, ct, p), "sk"),
+    (lambda p, sk, pk, ct, rng: decapsulate(sk, None, p), "ct"),
+    (lambda p, sk, pk, ct, rng: decapsulate(sk, ct, None), "params"),
+], ids=["keygen-none-params", "none-pk", "ct-as-pk", "encapsulate-none-params", "none-sk",
+        "none-ct", "decapsulate-none-params"])
+def test_kem_refuses_wrong_type_arguments_naming_them(call, name):
+    params = kem_params("I", 2)
+    sk, pk = seeded_keygen(params, b"wrong-types")
+    rng = KeystreamState(b"wrong-types", TAG_HPPK_U)
+    _, ct = encapsulate(pk, params, rng)
+    with pytest.raises(ParameterError, match=f"^{name} must be "):
+        call(params, sk, pk, ct, rng)
+
+
 # --- attack complexity ------------------------------------------------------
 
 

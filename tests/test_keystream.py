@@ -136,6 +136,15 @@ def test_shuffle_tail_takes_fresh_windows_where_per_draw_swaps_do(monkeypatch):
     assert windows.count(128) >= 8 + 8  # 8 tails, and at least 8 second windows
 
 
+def test_changing_a_returned_shuffle_leaves_the_next_one_unchanged():
+    # Every shuffle starts from one cached tuple(range(size)); the list it
+    # returns must be the caller's own.
+    for size in (4096, 300, 2):
+        KeystreamState(b"alias", b"test").shuffle(size).reverse()
+        got = KeystreamState(b"alias", b"test").shuffle(size)
+        assert got == _per_draw_shuffle(KeystreamState(b"alias", b"test").next_index, size)
+
+
 def test_shuffle_rejects_sizes_wider_than_16_bit_fields():
     state = KeystreamState(b"s", b"t")
     with pytest.raises(ParameterError):

@@ -61,7 +61,8 @@ def test_permutation_rejects_non_int_entries():
     for n, table in ((1, (1.0, 0.0)), (2, (0, 1, 2, 3.0))):
         with pytest.raises(ParameterError, match="not a bijection"):
             Permutation(n, table)
-    assert Permutation(1, (True, False)).table == (1, 0)
+    table = Permutation(1, (True, False)).table
+    assert table == (1, 0) and all(type(v) is int for v in table)
 
 
 def test_apply_rejects_out_of_range():
@@ -156,6 +157,28 @@ def test_compose_order_matters():
 def test_compose_rejects_mismatched_sizes():
     with pytest.raises(ParameterError):
         Permutation.identity(2).compose(Permutation.identity(3))
+
+
+def test_tables_of_one_block_size_share_one_set_of_ints():
+    # The forward, inverse and flat tables of a generated pad, a second pad
+    # and a decoded copy all point into one set of 4096 int objects.
+    pad, other = generate_pad(b"share", 12, 3), generate_pad(b"other", 12, 2)
+    decoded = codec.decode_pad(codec.encode_pad(pad))
+    entries = [pad._flat_table, pad._inverse._flat_table, Permutation.identity(12).table]
+    for each in (pad, pad._inverse, other, other._inverse, decoded, decoded._inverse):
+        entries += [p.table for p in each.perms]
+    assert len({id(v) for table in entries for v in table}) == 4096
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32))
+def test_inverse_equals_the_enumerated_inverse(n, seed):
+    perm = Permutation(n, random.Random(seed).sample(range(1 << n), 1 << n))
+    expected = [0] * (1 << n)
+    for m, c in enumerate(perm.table):
+        expected[c] = m
+    assert perm._inverse.table == tuple(expected)
+    assert perm._inverse.compose(perm) == Permutation.identity(n)
 
 
 # --- pad generation ---------------------------------------------------------
