@@ -28,43 +28,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def leaf(group, name, handler, **kwargs):
+        p = group.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
     def add_seed_flags(p):
         p.add_argument("--seed-hex", metavar="HEX",
                        help="deterministic seed (test only; requires --unsafe-seed)")
         p.add_argument("--unsafe-seed", action="store_true",
                        help="acknowledge that a fixed seed is unsafe outside tests")
 
-    p = sub.add_parser("keygen", help="generate the key triple (sk, pk, vk)")
+    p = leaf(sub, "keygen", _cmd_keygen, help="generate the key triple (sk, pk, vk)")
     p.add_argument("--level", choices=LEVELS, default="III")
     p.add_argument("--sk", required=True, help="private key output path")
     p.add_argument("--pk", required=True, help="encapsulation public key output path")
     p.add_argument("--vk", required=True, help="verification public key output path")
     add_seed_flags(p)
 
-    p = sub.add_parser("encaps", help="encapsulate a fresh shared secret")
+    p = leaf(sub, "encaps", _cmd_encaps, help="encapsulate a fresh shared secret")
     p.add_argument("--pk", required=True)
     p.add_argument("--out", required=True, help="ciphertext output path")
     p.add_argument("--ss", required=True, help="shared secret output path")
     add_seed_flags(p)
 
-    p = sub.add_parser("decaps", help="decapsulate a ciphertext")
+    p = leaf(sub, "decaps", _cmd_decaps, help="decapsulate a ciphertext")
     p.add_argument("--sk", required=True)
     p.add_argument("--in", dest="infile", required=True, help="ciphertext path")
     p.add_argument("--out", required=True, help="shared secret output path")
 
-    p = sub.add_parser("sign", help="sign a message file")
+    p = leaf(sub, "sign", _cmd_sign, help="sign a message file")
     p.add_argument("--sk", required=True)
     p.add_argument("--vk", help="verification key; enables the signer self-check")
     p.add_argument("--in", dest="infile", required=True, help="message path")
     p.add_argument("--out", required=True, help="signature output path")
     add_seed_flags(p)
 
-    p = sub.add_parser("verify", help="verify a signature over a message file")
+    p = leaf(sub, "verify", _cmd_verify, help="verify a signature over a message file")
     p.add_argument("--vk", required=True)
     p.add_argument("--in", dest="infile", required=True, help="message path")
     p.add_argument("--sig", required=True, help="signature path")
 
-    p = sub.add_parser("qpp-keygen", help="generate a permutation pad")
+    p = leaf(sub, "qpp-keygen", _cmd_qpp_keygen, help="generate a permutation pad")
     p.add_argument("--out", required=True, help="pad output path")
     p.add_argument("--n", type=int, default=8, help="block size in bits")
     p.add_argument("--M", type=int, default=64, help="number of pad permutations")
@@ -72,14 +77,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     key_help = ("shared session key driving the keystream; a stream carries no nonce, "
                 "so files under one pad and key show which of their blocks are equal")
-    p = sub.add_parser("qpp-encrypt", help="encrypt a file with a pad")
+    p = leaf(sub, "qpp-encrypt", _cmd_qpp_encrypt, help="encrypt a file with a pad")
     p.add_argument("--pad", required=True)
     p.add_argument("--key-hex", required=True, metavar="HEX", help=key_help)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=(MODE_RANDOM, MODE_SEQUENTIAL), default=MODE_RANDOM)
 
-    p = sub.add_parser("qpp-decrypt", help="decrypt a pad-encrypted file")
+    p = leaf(sub, "qpp-decrypt", _cmd_qpp_decrypt, help="decrypt a pad-encrypted file")
     p.add_argument("--pad", required=True)
     p.add_argument("--key-hex", required=True, metavar="HEX", help=key_help)
     p.add_argument("--in", dest="infile", required=True)
@@ -87,29 +92,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kat", help="emit or check known-answer-test files")
     kat_sub = p.add_subparsers(dest="kat_command", required=True)
-    pe = kat_sub.add_parser("emit")
+    pe = leaf(kat_sub, "emit", _cmd_kat_emit)
     pe.add_argument("--out", required=True, help="output directory")
     pe.add_argument("--config", default="all",
                     choices=("all", *kat.KAT_CONFIGS), help="configuration label")
     pe.add_argument("--count", type=int, default=25)
     add_seed_flags(pe)
-    pc = kat_sub.add_parser("check")
+    pc = leaf(kat_sub, "check", _cmd_kat_check)
     pc.add_argument("--in", dest="infile", required=True, help=".kat file or directory")
 
     p = sub.add_parser("info", help="entropy and attack-complexity figures")
     info_sub = p.add_subparsers(dest="info_command", required=True)
-    pe = info_sub.add_parser("entropy")
+    pe = leaf(info_sub, "entropy", _cmd_info_entropy)
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--M", type=int, required=True)
     pe.add_argument("--kind", choices=("matrix", "arithmetic"), default="matrix")
-    pc = info_sub.add_parser("complexity", help="log2 of a brute-force search over both rings' "
-                             "(multiplier, modulus) pairs; not a lattice-attack bound: pk "
-                             "and a ciphertext give the one-noise KEM's secret, an attack "
-                             "run outside the tests (ROADMAP.md's Baseline table) took the "
-                             "two- and three-noise sets' secrets from pk (plus a "
-                             "ciphertext), and vk alone exposes both hidden moduli, and "
-                             "with them pk, and yields signatures that verify accepts "
-                             "(tests/test_attacks.py)")
+    pc = leaf(info_sub, "complexity", _cmd_info_complexity,
+              help="log2 of a brute-force search over both rings' (multiplier, modulus) "
+                   "pairs, not a lattice-attack bound (see the README's attack paragraphs "
+                   "and tests/test_attacks.py)")
     pc.add_argument("--L", type=int, required=True)
 
     return parser
@@ -214,20 +215,21 @@ def _cmd_qpp_decrypt(args) -> int:
     return 0
 
 
-def _cmd_kat(args) -> int:
-    if args.kat_command == "emit":
-        seed = _seed_material(args)
-        labels = list(kat.KAT_CONFIGS) if args.config == "all" else [args.config]
-        # Every file is emitted before --out is made, so a refused count leaves nothing.
-        texts = {label: kat.emit_kat(seed, label, args.count) for label in labels}
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for label, text in texts.items():
-            path = out_dir / f"{label}.kat"
-            path.write_bytes(text.encode("ascii"))
-            print(f"wrote {path}")
-        return 0
+def _cmd_kat_emit(args) -> int:
+    seed = _seed_material(args)
+    labels = list(kat.KAT_CONFIGS) if args.config == "all" else [args.config]
+    # Every file is emitted before --out is made, so a refused count leaves nothing.
+    texts = {label: kat.emit_kat(seed, label, args.count) for label in labels}
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for label, text in texts.items():
+        path = out_dir / f"{label}.kat"
+        path.write_bytes(text.encode("ascii"))
+        print(f"wrote {path}")
+    return 0
 
+
+def _cmd_kat_check(args) -> int:
     path = Path(args.infile)
     files = sorted(path.glob("*.kat")) if path.is_dir() else [path]
     if not files:
@@ -249,26 +251,14 @@ def _cmd_kat(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_info(args) -> int:
-    if args.info_command == "entropy":
-        print(round(pad_entropy(args.n, args.M, args.kind)))
-    else:
-        print(f"{attack_complexity(args.L):.2f}")
+def _cmd_info_entropy(args) -> int:
+    print(round(pad_entropy(args.n, args.M, args.kind)))
     return 0
 
 
-_COMMANDS = {
-    "keygen": _cmd_keygen,
-    "encaps": _cmd_encaps,
-    "decaps": _cmd_decaps,
-    "sign": _cmd_sign,
-    "verify": _cmd_verify,
-    "qpp-keygen": _cmd_qpp_keygen,
-    "qpp-encrypt": _cmd_qpp_encrypt,
-    "qpp-decrypt": _cmd_qpp_decrypt,
-    "kat": _cmd_kat,
-    "info": _cmd_info,
-}
+def _cmd_info_complexity(args) -> int:
+    print(f"{attack_complexity(args.L):.2f}")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -278,13 +268,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
-    except (FormatError, ParameterError, OSError) as exc:
+        return args.handler(args)
+    except (PermcryptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PermcryptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (FormatError, ParameterError, OSError)) else 1
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by every permcrypt module."""
 
+from itertools import repeat
+
 
 class PermcryptError(Exception):
     """Base class for all errors raised by this package."""
@@ -39,3 +41,9 @@ def _check_type(value, kind: type, name: str) -> None:
     """Refuse an argument of the wrong type as a ParameterError naming it."""
     if not isinstance(value, kind):
         raise ParameterError(f"{name} must be {kind.__name__}, not {type(value).__name__}")
+
+
+def _check_ints(values, name: str) -> None:
+    """Refuse a field that is not a tuple of ints as a ParameterError naming it."""
+    if not isinstance(values, tuple) or not all(map(isinstance, values, repeat(int))):
+        raise ParameterError(f"{name} must be a tuple of int")

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormatError, GenerationError, ParameterError, SigningError, _check_type
+from .errors import (
+    FormatError, GenerationError, ParameterError, SigningError, _check_ints, _check_type,
+)
 from .hppk_kem import KemParams, KemPrivateKey, KemPublicKey, keygen, shipped_params
 from .keystream import hash_to_field
 
@@ -56,11 +58,21 @@ class DsVerificationKey:
     ring1_resid: int
     ring2_resid: int
 
+    def __post_init__(self):
+        for name in ("numer_resid", "denom_resid", "numer_quot", "denom_quot"):
+            _check_ints(getattr(self, name), name)
+        _check_type(self.ring1_resid, int, "ring1_resid")
+        _check_type(self.ring2_resid, int, "ring2_resid")
+
 
 def derive_verification_key(
     sk: KemPrivateKey, pk: KemPublicKey, blind: int, params: KemParams
 ) -> DsVerificationKey:
     """Fold the public matrices into the verification key with a known blind."""
+    _check_type(sk, KemPrivateKey, "sk")
+    _check_type(pk, KemPublicKey, "pk")
+    _check_type(blind, int, "blind")
+    _check_type(params, KemParams, "params")
     if not 0 < blind < params.prime:
         raise ParameterError("blinding scalar must be a nonzero field element")
     p = params.prime

@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import ClassVar
 
-from .errors import DecapsulationError, FormatError, GenerationError, ParameterError, _check_type
+from .errors import (
+    DecapsulationError, FormatError, GenerationError, ParameterError, _check_ints, _check_type,
+)
 from .hidden_ring import RingOperator, encrypt_coefficients, new_operator
 
 # Largest prime below 2**bits for every shipped field width, pinned so key
@@ -126,6 +128,10 @@ class KemPrivateKey:
     ring2: RingOperator
 
     def __post_init__(self):
+        _check_ints(self.numer_coeffs, "numer_coeffs")
+        _check_ints(self.denom_coeffs, "denom_coeffs")
+        _check_type(self.ring1, RingOperator, "ring1")
+        _check_type(self.ring2, RingOperator, "ring2")
         if len(self.numer_coeffs) != 2 or len(self.denom_coeffs) != 2:
             raise ParameterError("each secret factor must have two coefficients")
 
@@ -140,6 +146,10 @@ class KemPublicKey:
     numer_matrix: tuple
     denom_matrix: tuple
 
+    def __post_init__(self):
+        _check_ints(self.numer_matrix, "numer_matrix")
+        _check_ints(self.denom_matrix, "denom_matrix")
+
 
 @dataclass(frozen=True)
 class KemCiphertext:
@@ -147,6 +157,10 @@ class KemCiphertext:
 
     numer_eval: int
     denom_eval: int
+
+    def __post_init__(self):
+        _check_type(self.numer_eval, int, "numer_eval")
+        _check_type(self.denom_eval, int, "denom_eval")
 
 
 def _sample_factor(rng, prime: int) -> tuple:

@@ -114,8 +114,6 @@ def _join(fields, width: int, count: int) -> bytes:
         high = value & moved
         value ^= high ^ (high >> shift)
     data = value.to_bytes(len(data), "big")
-    if grain == 1:
-        return data[word - 1::word]
     out = bytearray(words * grain)
     for b in range(grain):
         out[b::grain] = data[word - grain + b::word]

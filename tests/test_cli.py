@@ -112,6 +112,19 @@ def test_unknown_subcommand_is_usage_error():
     assert run("frobnicate") == 2
 
 
+@pytest.mark.parametrize("argv,missing", [
+    ([], "permcrypt: error: the following arguments are required: command"),
+    (["kat"], "permcrypt kat: error: the following arguments are required: kat_command"),
+    (["info"], "permcrypt info: error: the following arguments are required: info_command"),
+], ids=["no-command", "bare-kat", "bare-info"])
+def test_a_command_group_without_its_subcommand_is_usage_error(capsys, argv, missing):
+    # Only leaf parsers bind a handler, so each group must demand its subcommand.
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: permcrypt")
+    assert err.splitlines()[-1] == missing
+
+
 @pytest.fixture
 def mixed_files(tmp_path, triple):
     """The level-I triple next to level-III envelopes, a pad and an empty directory."""

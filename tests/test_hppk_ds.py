@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from conftest import ScriptedEntropy
 
@@ -201,8 +203,17 @@ def test_zero_signature_values_unconstructible():
     (lambda p, sk, pk, vk, sig: verify(vk, p, b"m", None), "sig"),
     (lambda p, sk, pk, vk, sig: Signature(1.5, 1), "numer_tag"),
     (lambda p, sk, pk, vk, sig: Signature(1, "1"), "denom_tag"),
+    (lambda p, sk, pk, vk, sig: replace(vk, numer_resid=(1.5,) * 3), "numer_resid"),
+    (lambda p, sk, pk, vk, sig: replace(vk, denom_quot=list(vk.denom_quot)), "denom_quot"),
+    (lambda p, sk, pk, vk, sig: replace(vk, ring2_resid=1.5), "ring2_resid"),
+    (lambda p, sk, pk, vk, sig: derive_verification_key(None, pk, 5, p), "sk"),
+    (lambda p, sk, pk, vk, sig: derive_verification_key(sk, vk, 5, p), "pk"),
+    (lambda p, sk, pk, vk, sig: derive_verification_key(sk, pk, 5.0, p), "blind"),
+    (lambda p, sk, pk, vk, sig: derive_verification_key(sk, pk, 5, None), "params"),
 ], ids=["none-sk", "sign-none-params", "pk-as-vk", "none-vk", "verify-none-params", "none-sig",
-        "float-numer-tag", "str-denom-tag"])
+        "float-numer-tag", "str-denom-tag", "float-vk-residues", "list-vk-quotients",
+        "float-vk-ring-residue", "derive-none-sk", "derive-vk-as-pk", "derive-float-blind",
+        "derive-none-params"])
 def test_ds_refuses_wrong_type_arguments_naming_them(call, name):
     params = ds_params("I")
     sk, pk, vk = seeded_triple(params, b"wrong-types")

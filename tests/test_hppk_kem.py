@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,8 @@ from permcrypt.hppk_kem import (
     PRIMES_BY_BITS,
     KemCiphertext,
     KemParams,
+    KemPrivateKey,
+    KemPublicKey,
     _RESAMPLE_LIMIT,
     _evaluate,
     _proportional,
@@ -144,7 +147,8 @@ def test_polynomial_shape_is_fixed():
     for knob in ("base_order", "factor_order", "ring_bits", "shift_bits", "hash_bytes"):
         with pytest.raises(TypeError):
             KemParams(prime=7, noise_count=1, **{knob: 1})
-    with pytest.raises(ValueError):
+    # Python 3.13 made dataclasses.replace refuse an init=False field with TypeError.
+    with pytest.raises(TypeError if sys.version_info >= (3, 13) else ValueError):
         replace(KemParams(7, 1), ring_bits=20)
     with pytest.raises(ParameterError, match="noise count"):
         KemParams(prime=7, noise_count=0)
@@ -440,8 +444,19 @@ def test_level_round_trips_all_configurations():
     (lambda p, sk, pk, ct, rng: decapsulate(None, ct, p), "sk"),
     (lambda p, sk, pk, ct, rng: decapsulate(sk, None, p), "ct"),
     (lambda p, sk, pk, ct, rng: decapsulate(sk, ct, None), "params"),
+    (lambda p, sk, pk, ct, rng: KemPublicKey((1.5,) * 6, pk.denom_matrix), "numer_matrix"),
+    (lambda p, sk, pk, ct, rng: KemPublicKey(pk.numer_matrix, list(pk.denom_matrix)),
+     "denom_matrix"),
+    (lambda p, sk, pk, ct, rng: KemCiphertext(1.5, 2), "numer_eval"),
+    (lambda p, sk, pk, ct, rng: KemCiphertext(ct.numer_eval, "2"), "denom_eval"),
+    (lambda p, sk, pk, ct, rng: replace(sk, numer_coeffs=(1.0, 2)), "numer_coeffs"),
+    (lambda p, sk, pk, ct, rng: replace(sk, denom_coeffs=(3, None)), "denom_coeffs"),
+    (lambda p, sk, pk, ct, rng: KemPrivateKey((1, 2), (3, 4), None, None), "ring1"),
+    (lambda p, sk, pk, ct, rng: replace(sk, ring2=(3, 7)), "ring2"),
 ], ids=["keygen-none-params", "none-pk", "ct-as-pk", "encapsulate-none-params", "none-sk",
-        "none-ct", "decapsulate-none-params"])
+        "none-ct", "decapsulate-none-params", "float-pk-entries", "list-pk-matrix",
+        "float-ct-eval", "str-ct-eval", "float-sk-coefficient", "none-sk-coefficient",
+        "none-sk-rings", "tuple-sk-ring"])
 def test_kem_refuses_wrong_type_arguments_naming_them(call, name):
     params = kem_params("I", 2)
     sk, pk = seeded_keygen(params, b"wrong-types")
