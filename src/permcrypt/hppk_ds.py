@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from .errors import (
     FormatError, GenerationError, ParameterError, SigningError, _check_ints, _check_type,
 )
-from .hppk_kem import KemParams, KemPrivateKey, KemPublicKey, keygen, shipped_params
+from .hppk_kem import (
+    KemParams, KemPrivateKey, KemPublicKey, _check_public_shape, keygen, shipped_params,
+)
 from .keystream import hash_to_field
 
 _SELF_CHECK_LIMIT = 64
@@ -68,11 +70,14 @@ class DsVerificationKey:
 def derive_verification_key(
     sk: KemPrivateKey, pk: KemPublicKey, blind: int, params: KemParams
 ) -> DsVerificationKey:
-    """Fold the public matrices into the verification key with a known blind."""
+    """Fold the public matrices into the verification key with a known blind.
+
+    A public key whose matrices are not `params.terms` long raises
+    FormatError, as in encapsulate.
+    """
     _check_type(sk, KemPrivateKey, "sk")
-    _check_type(pk, KemPublicKey, "pk")
+    _check_public_shape(pk, params)
     _check_type(blind, int, "blind")
-    _check_type(params, KemParams, "params")
     if not 0 < blind < params.prime:
         raise ParameterError("blinding scalar must be a nonzero field element")
     p = params.prime

@@ -240,6 +240,14 @@ def _evaluate(pk: KemPublicKey, params: KemParams, secret: int, noise) -> KemCip
     )
 
 
+def _check_public_shape(pk: KemPublicKey, params: KemParams) -> None:
+    """Refuse a public key whose matrices are not `params.terms` long, as a FormatError."""
+    _check_type(pk, KemPublicKey, "pk")
+    _check_type(params, KemParams, "params")
+    if len(pk.numer_matrix) != params.terms or len(pk.denom_matrix) != params.terms:
+        raise FormatError("public key has the wrong shape for these parameters")
+
+
 def encapsulate(pk: KemPublicKey, params: KemParams, rng):
     """Encapsulate a fresh secret.  Returns (secret, ciphertext).
 
@@ -248,10 +256,7 @@ def encapsulate(pk: KemPublicKey, params: KemParams, rng):
     rng.next_index, as in keygen.  A public key whose matrices are not
     `params.terms` long raises FormatError.
     """
-    _check_type(pk, KemPublicKey, "pk")
-    _check_type(params, KemParams, "params")
-    if len(pk.numer_matrix) != params.terms or len(pk.denom_matrix) != params.terms:
-        raise FormatError("public key has the wrong shape for these parameters")
+    _check_public_shape(pk, params)
     secret = rng.next_index(params.prime)
     noise = [1 + rng.next_index(params.prime - 1) for _ in range(params.noise_count)]
     return secret, _evaluate(pk, params, secret, noise)
@@ -264,11 +269,15 @@ def decapsulate(sk: KemPrivateKey, ct: KemCiphertext, params: KemParams) -> int:
     so the lift is exact), then solves the linear factors' ratio
     (f0 + f1*x) / (h0 + h1*x) = numer_lift / denom_lift for x in
     cross-multiplied form, which also covers the pole where the
-    denominator factor vanishes at the secret point.
+    denominator factor vanishes at the secret point.  A ciphertext value
+    outside [0, ciphertext_bound(params)) raises FormatError.
     """
     _check_type(sk, KemPrivateKey, "sk")
     _check_type(ct, KemCiphertext, "ct")
     _check_type(params, KemParams, "params")
+    bound = ciphertext_bound(params)
+    if not 0 <= ct.numer_eval < bound or not 0 <= ct.denom_eval < bound:
+        raise FormatError("ciphertext values out of range")
     p = params.prime
     r1, r2 = sk.ring1, sk.ring2
     numer_lift = r1.invert(ct.numer_eval % r1.modulus) % p

@@ -140,8 +140,10 @@ class KeystreamState:
 
     def _squeeze(self, end: int) -> None:
         # A shorter SHAKE-256 output is a prefix of a longer one, so squeezing
-        # again from the start keeps the stream.  One squeeze covers the
-        # request and at least doubles the buffer, so small draws stay linear.
+        # again from the start keeps the stream.  A caller that knows how far
+        # its draws reach squeezes once to that bound on a fresh state; past
+        # it, one squeeze covers the request and at least doubles the buffer,
+        # so small draws stay linear.
         self._buf = hashlib.shake_256(self._material).digest(max(end, 2 * len(self._buf), 256))
 
     def next_bits(self, k: int) -> int:
@@ -228,9 +230,13 @@ class KeystreamState:
 
     def _read_fields(self, k: int, want: int):
         """The next k-bit fields, at least `want` of them, split as by _split."""
-        group = math.lcm(k, 8)  # bits in whole fields and whole bytes
-        nbytes = -(-want * k // group) * group // 8
-        return _split(self.next_bytes(nbytes), k)
+        return _split(self.next_bytes(_field_bytes(k, want)), k)
+
+
+def _field_bytes(k: int, want: int) -> int:
+    """The bytes of the fewest whole granules that hold `want` k-bit fields."""
+    group = math.lcm(k, 8)  # bits in whole fields and whole bytes
+    return -(-want * k // group) * group // 8
 
 
 def hash_to_field(message: bytes, p: int, digest_bytes: int) -> int:

@@ -23,6 +23,7 @@ from .keystream import (
     TAG_QPP_PRERAND,
     KeystreamState,
     _check_bytes,
+    _field_bytes,
     _join,
     _ordered,
     _split,
@@ -164,11 +165,14 @@ def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
     next_index call per swap.  The shuffled tables are bijections by
     construction, so they are not checked again.  Every table, its inverse
     and the flat table point into one shared set of ints per block size.
+    The stream is squeezed once, to 1.5 n-bit fields per table entry: the
+    rate at which the shuffle reads ahead, which its draws seldom pass.
     """
     _check_block_bits(n)
     if not isinstance(size, int) or not 1 <= size <= MAX_PAD_SIZE:
         raise ParameterError(f"pad size must be in [1, {MAX_PAD_SIZE}]")
     state = KeystreamState(seed, TAG_QPP_PAD)
+    state._squeeze(size * 3 * (n << n) // 16)
     tables = (state.shuffle(1 << n) for _ in range(size))
     return PermutationPad(n, (Permutation._unchecked(n, t) for t in tables))
 
@@ -207,7 +211,7 @@ def _compose_phases(tables: list, n: int) -> tuple:
     return tuple(_join(map(getitem, cycle(run), fields), n, len(fields)) for run in runs)
 
 
-def _draw_indices(size: int, seed: bytes):
+def _draw_indices(size: int, seed: bytes, blocks: int):
     """A function from a count to the next `count` random dispatch indices.
 
     It reproduces one next_index(M) call per block in bulk: the dispatch
@@ -217,18 +221,26 @@ def _draw_indices(size: int, seed: bytes):
     ceil(shortfall * 2**k / M) fields it needs on average, in whole bytes.
     When M rejects fields, the refill adds 2 * sqrt of that many, at least
     four standard deviations of the rejected count, so it seldom falls short
-    and squeezes the dispatch stream again from its start.
+    and reads again.  The stream is squeezed once, to the fields that
+    `blocks` indices need on average plus twice that margin; only a run of
+    rejections past it squeezes the stream again from its start.
     """
     stream = KeystreamState(seed, TAG_QPP_DISPATCH)
     k = (size - 1).bit_length()
     pending = b"" if k <= 8 else ()
     spare = 0 if size == 1 << k else 2  # fields per sqrt(want) when M rejects
 
+    def to_read(count, margin):  # the fields that yield count indices, plus margin * sqrt
+        want = -(-(count << k) // size)
+        return want + margin * math.isqrt(want)
+
+    if blocks:  # twice the margin: the last refill can end one margin past the blocks' fields
+        stream._squeeze(_field_bytes(k, to_read(blocks, 2 * spare)))
+
     def take(count):
         nonlocal pending
         while len(pending) < count:
-            want = -(-(count - len(pending) << k) // size)
-            fields = stream._read_fields(k, want + spare * math.isqrt(want))
+            fields = stream._read_fields(k, to_read(count - len(pending), spare))
             if k <= 8:  # one byte per field: translate deletes those >= M in C
                 fields = fields.translate(None, bytes(range(size, 1 << k)))
             elif size != 1 << k:
@@ -246,7 +258,7 @@ def _xor(chunk: bytes, mask: bytes) -> bytes:
     )
 
 
-def _kernel(pad, seed, mode):
+def _kernel(pad, seed, mode, blocks):
     """The function substitute(chunk, start) for pad under mode: the one choice of kernel.
 
     Round-robin dispatch (sequential mode, or M = 1) with n dividing 8 takes
@@ -257,13 +269,14 @@ def _kernel(pad, seed, mode):
     n + k <= 16 it gathers the chunk from the pad's flat table by 16-bit
     keys (index << n) | block.  Every other shape takes one pass over the
     blocks.  The function owns the dispatch state, so it must meet the
-    chunks in order; start is the chunk's byte offset.
+    chunks in order; start is the chunk's byte offset, and `blocks` is the
+    input's block count, to which the dispatch stream is squeezed.
     """
     n = pad.n
     round_robin = mode == MODE_SEQUENTIAL or pad.size == 1
     phases = pad._phase_tables if round_robin else ()
     flat = None if round_robin else pad._flat_table
-    draw = None if round_robin else _draw_indices(pad.size, seed)
+    draw = None if round_robin else _draw_indices(pad.size, seed, blocks)
     if phases:
         period = len(phases)
 
@@ -314,11 +327,11 @@ def _run_pipeline(pad, seed, data, mode, decrypt) -> bytes:
         # A misaligned ciphertext is a malformed file, not a caller's mistake.
         error = FormatError if decrypt else ParameterError
         raise error(f"{name} is not a whole number of blocks")
-    substitute = _kernel(pad._inverse if decrypt else pad, seed, mode)
-    step = _CHUNK_BYTES - _CHUNK_BYTES % _granule(pad.n)
     # Block i is masked by stream bits [i*n, (i+1)*n), so the mask is the
     # stream's first len(data) bytes, squeezed once and sliced like the data.
     masks = KeystreamState(seed, TAG_QPP_PRERAND).next_bytes(len(data))
+    substitute = _kernel(pad._inverse if decrypt else pad, seed, mode, 8 * len(data) // pad.n)
+    step = _CHUNK_BYTES - _CHUNK_BYTES % _granule(pad.n)
     out = bytearray()
     for start in range(0, len(data), step):
         chunk, mask = data[start:start + step], masks[start:start + step]
@@ -337,9 +350,10 @@ def encrypt_stream(
     Per block: XOR with the next n prerandomization bits, pick a pad
     permutation from the dispatch stream (or round-robin in sequential
     mode), and substitute through its table.  The mask is one squeeze of
-    len(plaintext) prerandomization bytes.  The work runs in fixed-size
-    chunks, but the mask, the dispatch stream's buffer and the output grow
-    with the input.
+    len(plaintext) prerandomization bytes, and random dispatch squeezes its
+    stream once, to the fields the input's blocks need.  The work runs in
+    fixed-size chunks, but the mask, the dispatch stream's buffer and the
+    output grow with the input.
     """
     return _run_pipeline(pad, seed, plaintext, mode, decrypt=False)
 

@@ -14,7 +14,7 @@ from permcrypt.hppk_ds import (
     sign,
     verify,
 )
-from permcrypt.hppk_kem import DS_FIELD_BITS, KemParams, KemPrivateKey, keygen
+from permcrypt.hppk_kem import DS_FIELD_BITS, KemParams, KemPrivateKey, kem_params, keygen
 from permcrypt.keystream import (
     TAG_HPPK_HASH,
     TAG_HPPK_KEYGEN,
@@ -91,6 +91,18 @@ def test_blind_must_be_nonzero_field_element():
         derive_verification_key(sk, pk, 0, params)
     with pytest.raises(ParameterError):
         derive_verification_key(sk, pk, 7, params)
+
+
+def test_derive_verification_key_refuses_a_public_key_of_the_wrong_length():
+    # The same FormatError as encapsulate, before any matrix is folded.
+    params = kem_params("I")  # 6 terms
+    sk, pk = keygen(params, KeystreamState(b"vk-length", TAG_HPPK_KEYGEN))
+    for bad in (replace(pk, numer_matrix=pk.numer_matrix + pk.numer_matrix[:3],
+                        denom_matrix=pk.denom_matrix + pk.denom_matrix[:3]),
+                replace(pk, numer_matrix=pk.numer_matrix[:-1]),
+                replace(pk, denom_matrix=pk.denom_matrix + (1,))):
+        with pytest.raises(FormatError, match="wrong shape"):
+            derive_verification_key(sk, bad, 5, params)
 
 
 # --- signing ----------------------------------------------------------------

@@ -18,6 +18,7 @@ from permcrypt.hppk_kem import (
     _evaluate,
     _proportional,
     attack_complexity,
+    ciphertext_bound,
     decapsulate,
     encapsulate,
     kem_params,
@@ -326,6 +327,25 @@ def test_decapsulate_refuses_a_ciphertext_whose_lifts_vanish():
     sk, _ = seeded_keygen(params, b"vanish")
     with pytest.raises(DecapsulationError, match="base polynomial vanished"):
         decapsulate(sk, KemCiphertext(0, 0), params)
+
+
+@pytest.mark.parametrize("field", ["numer_eval", "denom_eval"])
+@pytest.mark.parametrize("edge", ["minus-one", "bound"])
+def test_decapsulate_refuses_ciphertext_values_out_of_range(field, edge):
+    # [0, ciphertext_bound) is the range the codec reads; each field is
+    # checked on its own, and the values just inside pass the check.
+    params = kem_params("I")
+    sk, pk = seeded_keygen(params, b"range")
+    x, ct = encapsulate(pk, params, KeystreamState(b"range", TAG_HPPK_U))
+    bound = ciphertext_bound(params)
+    outside, inside = (-1, 0) if edge == "minus-one" else (bound, bound - 1)
+    with pytest.raises(FormatError, match="out of range"):
+        decapsulate(sk, replace(ct, **{field: outside}), params)
+    try:
+        decapsulate(sk, replace(ct, **{field: inside}), params)
+    except DecapsulationError:
+        pass
+    assert decapsulate(sk, ct, params) == x
 
 
 def test_noise_randomizes_ciphertexts():

@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permcrypt.errors import ParameterError
 from permcrypt.keystream import (
@@ -181,6 +182,29 @@ def test_next_bytes_rejects_negative_counts_and_reads_nothing_for_zero():
             state.next_bytes(-2)
         assert state.next_bytes(0) == b""
         assert state.next_bytes(2) == ref.next_bytes(2)
+
+
+_DRAWS = st.one_of(
+    st.tuples(st.just("bits"), st.integers(1, 70)),
+    st.tuples(st.just("bytes"), st.integers(0, 40)),
+    st.tuples(st.just("index"), st.integers(1, 1 << 40)),
+    st.tuples(st.just("shuffle"), st.integers(0, 300)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(length=st.integers(0, 4096), draws=st.lists(_DRAWS, max_size=24))
+def test_a_state_squeezed_ahead_draws_what_a_fresh_one_draws(length, draws):
+    # A shorter SHAKE-256 output is a prefix of a longer one, so squeezing
+    # to any bound before the first draw changes no draw and no position,
+    # whether the draws stop short of the bound or run past it.
+    fresh, ahead = KeystreamState(b"ahead", b"t"), KeystreamState(b"ahead", b"t")
+    ahead._squeeze(length)
+    for kind, arg in draws:
+        method = {"bits": "next_bits", "bytes": "next_bytes",
+                  "index": "next_index", "shuffle": "shuffle"}[kind]
+        assert getattr(ahead, method)(arg) == getattr(fresh, method)(arg), (kind, arg)
+        assert ahead._bit == fresh._bit
 
 
 class _ShakeBits:

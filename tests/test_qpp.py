@@ -512,7 +512,7 @@ def test_ciphertext_is_pinned(n, size, mode):
 
 def _kernels(pad, mode):
     """The names of the kernels that encryption and decryption pick for pad."""
-    return {qpp._kernel(p, b"k", mode).__name__ for p in (pad, pad._inverse)}
+    return {qpp._kernel(p, b"k", mode, 0).__name__ for p in (pad, pad._inverse)}
 
 
 def test_round_robin_dispatch_over_whole_bytes_uses_phase_tables():
@@ -596,6 +596,51 @@ def test_rejecting_dispatch_fills_a_chunk_from_one_squeeze(monkeypatch):
         encrypt_stream(pad, b"key %d" % i, bytes(6144), MODE_RANDOM)
         monkeypatch.undo()
         assert len(lengths) == 2, (i, lengths)
+
+
+# The pad shapes that the CI workflow generates.
+CI_PAD_SHAPES = [(8, 64), (12, 3), (16, 1), (8, 300), (8, 512),
+                 (4, 6), (7, 5), (13, 7), (16, 4), (1, 1)]
+
+
+@pytest.mark.parametrize("n,size", CI_PAD_SHAPES, ids=[f"n{n}m{m}" for n, m in CI_PAD_SHAPES])
+def test_generate_pad_squeezes_its_stream_once(monkeypatch, n, size):
+    # 1.5 n-bit fields per table entry, the shuffle's read-ahead rate, or the
+    # 256-byte floor of a squeeze.
+    lengths = _record_squeezes(monkeypatch)
+    for i in range(20):
+        generate_pad(b"pad squeeze %d" % i, n, size)
+    assert lengths == [max(size * 3 * (n << n) // 16, 256)] * 20
+
+
+def _fixed_text(nbytes: int, n: int) -> bytes:
+    """The text of `yes permcrypt`, cut to whole n-bit blocks."""
+    nbytes -= nbytes % qpp._granule(n)
+    return (b"permcrypt\n" * (nbytes // 10 + 1))[:nbytes]
+
+
+@pytest.mark.parametrize("n,size,nbytes", [
+    (8, 64, 100003), (12, 3, 100003), (8, 300, 100003), (8, 512, 100003), (4, 6, 100003),
+    (7, 5, 100003), (13, 7, 100003), (16, 4, 100003), (8, 64, 1048579), (12, 3, 1048579),
+])
+def test_random_streams_squeeze_mask_and_dispatch_once(monkeypatch, n, size, nbytes):
+    # Inputs of many chunks: every refill reads from the one dispatch squeeze.
+    # With M = 2**k that squeeze is the blocks' k-bit fields in whole granules.
+    pad = generate_pad(b"beef", n, size)
+    data = _fixed_text(nbytes, n)
+    blocks, k = 8 * len(data) // n, (size - 1).bit_length()
+    fields_per_granule = math.lcm(k, 8) // k
+    granules = -(-blocks // fields_per_granule)
+    for key in (b"c0ffee", b"other key"):
+        lengths = _record_squeezes(monkeypatch)
+        ct = encrypt_stream(pad, key, data, MODE_RANDOM)
+        assert len(lengths) == 2 and lengths[0] == len(data), (key, lengths)
+        if size == 1 << k:
+            assert lengths[1] == granules * math.lcm(k, 8) // 8
+        lengths.clear()
+        assert decrypt_stream(pad, key, ct, MODE_RANDOM) == data
+        monkeypatch.undo()
+        assert len(lengths) == 2 and lengths[0] == len(data), (key, lengths)
 
 
 def test_encrypt_empty_is_empty():
