@@ -6,11 +6,14 @@ Each HPPK kind's payload is described in `_payload` and placed once per
 (kind, shipped parameter set) by `_layout`: header bytes, field offsets
 and size, read by its encoder, its decoder and its size formula.  There
 each field's rule is stated once, as a [low, high) range, so an encoder
-refuses exactly what its decoder refuses.  The one cross-field rule, a
-ring multiplier below its modulus and coprime to it, is the `RingOperator`
-constructor, which the private-key decoder calls.  A verification key
-holds no radix shift; its encoder writes the set's own.  Key matrices are
-flat tuples, row by row, and each is written as one run in that order.
+refuses exactly what its decoder refuses.  Decoders build the public key,
+ciphertext, verification key and signature straight from those
+range-checked fields and do not re-run the constructors' checks.  The one
+cross-field rule, a ring multiplier below its modulus and coprime to it,
+is the `RingOperator` constructor, which the private-key decoder still
+calls.  A verification key holds no radix shift; its encoder writes the
+set's own.  Key matrices are flat tuples, row by row, and each is written
+as one run in that order.
 A decode reads the header first and reports a header byte that names no
 shipped set at its own offset.  It then checks the length once: truncation
 is reported at the first missing byte, trailing bytes at the expected end,
@@ -108,12 +111,13 @@ def _payload(kind: int, params: KemParams) -> tuple:
 
 @lru_cache(maxsize=64)  # five kinds over the nine shipped parameter sets
 def _layout(kind: int, params: KemParams) -> tuple:
-    """Header, (name, width, low, high, field offsets) runs and size; shipped sets only."""
+    """Header, (name, width, low, high, field offsets) runs, size, and the runs'
+    field offsets alone, as `_decode` returns them; shipped sets only."""
     header, runs, at = _params_header(kind, params), [], HEADER_LEN
     for what, count, width, low, high in _payload(kind, params):
         runs.append((what, width, low, high, range(at, at + count * width, width)))
         at += count * width
-    return header, tuple(runs), at
+    return header, tuple(runs), at, tuple(where for *_, where in runs)
 
 
 def _size(kind: int, params: KemParams) -> int:
@@ -213,7 +217,7 @@ def _encode(kind: int, params: KemParams, runs) -> bytes:
     enforces, so no envelope carries a field its decoder calls out of range.
     """
     _check_type(params, KemParams, "params")
-    header, layout, _ = _layout(kind, params)
+    header, layout, *_ = _layout(kind, params)
     out = [header]
     for (what, width, low, high, where), values in zip(layout, runs):
         if len(values) != len(where):
@@ -232,7 +236,7 @@ def _decode(data: bytes, kind: int):
     any field is read; each field is then sliced out and range-checked.
     """
     _check_bytes(data, "envelope")
-    params, (_, layout, size) = _read_params_header(bytes(data[:HEADER_LEN]), kind)
+    params, (_, layout, size, offsets) = _read_params_header(bytes(data[:HEADER_LEN]), kind)
     _check_length(data, size)
     values = []
     for what, width, low, high, where in layout:
@@ -241,7 +245,23 @@ def _decode(data: bytes, kind: int):
             bad = next(i for i, v in zip(where, run) if not low <= v < high)
             raise FormatError(f"{what} out of range", offset=bad)
         values.append(run)
-    return params, values, [where for *_, where in layout]
+    return params, values, offsets
+
+
+_setattr = object.__setattr__  # what a frozen dataclass's own __init__ calls
+
+
+def _unchecked(cls, *fields):
+    """A `cls` object from fields `_decode` has checked, without its `__post_init__`.
+
+    Each field is an int in its run's [low, high), or a tuple of them, which
+    is stricter than the constructor's own checks; public construction keeps
+    them all.  Like `Permutation._unchecked`, it sets the frozen fields directly.
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        _setattr(obj, name, value)
+    return obj
 
 
 def encode_kem_public(pk: KemPublicKey, params: KemParams) -> bytes:
@@ -251,7 +271,7 @@ def encode_kem_public(pk: KemPublicKey, params: KemParams) -> bytes:
 
 def decode_kem_public(data: bytes):
     params, (numer, denom), _ = _decode(data, KIND_KEM_PUBLIC)
-    return KemPublicKey(tuple(numer), tuple(denom)), params
+    return _unchecked(KemPublicKey, tuple(numer), tuple(denom)), params
 
 
 def encode_kem_private(sk: KemPrivateKey, params: KemParams) -> bytes:
@@ -281,7 +301,7 @@ def encode_kem_ciphertext(ct: KemCiphertext, params: KemParams) -> bytes:
 
 def decode_kem_ciphertext(data: bytes):
     params, [(numer, denom)], _ = _decode(data, KIND_KEM_CIPHERTEXT)
-    return KemCiphertext(numer, denom), params
+    return _unchecked(KemCiphertext, numer, denom), params
 
 
 def encode_verification_key(vk: DsVerificationKey, params: KemParams) -> bytes:
@@ -296,7 +316,7 @@ def encode_verification_key(vk: DsVerificationKey, params: KemParams) -> bytes:
 def decode_verification_key(data: bytes):
     params, runs, _ = _decode(data, KIND_DS_VERIFICATION)
     *matrices, residues, _ = runs  # the radix shift is the set's own, by its range
-    return DsVerificationKey(*map(tuple, matrices), *residues), params
+    return _unchecked(DsVerificationKey, *map(tuple, matrices), *residues), params
 
 
 def encode_signature(sig: Signature, params: KemParams) -> bytes:
@@ -306,7 +326,7 @@ def encode_signature(sig: Signature, params: KemParams) -> bytes:
 
 def decode_signature(data: bytes):
     params, [(numer_tag, denom_tag)], _ = _decode(data, KIND_DS_SIGNATURE)
-    return Signature(numer_tag, denom_tag), params
+    return _unchecked(Signature, numer_tag, denom_tag), params
 
 
 def encode_secret(secret: int, params: KemParams) -> bytes:

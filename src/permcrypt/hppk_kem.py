@@ -51,7 +51,9 @@ class KemParams:
     header still records.  Each width follows from the prime's bit length
     b = `field_bits`: `ring_bits` = 2b + 8, radix shift `shift_bits` =
     ring_bits + 32, and the shortest SHA3 digest of at least 4b bits,
-    `hash_bytes`.  `level` names the shipped set equal to this one, if any.
+    `hash_bytes`.  `eval_bound` = terms * 2**ring_bits * prime is the strict
+    upper bound on a ciphertext evaluation, `ciphertext_bound`'s value.
+    `level` names the shipped set equal to this one, if any.
     """
 
     base_order: ClassVar[int] = 1
@@ -64,6 +66,7 @@ class KemParams:
     ring_bits: int = field(init=False, compare=False)
     shift_bits: int = field(init=False, compare=False)
     hash_bytes: int = field(init=False, compare=False)
+    eval_bound: int = field(init=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.prime, int) or self.prime < 2:
@@ -81,6 +84,7 @@ class KemParams:
         object.__setattr__(self, "ring_bits", ring_bits)
         object.__setattr__(self, "shift_bits", ring_bits + 32)
         object.__setattr__(self, "hash_bytes", hash_bytes)
+        object.__setattr__(self, "eval_bound", self.terms * (1 << ring_bits) * self.prime)
 
     @property
     def level(self) -> str | None:
@@ -222,8 +226,8 @@ def keygen(params: KemParams, rng):
 
 
 def ciphertext_bound(params: KemParams) -> int:
-    """Strict upper bound on either ciphertext evaluation."""
-    return params.terms * (1 << params.ring_bits) * params.prime
+    """Strict upper bound on either ciphertext evaluation: terms * 2**ring_bits * prime."""
+    return params.eval_bound
 
 
 def _evaluate(pk: KemPublicKey, params: KemParams, secret: int, noise) -> KemCiphertext:
@@ -275,7 +279,7 @@ def decapsulate(sk: KemPrivateKey, ct: KemCiphertext, params: KemParams) -> int:
     _check_type(sk, KemPrivateKey, "sk")
     _check_type(ct, KemCiphertext, "ct")
     _check_type(params, KemParams, "params")
-    bound = ciphertext_bound(params)
+    bound = params.eval_bound
     if not 0 <= ct.numer_eval < bound or not 0 <= ct.denom_eval < bound:
         raise FormatError("ciphertext values out of range")
     p = params.prime

@@ -3,6 +3,7 @@ from array import array
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permcrypt import codec
 from permcrypt.errors import FormatError, ParameterError
@@ -126,6 +127,68 @@ def test_ds_round_trips(level):
     assert got_vk == vk
     got_sig, _ = codec.decode_signature(codec.encode_signature(sig, params))
     assert got_sig == sig
+
+
+# Each decoder that builds its object from range-checked fields, and the
+# public constructor over the same payload runs.
+_DECODED_KINDS = {
+    codec.KIND_KEM_PUBLIC: (codec.decode_kem_public, lambda runs: KemPublicKey(*map(tuple, runs))),
+    codec.KIND_KEM_CIPHERTEXT: (codec.decode_kem_ciphertext,
+                                lambda runs: KemCiphertext(*runs[0])),
+    codec.KIND_DS_VERIFICATION: (codec.decode_verification_key,
+                                 lambda runs: DsVerificationKey(*map(tuple, runs[:4]), *runs[4])),
+    codec.KIND_DS_SIGNATURE: (codec.decode_signature, lambda runs: Signature(*runs[0])),
+}
+
+
+def _assert_built_like_the_constructor(decoded, built):
+    assert type(decoded) is type(built)
+    assert decoded == built and hash(decoded) == hash(built)
+    assert vars(decoded) == vars(built)
+    for value in vars(decoded).values():
+        values = value if isinstance(value, tuple) else (value,)
+        assert type(value) in (tuple, int) and all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_decoders_build_what_the_public_constructors_build(level, m):
+    params = shipped_params(level, m)
+    label = b"built-%s-%d" % (level.encode(), m)
+    sk, pk, vk = ds_keygen(params, KeystreamState(label, TAG_HPPK_KEYGEN))
+    _, ct = encapsulate(pk, params, KeystreamState(label, TAG_HPPK_U))
+    sig = sign(sk, params, b"built", KeystreamState(label, TAG_HPPK_HASH), vk=vk)
+    for kind, (value, encode) in {
+        codec.KIND_KEM_PUBLIC: (pk, codec.encode_kem_public),
+        codec.KIND_KEM_CIPHERTEXT: (ct, codec.encode_kem_ciphertext),
+        codec.KIND_DS_VERIFICATION: (vk, codec.encode_verification_key),
+        codec.KIND_DS_SIGNATURE: (sig, codec.encode_signature),
+    }.items():
+        data = encode(value, params)
+        decode, construct = _DECODED_KINDS[kind]
+        decoded, got = decode(data)
+        assert got is params and decoded == value
+        _assert_built_like_the_constructor(decoded, construct(codec._decode(data, kind)[1]))
+
+
+@st.composite
+def _in_range_payloads(draw):
+    """A kind, a shipped set and, for each run of its layout, values inside the run's range."""
+    kind = draw(st.sampled_from(sorted(_DECODED_KINDS)))
+    params = shipped_params(draw(st.sampled_from(LEVELS)), draw(st.sampled_from([1, 2, 3])))
+    runs = [draw(st.lists(st.integers(low, high - 1), min_size=len(where), max_size=len(where)))
+            for _, _, low, high, where in codec._layout(kind, params)[1]]
+    return kind, params, runs
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(_in_range_payloads())
+def test_drawn_in_range_fields_decode_to_the_constructors_object(case):
+    kind, params, runs = case
+    decode, construct = _DECODED_KINDS[kind]
+    decoded, got = decode(codec._encode(kind, params, runs))
+    assert got is params
+    _assert_built_like_the_constructor(decoded, construct(runs))
 
 
 def test_pad_round_trip():

@@ -145,7 +145,8 @@ def test_polynomial_shape_is_fixed():
     # widths follow from the prime, so neither is a constructor argument.
     for params in (kem_params("I"), ds_params("V"), KemParams(7, 1)):
         assert (params.base_order, params.factor_order, params.rows) == (1, 1, 3)
-    for knob in ("base_order", "factor_order", "ring_bits", "shift_bits", "hash_bytes"):
+    for knob in ("base_order", "factor_order", "ring_bits", "shift_bits", "hash_bytes",
+                 "eval_bound"):
         with pytest.raises(TypeError):
             KemParams(prime=7, noise_count=1, **{knob: 1})
     # Python 3.13 made dataclasses.replace refuse an init=False field with TypeError.
@@ -343,6 +344,30 @@ def test_decapsulate_refuses_ciphertext_values_out_of_range(field, edge):
         decapsulate(sk, replace(ct, **{field: outside}), params)
     try:
         decapsulate(sk, replace(ct, **{field: inside}), params)
+    except DecapsulationError:
+        pass
+    assert decapsulate(sk, ct, params) == x
+
+
+def test_decapsulate_reads_the_bound_of_its_own_parameter_set():
+    # A set that is not shipped derives its bound in its constructor, and
+    # ciphertext_bound keeps the formula it always had.
+    def formula(params):
+        return params.terms * (1 << params.ring_bits) * params.prime
+
+    for level in KEM_FIELD_BITS:
+        for m in (1, 2, 3):
+            assert ciphertext_bound(shipped_params(level, m)) == formula(shipped_params(level, m))
+    params = KemParams(65521, 2)
+    assert params.level is None
+    bound = ciphertext_bound(params)
+    assert bound == formula(params)
+    sk, pk = seeded_keygen(params, b"own-bound")
+    x, ct = encapsulate(pk, params, KeystreamState(b"own-bound", TAG_HPPK_U))
+    with pytest.raises(FormatError, match="^ciphertext values out of range$"):
+        decapsulate(sk, replace(ct, numer_eval=bound), params)
+    try:  # one below the bound passes the range check
+        decapsulate(sk, replace(ct, numer_eval=bound - 1), params)
     except DecapsulationError:
         pass
     assert decapsulate(sk, ct, params) == x
