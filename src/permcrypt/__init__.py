@@ -2,9 +2,10 @@
 hidden-ring public-key schemes for key encapsulation and signatures.
 
 The package re-exports nothing; import each name from its own module:
-`qpp` and `keystream` (the pad cipher), `ring_arith`, `hidden_ring`,
-`hppk_kem` and `hppk_ds` (the public-key schemes), `codec`, `kat`,
-`errors` and `cli`.
+`qpp` and `keystream` (the pad cipher, its QPP1 files and bit padding),
+`ring_arith`, `hidden_ring`, `hppk_kem` and `hppk_ds` (the public-key
+schemes), `codec` (their HPK1 files; it re-exports qpp's file names),
+`kat`, `errors` and `cli`, whose commands each load only their own scheme.
 
 Prototype quality: no constant-time guarantees, no authenticated
 encryption, and lattice attacks on public data break the shipped HPPK

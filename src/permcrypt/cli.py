@@ -2,23 +2,26 @@
 
 Exit codes: 0 success, 1 cryptographic reject (failed verify/decapsulation
 or a failed KAT run), 2 usage or format error.
+
+Each handler imports the modules it runs, so a QPP command never loads the
+HPPK schemes, their codec or the KAT module, and an HPPK command never
+loads the KAT module.
 """
 
 from __future__ import annotations
 
 import argparse
-import secrets
 import sys
 from pathlib import Path
 
-from . import codec, kat
 from .errors import FormatError, ParameterError, PermcryptError
-from .hppk_ds import ds_keygen, ds_params, sign, verify
-from .hppk_kem import LEVELS, attack_complexity, decapsulate, encapsulate
-from .keystream import TAG_HPPK_HASH, TAG_HPPK_KEYGEN, TAG_HPPK_U, KeystreamState
-from .qpp import MODE_RANDOM, MODE_SEQUENTIAL, decrypt_stream, encrypt_stream, generate_pad, pad_entropy
+from .qpp import MODE_RANDOM, MODE_SEQUENTIAL
 
 _SEED_BYTES = 32
+# hppk_kem.LEVELS and ("all", *kat.KAT_CONFIGS), spelled out: importing them loads the HPPK stack.
+_LEVELS = ("I", "III", "V")
+_KAT_LABELS = ("all", "KEM-I-m2", "KEM-I-m3", "KEM-III-m2", "KEM-III-m3", "KEM-V-m2",
+               "KEM-V-m3", "DS-I", "DS-III", "DS-V")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="acknowledge that a fixed seed is unsafe outside tests")
 
     p = leaf(sub, "keygen", _cmd_keygen, help="generate the key triple (sk, pk, vk)")
-    p.add_argument("--level", choices=LEVELS, default="III")
+    p.add_argument("--level", choices=_LEVELS, default="III")
     p.add_argument("--sk", required=True, help="private key output path")
     p.add_argument("--pk", required=True, help="encapsulation public key output path")
     p.add_argument("--vk", required=True, help="verification public key output path")
@@ -95,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = leaf(kat_sub, "emit", _cmd_kat_emit)
     pe.add_argument("--out", required=True, help="output directory")
     pe.add_argument("--config", default="all",
-                    choices=("all", *kat.KAT_CONFIGS), help="configuration label")
+                    choices=_KAT_LABELS, help="configuration label")
     pe.add_argument("--count", type=int, default=25)
     add_seed_flags(pe)
     pc = leaf(kat_sub, "check", _cmd_kat_check)
@@ -119,6 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _seed_material(args) -> bytes:
     """The seed of a command's keystreams: --seed-hex, else 32 bytes from the OS."""
     if args.seed_hex is None:
+        import secrets
+
         return secrets.token_bytes(_SEED_BYTES)
     if not args.unsafe_seed:
         raise ParameterError("--seed-hex is test-only; pass --unsafe-seed to use it")
@@ -129,6 +134,10 @@ def _seed_material(args) -> bytes:
 
 
 def _cmd_keygen(args) -> int:
+    from . import codec
+    from .hppk_ds import ds_keygen, ds_params
+    from .keystream import TAG_HPPK_KEYGEN, KeystreamState
+
     params = ds_params(args.level)
     sk, pk, vk = ds_keygen(params, KeystreamState(_seed_material(args), TAG_HPPK_KEYGEN))
     Path(args.sk).write_bytes(codec.encode_kem_private(sk, params))
@@ -138,6 +147,10 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_encaps(args) -> int:
+    from . import codec
+    from .hppk_kem import encapsulate
+    from .keystream import TAG_HPPK_U, KeystreamState
+
     pk, params = codec.decode_kem_public(Path(args.pk).read_bytes())
     secret, ct = encapsulate(pk, params, KeystreamState(_seed_material(args), TAG_HPPK_U))
     Path(args.out).write_bytes(codec.encode_kem_ciphertext(ct, params))
@@ -146,6 +159,9 @@ def _cmd_encaps(args) -> int:
 
 
 def _cmd_decaps(args) -> int:
+    from . import codec
+    from .hppk_kem import decapsulate
+
     sk, params = codec.decode_kem_private(Path(args.sk).read_bytes())
     ct, ct_params = codec.decode_kem_ciphertext(Path(args.infile).read_bytes())
     if ct_params != params:
@@ -156,6 +172,10 @@ def _cmd_decaps(args) -> int:
 
 
 def _cmd_sign(args) -> int:
+    from . import codec
+    from .hppk_ds import sign
+    from .keystream import TAG_HPPK_HASH, KeystreamState
+
     sk, params = codec.decode_kem_private(Path(args.sk).read_bytes())
     vk = None
     if args.vk is not None:
@@ -169,6 +189,9 @@ def _cmd_sign(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import codec
+    from .hppk_ds import verify
+
     vk, params = codec.decode_verification_key(Path(args.vk).read_bytes())
     sig, sig_params = codec.decode_signature(Path(args.sig).read_bytes())
     if sig_params != params:
@@ -182,8 +205,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_qpp_keygen(args) -> int:
+    from .qpp import encode_pad, generate_pad
+
     pad = generate_pad(_seed_material(args), args.n, args.M)
-    Path(args.out).write_bytes(codec.encode_pad(pad))
+    Path(args.out).write_bytes(encode_pad(pad))
     return 0
 
 
@@ -198,24 +223,30 @@ def _session_key(args) -> bytes:
 
 
 def _cmd_qpp_encrypt(args) -> int:
-    pad = codec.decode_pad(Path(args.pad).read_bytes())
-    padded = codec.pad_bits(Path(args.infile).read_bytes(), pad.n)
+    from .qpp import decode_pad, encode_qpp_stream, encrypt_stream, pad_bits
+
+    pad = decode_pad(Path(args.pad).read_bytes())
+    padded = pad_bits(Path(args.infile).read_bytes(), pad.n)
     body = encrypt_stream(pad, _session_key(args), padded, args.mode)
-    Path(args.out).write_bytes(codec.encode_qpp_stream(body, pad.n, pad.size, args.mode))
+    Path(args.out).write_bytes(encode_qpp_stream(body, pad.n, pad.size, args.mode))
     return 0
 
 
 def _cmd_qpp_decrypt(args) -> int:
-    pad = codec.decode_pad(Path(args.pad).read_bytes())
-    body, n, pad_size, mode = codec.decode_qpp_stream(Path(args.infile).read_bytes())
+    from .qpp import decode_pad, decode_qpp_stream, decrypt_stream, unpad_bits
+
+    pad = decode_pad(Path(args.pad).read_bytes())
+    body, n, pad_size, mode = decode_qpp_stream(Path(args.infile).read_bytes())
     if (n, pad_size) != (pad.n, pad.size):
         raise FormatError("stream was produced with a different pad shape")
     padded = decrypt_stream(pad, _session_key(args), body, mode)
-    Path(args.out).write_bytes(codec.unpad_bits(padded, n))
+    Path(args.out).write_bytes(unpad_bits(padded, n))
     return 0
 
 
 def _cmd_kat_emit(args) -> int:
+    from . import kat
+
     seed = _seed_material(args)
     labels = list(kat.KAT_CONFIGS) if args.config == "all" else [args.config]
     # Every file is emitted before --out is made, so a refused count leaves nothing.
@@ -230,6 +261,8 @@ def _cmd_kat_emit(args) -> int:
 
 
 def _cmd_kat_check(args) -> int:
+    from . import kat
+
     path = Path(args.infile)
     files = sorted(path.glob("*.kat")) if path.is_dir() else [path]
     if not files:
@@ -252,11 +285,15 @@ def _cmd_kat_check(args) -> int:
 
 
 def _cmd_info_entropy(args) -> int:
+    from .qpp import pad_entropy
+
     print(round(pad_entropy(args.n, args.M, args.kind)))
     return 0
 
 
 def _cmd_info_complexity(args) -> int:
+    from .hppk_kem import attack_complexity
+
     print(f"{attack_complexity(args.L):.2f}")
     return 0
 

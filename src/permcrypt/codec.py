@@ -1,4 +1,4 @@
-"""Bit-exact serialization for keys, ciphertexts, signatures, and pads.
+"""Bit-exact serialization for HPPK keys, ciphertexts and signatures.
 
 Every envelope is magic + kind + a parameter header + a fixed-width
 big-endian payload whose length is fully determined by the parameters.
@@ -17,8 +17,11 @@ as one run in that order.
 A decode reads the header first and reports a header byte that names no
 shipped set at its own offset.  It then checks the length once: truncation
 is reported at the first missing byte, trailing bytes at the expected end,
-and an out-of-range field at its own offset.  Pad and stream files use the
-`QPP1` envelope, and bit padding fills a message out to whole blocks.  The
+and an out-of-range field at its own offset.
+Pad and stream files use the `QPP1` envelope, which `permcrypt.qpp` defines
+with bit padding, beside the cipher whose limits its header shares; this
+module re-exports its six public names (`encode_pad`, `decode_pad`,
+`encode_qpp_stream`, `decode_qpp_stream`, `pad_bits`, `unpad_bits`).  The
 known-answer-test files, which run the schemes, live in `permcrypt.kat`.
 """
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import FormatError, ParameterError, _check_type
+from .errors import FormatError, ParameterError, _check_length, _check_magic, _check_type
 from .hppk_ds import DsVerificationKey, Signature
 from .hppk_kem import (
     LEVELS,
@@ -39,22 +42,16 @@ from .hppk_kem import (
 )
 from .hidden_ring import RingOperator
 from .keystream import _check_bytes
-from .qpp import (
-    MAX_BLOCK_BITS,
-    MAX_PAD_SIZE,
-    MIN_BLOCK_BITS,
-    MODE_RANDOM,
-    MODE_SEQUENTIAL,
-    Permutation,
-    PermutationPad,
-    _check_block_bits,
-    _granule,
-    blocks_from_bytes,
-    bytes_from_blocks,
+from .qpp import (  # the QPP1 envelope and bit padding, re-exported
+    decode_pad,
+    decode_qpp_stream,
+    encode_pad,
+    encode_qpp_stream,
+    pad_bits,
+    unpad_bits,
 )
 
 MAGIC_HPPK = b"HPK1"
-MAGIC_QPP = b"QPP1"
 
 KIND_KEM_PUBLIC = 0x01
 KIND_KEM_PRIVATE = 0x02
@@ -62,16 +59,10 @@ KIND_KEM_CIPHERTEXT = 0x03
 KIND_DS_VERIFICATION = 0x04
 KIND_DS_SIGNATURE = 0x05
 
-QPP_VERSION_PAD = 0x01
-QPP_VERSION_STREAM = 0x02
-
 _LEVEL_CODE = dict(zip(LEVELS, (1, 3, 5)))  # the NIST level number
 _LEVEL_FROM_CODE = {v: k for k, v in _LEVEL_CODE.items()}
-_MODE_CODE = {MODE_RANDOM: 0, MODE_SEQUENTIAL: 1}
-_MODE_FROM_CODE = {v: k for k, v in _MODE_CODE.items()}
 
 HEADER_LEN = 11  # magic, kind, level, field_bits (2), orders, noise count
-_QPP_HEADER_LEN = 8  # magic, version, block size n, pad size M (2)
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +142,7 @@ def shared_secret_size(params: KemParams) -> int:
 
 
 # ---------------------------------------------------------------------------
-# headers and the length check
-
-
-def _check_magic(data: bytes, magic: bytes, header_len: int) -> None:
-    # A prefix of the magic is a truncated envelope, not a foreign one.
-    if not magic.startswith(data[:4]):
-        raise FormatError("bad magic", offset=0)
-    if len(data) < header_len:
-        raise FormatError("truncated input", offset=len(data))
-
-
-def _check_length(data: bytes, size: int) -> None:
-    """The one length check once a header has fixed the envelope's size."""
-    if len(data) < size:
-        raise FormatError("truncated input", offset=len(data))
-    if len(data) > size:
-        raise FormatError("trailing bytes after payload", offset=size)
+# headers
 
 
 def _params_header(kind: int, params: KemParams) -> bytes:
@@ -346,100 +321,3 @@ def decode_secret(data: bytes, params: KemParams) -> int:
     if value >= params.prime:
         raise FormatError("shared secret out of field range", offset=0)
     return value
-
-
-# ---------------------------------------------------------------------------
-# QPP envelopes
-
-
-def _qpp_header(version: int, n: int, size: int) -> bytes:
-    _check_block_bits(n)
-    if not isinstance(size, int) or not 1 <= size <= MAX_PAD_SIZE:
-        raise ParameterError(f"pad size {size} does not fit the QPP1 header")
-    return MAGIC_QPP + bytes([version, n]) + size.to_bytes(2, "big")
-
-
-def _read_qpp_header(data: bytes, version: int, kind: str, header_len: int):
-    """Magic, version, block size n (offset 5) and pad size M (u16, offset 6)."""
-    _check_bytes(data, f"{kind} file")
-    _check_magic(data, MAGIC_QPP, header_len)
-    if data[4] != version:
-        raise FormatError(f"not a {kind} file", offset=4)
-    n = data[5]
-    if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
-        raise FormatError(
-            f"block size {n} not in [{MIN_BLOCK_BITS}, {MAX_BLOCK_BITS}]", offset=5
-        )
-    size = int.from_bytes(data[6:8], "big")
-    if size < 1:
-        raise FormatError("pad size must be at least 1", offset=6)
-    return n, size
-
-
-def encode_pad(pad: PermutationPad) -> bytes:
-    _check_type(pad, PermutationPad, "pad")
-    slot = 8 * _bytes_for(pad.n)  # each table entry is a whole byte or two
-    header = _qpp_header(QPP_VERSION_PAD, pad.n, pad.size)
-    return header + b"".join(bytes_from_blocks(perm.table, slot) for perm in pad.perms)
-
-
-def decode_pad(data: bytes) -> PermutationPad:
-    """Reads each table whole; Permutation's bijection check is its only check."""
-    n, size = _read_qpp_header(data, QPP_VERSION_PAD, "pad", _QPP_HEADER_LEN)
-    slot = 8 * _bytes_for(n)
-    table_len = (slot // 8) << n
-    _check_length(data, _QPP_HEADER_LEN + size * table_len)
-    perms = []
-    for at in range(_QPP_HEADER_LEN, len(data), table_len):
-        try:
-            perms.append(Permutation(n, blocks_from_bytes(data[at:at + table_len], slot)))
-        except ParameterError as exc:
-            raise FormatError(str(exc), offset=at) from exc
-    return PermutationPad(n, perms)
-
-
-def encode_qpp_stream(body: bytes, n: int, pad_size: int, mode: str) -> bytes:
-    if mode not in _MODE_CODE:
-        raise ParameterError(f"unknown dispatch mode {mode!r}")
-    _check_bytes(body, "stream body")
-    header = _qpp_header(QPP_VERSION_STREAM, n, pad_size)
-    if (8 * len(body)) % n:
-        raise ParameterError("stream body is not a whole number of blocks")
-    return header + bytes([_MODE_CODE[mode]]) + body
-
-
-def decode_qpp_stream(data: bytes):
-    """The body, n, pad size and mode; the header is the pad's plus a mode byte."""
-    start = _QPP_HEADER_LEN + 1
-    n, pad_size = _read_qpp_header(data, QPP_VERSION_STREAM, "stream", start)
-    mode = _MODE_FROM_CODE.get(data[_QPP_HEADER_LEN])
-    if mode is None:
-        raise FormatError(
-            f"unknown dispatch mode code {data[_QPP_HEADER_LEN]}", offset=_QPP_HEADER_LEN
-        )
-    body = bytes(data[start:])
-    if (8 * len(body)) % n:
-        raise FormatError("stream body is not a whole number of blocks", offset=start)
-    return body, n, pad_size, mode
-
-
-def pad_bits(data: bytes, n: int) -> bytes:
-    """Append a 1 bit then zeros, out to whole blocks and whole bytes.
-
-    Always adds at least one bit, so unpadding is unambiguous.  Because the
-    input is whole bytes, the marker lands on a byte boundary.
-    """
-    _check_bytes(data, "message")
-    group = _granule(n)
-    return bytes(data) + b"\x80" + bytes(group - 1 - len(data) % group)
-
-
-def unpad_bits(data: bytes, n: int) -> bytes:
-    """Exact inverse of pad_bits: whole granules, the last ending in the marker then zeros."""
-    _check_bytes(data, "padded message")
-    data, group = bytes(data), _granule(n)
-    last = max(len(data) - (len(data) % group or group), 0)  # the last granule, whole or not
-    marker = last + len(data[last:].rstrip(b"\x00")) - 1
-    if len(data) % group or marker < last or data[marker] != 0x80:
-        raise FormatError("missing bit-padding marker", offset=max(marker, last))
-    return data[:marker]

@@ -47,3 +47,20 @@ def _check_ints(values, name: str) -> None:
     """Refuse a field that is not a tuple of ints as a ParameterError naming it."""
     if not isinstance(values, tuple) or not all(map(isinstance, values, repeat(int))):
         raise ParameterError(f"{name} must be a tuple of int")
+
+
+def _check_magic(data: bytes, magic: bytes, header_len: int) -> None:
+    """Refuse an envelope whose first bytes are not `magic` or that ends inside its header."""
+    # A prefix of the magic is a truncated envelope, not a foreign one.
+    if not magic.startswith(data[:4]):
+        raise FormatError("bad magic", offset=0)
+    if len(data) < header_len:
+        raise FormatError("truncated input", offset=len(data))
+
+
+def _check_length(data: bytes, size: int) -> None:
+    """The one length check once a header has fixed the envelope's size."""
+    if len(data) < size:
+        raise FormatError("truncated input", offset=len(data))
+    if len(data) > size:
+        raise FormatError("trailing bytes after payload", offset=size)

@@ -5,6 +5,8 @@ XOR-masks each block with keystream bits, dispatches it to one of the pad's
 permutations, and substitutes through its table; decryption inverts the two
 layers in reverse order.  For comparison, pad_entropy also gives the far
 smaller key space of affine maps x -> (a*x + b) mod 2**n with odd a.
+Pad and stream files use the QPP1 envelope defined here, and bit padding
+fills a message out to whole blocks; `codec` re-exports both.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property
 from itertools import chain, cycle, islice, repeat
 from operator import getitem, itemgetter
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, _check_length, _check_magic, _check_type
 from .keystream import (
     TAG_QPP_DISPATCH,
     TAG_QPP_PAD,
@@ -43,6 +45,13 @@ _MAX_PERIOD = 256
 MODE_RANDOM = "random"
 MODE_SEQUENTIAL = "sequential"
 _MODES = (MODE_RANDOM, MODE_SEQUENTIAL)
+
+MAGIC_QPP = b"QPP1"
+QPP_VERSION_PAD = 0x01
+QPP_VERSION_STREAM = 0x02
+_MODE_CODE = {MODE_RANDOM: 0, MODE_SEQUENTIAL: 1}
+_MODE_FROM_CODE = {v: k for k, v in _MODE_CODE.items()}
+_QPP_HEADER_LEN = 8  # magic, version, block size n, pad size M (2)
 
 
 def _check_block_bits(n: int) -> None:
@@ -383,3 +392,105 @@ def pad_entropy(n: int, size: int, kind: str = "matrix") -> float:
     if kind == "arithmetic":
         return float(size * (2 * n - 1))
     raise ParameterError(f"unknown pad kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# QPP1 envelope and bit padding
+
+
+def _slot_bits(n: int) -> int:
+    """Bits per table entry in a pad file: a whole byte or two."""
+    return 8 * -(-n // 8)
+
+
+def _qpp_header(version: int, n: int, size: int) -> bytes:
+    _check_block_bits(n)
+    if not isinstance(size, int) or not 1 <= size <= MAX_PAD_SIZE:
+        raise ParameterError(f"pad size {size} does not fit the QPP1 header")
+    return MAGIC_QPP + bytes([version, n]) + size.to_bytes(2, "big")
+
+
+def _read_qpp_header(data: bytes, version: int, kind: str, header_len: int):
+    """Magic, version, block size n (offset 5) and pad size M (u16, offset 6)."""
+    _check_bytes(data, f"{kind} file")
+    _check_magic(data, MAGIC_QPP, header_len)
+    if data[4] != version:
+        raise FormatError(f"not a {kind} file", offset=4)
+    n = data[5]
+    if not MIN_BLOCK_BITS <= n <= MAX_BLOCK_BITS:
+        raise FormatError(
+            f"block size {n} not in [{MIN_BLOCK_BITS}, {MAX_BLOCK_BITS}]", offset=5
+        )
+    size = int.from_bytes(data[6:8], "big")
+    if size < 1:
+        raise FormatError("pad size must be at least 1", offset=6)
+    return n, size
+
+
+def encode_pad(pad: PermutationPad) -> bytes:
+    _check_type(pad, PermutationPad, "pad")
+    slot = _slot_bits(pad.n)
+    header = _qpp_header(QPP_VERSION_PAD, pad.n, pad.size)
+    return header + b"".join(bytes_from_blocks(perm.table, slot) for perm in pad.perms)
+
+
+def decode_pad(data: bytes) -> PermutationPad:
+    """Reads each table whole; Permutation's bijection check is its only check."""
+    n, size = _read_qpp_header(data, QPP_VERSION_PAD, "pad", _QPP_HEADER_LEN)
+    slot = _slot_bits(n)
+    table_len = (slot // 8) << n
+    _check_length(data, _QPP_HEADER_LEN + size * table_len)
+    perms = []
+    for at in range(_QPP_HEADER_LEN, len(data), table_len):
+        try:
+            perms.append(Permutation(n, blocks_from_bytes(data[at:at + table_len], slot)))
+        except ParameterError as exc:
+            raise FormatError(str(exc), offset=at) from exc
+    return PermutationPad(n, perms)
+
+
+def encode_qpp_stream(body: bytes, n: int, pad_size: int, mode: str) -> bytes:
+    if mode not in _MODE_CODE:
+        raise ParameterError(f"unknown dispatch mode {mode!r}")
+    _check_bytes(body, "stream body")
+    header = _qpp_header(QPP_VERSION_STREAM, n, pad_size)
+    if (8 * len(body)) % n:
+        raise ParameterError("stream body is not a whole number of blocks")
+    return header + bytes([_MODE_CODE[mode]]) + body
+
+
+def decode_qpp_stream(data: bytes):
+    """The body, n, pad size and mode; the header is the pad's plus a mode byte."""
+    start = _QPP_HEADER_LEN + 1
+    n, pad_size = _read_qpp_header(data, QPP_VERSION_STREAM, "stream", start)
+    mode = _MODE_FROM_CODE.get(data[_QPP_HEADER_LEN])
+    if mode is None:
+        raise FormatError(
+            f"unknown dispatch mode code {data[_QPP_HEADER_LEN]}", offset=_QPP_HEADER_LEN
+        )
+    body = bytes(data[start:])
+    if (8 * len(body)) % n:
+        raise FormatError("stream body is not a whole number of blocks", offset=start)
+    return body, n, pad_size, mode
+
+
+def pad_bits(data: bytes, n: int) -> bytes:
+    """Append a 1 bit then zeros, out to whole blocks and whole bytes.
+
+    Always adds at least one bit, so unpadding is unambiguous.  Because the
+    input is whole bytes, the marker lands on a byte boundary.
+    """
+    _check_bytes(data, "message")
+    group = _granule(n)
+    return bytes(data) + b"\x80" + bytes(group - 1 - len(data) % group)
+
+
+def unpad_bits(data: bytes, n: int) -> bytes:
+    """Exact inverse of pad_bits: whole granules, the last ending in the marker then zeros."""
+    _check_bytes(data, "padded message")
+    data, group = bytes(data), _granule(n)
+    last = max(len(data) - (len(data) % group or group), 0)  # the last granule, whole or not
+    marker = last + len(data[last:].rstrip(b"\x00")) - 1
+    if len(data) % group or marker < last or data[marker] != 0x80:
+        raise FormatError("missing bit-padding marker", offset=max(marker, last))
+    return data[:marker]

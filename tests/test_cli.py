@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,8 +11,12 @@ from permcrypt import codec
 from permcrypt.cli import main
 from permcrypt.errors import DecapsulationError
 from permcrypt.hppk_ds import ds_keygen, ds_params
+from permcrypt.hppk_kem import LEVELS
+from permcrypt.kat import KAT_CONFIGS
 from permcrypt.keystream import TAG_HPPK_KEYGEN, KeystreamState
 from permcrypt.qpp import generate_pad
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv):
@@ -125,6 +133,17 @@ def test_a_command_group_without_its_subcommand_is_usage_error(capsys, argv, mis
     assert err.splitlines()[-1] == missing
 
 
+@pytest.mark.parametrize("argv,choices", [
+    (["keygen"], LEVELS),
+    (["qpp-encrypt"], ("random", "sequential")),
+    (["kat", "emit"], ("all", *KAT_CONFIGS)),
+], ids=["level", "mode", "kat-config"])
+def test_help_lists_each_choice_the_library_defines_in_order(capsys, argv, choices):
+    # cli.py spells the levels and KAT labels out so parsing loads no HPPK module.
+    assert main([*argv, "--help"]) == 0
+    assert "{%s}" % ",".join(choices) in capsys.readouterr().out
+
+
 @pytest.fixture
 def mixed_files(tmp_path, triple):
     """The level-I triple next to level-III envelopes, a pad and an empty directory."""
@@ -164,7 +183,7 @@ def test_a_cryptographic_refusal_exits_1(tmp_path, triple, monkeypatch, capsys):
     def refuse(sk, ct, params):
         raise DecapsulationError("degenerate ciphertext: base polynomial vanished")
 
-    monkeypatch.setattr("permcrypt.cli.decapsulate", refuse)
+    monkeypatch.setattr("permcrypt.hppk_kem.decapsulate", refuse)
     ct, ss = tmp_path / "ct.bin", tmp_path / "ss.bin"
     assert run("encaps", "--pk", triple["pk"], "--out", ct, "--ss", tmp_path / "ss0.bin") == 0
     assert run("decaps", "--sk", triple["sk"], "--in", ct, "--out", ss) == 1
@@ -384,6 +403,56 @@ def test_info_entropy_prints_rounded_bits(capsys):
 def test_info_complexity_prints_log2_operations(capsys):
     assert run("info", "complexity", "--L", 72) == 0
     assert capsys.readouterr().out.strip() == "142.87"
+
+
+# --- modules each command loads -----------------------------------------------
+
+_LOADED = ("import json, sys; from permcrypt.cli import main; "
+           "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+           "print(json.dumps([codes, sorted(m for m in sys.modules "
+           "if m.startswith('permcrypt.') or m == 'secrets')]))")
+
+
+def _run_fresh(*commands):
+    """The exit code of each command, run in turn by main in one fresh interpreter,
+    and the permcrypt modules (and `secrets`, if any) that interpreter loaded."""
+    argvs = json.dumps([[str(a) for a in argv] for argv in commands])
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", _LOADED, argvs], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    codes, loaded = json.loads(out.splitlines()[-1])
+    return codes, set(loaded)
+
+
+def test_qpp_commands_load_no_hppk_module(tmp_path):
+    pad, msg, enc, dec = (tmp_path / name for name in ("pad", "msg", "enc", "dec"))
+    msg.write_bytes(b"pad-only traffic")
+    codes, loaded = _run_fresh(
+        ("qpp-keygen", "--out", pad, "--seed-hex", "beef", "--unsafe-seed"),
+        ("qpp-encrypt", "--pad", pad, "--key-hex", "c0ffee", "--in", msg, "--out", enc),
+        ("qpp-decrypt", "--pad", pad, "--key-hex", "c0ffee", "--in", enc, "--out", dec),
+    )
+    assert codes == [0, 0, 0] and dec.read_bytes() == msg.read_bytes()
+    hppk = {"permcrypt." + name for name in (
+        "codec", "hppk_kem", "hppk_ds", "hidden_ring", "ring_arith", "kat")}
+    assert loaded.isdisjoint(hppk | {"secrets"}), loaded & hppk
+    assert "permcrypt.qpp" in loaded
+
+
+def test_receiver_commands_load_no_kat_module(tmp_path, triple):
+    msg, ct, sig = tmp_path / "msg", tmp_path / "ct", tmp_path / "sig"
+    msg.write_bytes(b"signed and sealed")
+    seed = ("--seed-hex", "beef", "--unsafe-seed")
+    assert run("encaps", "--pk", triple["pk"], "--out", ct, "--ss", tmp_path / "ss", *seed) == 0
+    assert run("sign", "--sk", triple["sk"], "--in", msg, "--out", sig, *seed) == 0
+    codes, loaded = _run_fresh(
+        ("decaps", "--sk", triple["sk"], "--in", ct, "--out", tmp_path / "ss2"),
+        ("verify", "--vk", triple["vk"], "--in", msg, "--sig", sig),
+    )
+    assert codes == [0, 0]
+    assert (tmp_path / "ss2").read_bytes() == (tmp_path / "ss").read_bytes()
+    assert "permcrypt.kat" not in loaded and "secrets" not in loaded
+    assert "permcrypt.codec" in loaded
 
 
 # --- fuzzed argument and file vectors ----------------------------------------

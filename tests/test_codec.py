@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permcrypt import codec
+from permcrypt import codec, qpp
 from permcrypt.errors import FormatError, ParameterError
 from permcrypt.hidden_ring import RingOperator
 from permcrypt.hppk_ds import DsVerificationKey, Signature, ds_keygen, ds_params, sign
@@ -201,6 +201,13 @@ def test_stream_round_trip():
     body = bytes(range(48))
     encoded = codec.encode_qpp_stream(body, 8, 64, MODE_SEQUENTIAL)
     assert codec.decode_qpp_stream(encoded) == (body, 8, 64, MODE_SEQUENTIAL)
+
+
+@pytest.mark.parametrize("name", ["encode_pad", "decode_pad", "encode_qpp_stream",
+                                  "decode_qpp_stream", "pad_bits", "unpad_bits"])
+def test_codec_reexports_the_qpp1_envelope_of_qpp(name):
+    # One definition: the QPP1 envelope lives in qpp, beside the cipher's limits.
+    assert getattr(codec, name) is getattr(qpp, name)
 
 
 # --- malformed input --------------------------------------------------------
