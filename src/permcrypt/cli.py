@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = leaf(sub, "sign", _cmd_sign, help="sign a message file")
     p.add_argument("--sk", required=True)
-    p.add_argument("--vk", help="verification key; enables the signer self-check")
+    p.add_argument("--vk", required=True, help="verification key; each signature is "
+                   "checked against it before it is written")
     p.add_argument("--in", dest="infile", required=True, help="message path")
     p.add_argument("--out", required=True, help="signature output path")
     add_seed_flags(p)
@@ -177,13 +178,11 @@ def _cmd_sign(args) -> int:
     from .keystream import TAG_HPPK_HASH, KeystreamState
 
     sk, params = codec.decode_kem_private(Path(args.sk).read_bytes())
-    vk = None
-    if args.vk is not None:
-        vk, vk_params = codec.decode_verification_key(Path(args.vk).read_bytes())
-        if vk_params != params:
-            raise FormatError("key and verification key parameter sets differ")
+    vk, vk_params = codec.decode_verification_key(Path(args.vk).read_bytes())
+    if vk_params != params:
+        raise FormatError("key and verification key parameter sets differ")
     message = Path(args.infile).read_bytes()
-    sig = sign(sk, params, message, KeystreamState(_seed_material(args), TAG_HPPK_HASH), vk=vk)
+    sig = sign(sk, params, message, KeystreamState(_seed_material(args), TAG_HPPK_HASH), vk)
     Path(args.out).write_bytes(codec.encode_signature(sig, params))
     return 0
 

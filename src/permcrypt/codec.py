@@ -29,7 +29,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import FormatError, ParameterError, _check_length, _check_magic, _check_type
+from .errors import (
+    FormatError, ParameterError, _check_bytes, _check_length, _check_magic, _check_type,
+    _unchecked,
+)
 from .hppk_ds import DsVerificationKey, Signature
 from .hppk_kem import (
     LEVELS,
@@ -41,7 +44,6 @@ from .hppk_kem import (
     shipped_params,
 )
 from .hidden_ring import RingOperator
-from .keystream import _check_bytes
 from .qpp import (  # the QPP1 envelope and bit padding, re-exported
     decode_pad,
     decode_qpp_stream,
@@ -221,22 +223,6 @@ def _decode(data: bytes, kind: int):
             raise FormatError(f"{what} out of range", offset=bad)
         values.append(run)
     return params, values, offsets
-
-
-_setattr = object.__setattr__  # what a frozen dataclass's own __init__ calls
-
-
-def _unchecked(cls, *fields):
-    """A `cls` object from fields `_decode` has checked, without its `__post_init__`.
-
-    Each field is an int in its run's [low, high), or a tuple of them, which
-    is stricter than the constructor's own checks; public construction keeps
-    them all.  Like `Permutation._unchecked`, it sets the frozen fields directly.
-    """
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields):
-        _setattr(obj, name, value)
-    return obj
 
 
 def encode_kem_public(pk: KemPublicKey, params: KemParams) -> bytes:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by every permcrypt module."""
+"""Exception hierarchy and the argument checks shared by every permcrypt module."""
 
 from itertools import repeat
 
@@ -43,6 +43,15 @@ def _check_type(value, kind: type, name: str) -> None:
         raise ParameterError(f"{name} must be {kind.__name__}, not {type(value).__name__}")
 
 
+def _check_bytes(value, name: str) -> None:
+    """Refuse anything but bytes, a bytearray or a flat memoryview of single bytes."""
+    if not isinstance(value, (bytes, bytearray, memoryview)):
+        raise ParameterError(f"{name} must be bytes, not {type(value).__name__}")
+    # len() of any other view counts items or rows, not bytes.
+    if isinstance(value, memoryview) and (value.itemsize != 1 or value.ndim != 1):
+        raise ParameterError(f"{name} must be a flat memoryview of single bytes")
+
+
 def _check_ints(values, name: str) -> None:
     """Refuse a field that is not a tuple of ints as a ParameterError naming it."""
     if not isinstance(values, tuple) or not all(map(isinstance, values, repeat(int))):
@@ -64,3 +73,18 @@ def _check_length(data: bytes, size: int) -> None:
         raise FormatError("truncated input", offset=len(data))
     if len(data) > size:
         raise FormatError("trailing bytes after payload", offset=size)
+
+
+_setattr = object.__setattr__  # what a frozen dataclass's own __init__ calls
+
+
+def _unchecked(cls, *fields):
+    """A frozen dataclass `cls` from fields its caller has checked, without `__post_init__`.
+
+    Decoders and generators use it where their fields are already stricter
+    than the constructor's own checks; public construction keeps them all.
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        _setattr(obj, name, value)
+    return obj

@@ -112,9 +112,11 @@ def sign(
 ) -> Signature:
     """Sign a message with a fresh blinding scalar per attempt, drawn by rng.next_index.
 
-    When the verification key is supplied the signer self-checks each
-    candidate and redraws the scalar on the rare radix-quotient mismatch,
-    so released signatures verify deterministically.  Without it a
+    The signer self-checks each candidate against vk and redraws the scalar
+    on the rare radix-quotient mismatch, so released signatures verify
+    deterministically.  A vk whose ring residues do not match sk's moduli
+    (one from another key) is refused with ParameterError before any draw.
+    vk=None remains only for library callers that hold no vk; such a
     signature can fail to verify.  The verifier's fold of tag * P_t by the
     radix quotient floor(2**shift * P_t / s) comes out one too low exactly
     when A * e_t / s < tag * eps_t / 2**shift.  Here s is the ring's hidden
@@ -129,9 +131,12 @@ def sign(
     """
     _check_type(sk, KemPrivateKey, "sk")
     _check_type(params, KemParams, "params")
+    p = params.prime
     if vk is not None:
         _check_verification_key(vk, params)
-    p = params.prime
+        # Both sides are blind * s1 * s2 mod p when vk was derived from sk.
+        if vk.ring1_resid * sk.ring2.modulus % p != vk.ring2_resid * sk.ring1.modulus % p:
+            raise ParameterError("verification key does not belong to this private key")
     x = hash_to_field(message, p, params.hash_bytes)
     f0, f1 = sk.numer_coeffs
     h0, h1 = sk.denom_coeffs

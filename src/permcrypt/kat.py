@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from . import codec
-from .errors import FormatError, ParameterError, PermcryptError, _check_type
+from .errors import FormatError, ParameterError, PermcryptError, _check_bytes, _check_type
 from .hppk_ds import ds_keygen, ds_params, sign, verify
 from .hppk_kem import LEVELS, KemParams, decapsulate, encapsulate, kem_params, keygen
 from .keystream import (
@@ -20,7 +20,6 @@ from .keystream import (
     TAG_HPPK_U,
     TAG_KAT,
     KeystreamState,
-    _check_bytes,
 )
 
 # Each label's shipped set; a "KEM-" label emits KEM vectors, a "DS-" label signatures.

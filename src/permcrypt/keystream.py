@@ -15,7 +15,7 @@ import struct
 from functools import lru_cache
 from operator import length_hint
 
-from .errors import ParameterError
+from .errors import ParameterError, _check_bytes
 
 # Domain separation tags.  The QPP trio drives pad generation and the
 # stream-cipher pipeline; the HPPK trio seeds deterministic key generation,
@@ -29,14 +29,6 @@ TAG_HPPK_KEYGEN = b"HPPK-keygen"
 TAG_KAT = b"KAT-vectors"
 
 _DIGESTS = {32: hashlib.sha3_256, 48: hashlib.sha3_384, 64: hashlib.sha3_512}
-
-
-def _check_bytes(value, name: str) -> None:
-    if not isinstance(value, (bytes, bytearray, memoryview)):
-        raise ParameterError(f"{name} must be bytes, not {type(value).__name__}")
-    # len() of any other view counts items or rows, not bytes.
-    if isinstance(value, memoryview) and (value.itemsize != 1 or value.ndim != 1):
-        raise ParameterError(f"{name} must be a flat memoryview of single bytes")
 
 
 @lru_cache(maxsize=17)  # the block sizes 2**0 to 2**16

@@ -18,13 +18,15 @@ from functools import cached_property
 from itertools import chain, cycle, islice, repeat
 from operator import getitem, itemgetter
 
-from .errors import FormatError, ParameterError, _check_length, _check_magic, _check_type
+from .errors import (
+    FormatError, ParameterError, _check_bytes, _check_length, _check_magic, _check_type,
+    _unchecked,
+)
 from .keystream import (
     TAG_QPP_DISPATCH,
     TAG_QPP_PAD,
     TAG_QPP_PRERAND,
     KeystreamState,
-    _check_bytes,
     _field_bytes,
     _join,
     _ordered,
@@ -87,14 +89,6 @@ class Permutation:
         object.__setattr__(self, "table", tuple(map(blocks.__getitem__, table)))
 
     @classmethod
-    def _unchecked(cls, n: int, table) -> "Permutation":
-        """A permutation from a table already known to be a bijection."""
-        perm = cls.__new__(cls)
-        object.__setattr__(perm, "n", n)
-        object.__setattr__(perm, "table", tuple(table))
-        return perm
-
-    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(n, range(1 << n))
 
@@ -105,7 +99,7 @@ class Permutation:
         inv = [0] * len(blocks)
         for c, m in zip(self.table, blocks):
             inv[c] = m
-        return Permutation._unchecked(self.n, inv)
+        return _unchecked(Permutation, self.n, tuple(inv))
 
     def apply(self, m: int) -> int:
         if not isinstance(m, int) or not 0 <= m < len(self.table):
@@ -183,7 +177,7 @@ def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
     state = KeystreamState(seed, TAG_QPP_PAD)
     state._squeeze(size * 3 * (n << n) // 16)
     tables = (state.shuffle(1 << n) for _ in range(size))
-    return PermutationPad(n, (Permutation._unchecked(n, t) for t in tables))
+    return PermutationPad(n, (_unchecked(Permutation, n, tuple(t)) for t in tables))
 
 
 def blocks_from_bytes(data: bytes, n: int) -> list:

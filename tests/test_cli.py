@@ -59,10 +59,32 @@ def test_verify_rejects_tampering_with_exit_1(tmp_path, triple, capsys):
     msg = tmp_path / "msg.txt"
     sig = tmp_path / "sig.bin"
     msg.write_bytes(b"pay alice 10 coins")
-    assert run("sign", "--sk", triple["sk"], "--in", msg, "--out", sig) == 0
+    assert run("sign", "--sk", triple["sk"], "--vk", triple["vk"], "--in", msg, "--out", sig) == 0
     msg.write_bytes(b"pay mallory 10 coins")
     assert run("verify", "--vk", triple["vk"], "--in", msg, "--sig", sig) == 1
     assert "signature rejected" in capsys.readouterr().err
+
+
+def test_sign_without_vk_is_a_usage_error(tmp_path, triple, capsys):
+    msg, sig = tmp_path / "msg.txt", tmp_path / "sig.bin"
+    msg.write_bytes(b"never released unchecked")
+    assert run("sign", "--sk", triple["sk"], "--in", msg, "--out", sig) == 2
+    assert "the following arguments are required: --vk" in capsys.readouterr().err
+    assert not sig.exists()
+
+
+def test_sign_with_another_keys_vk_is_a_usage_error(tmp_path, triple, capsys):
+    other = {name: tmp_path / f"other-{name}.bin" for name in ("sk", "pk", "vk")}
+    assert run("keygen", "--level", "I", "--sk", other["sk"], "--pk", other["pk"],
+               "--vk", other["vk"], "--seed-hex", "cc" * 32, "--unsafe-seed") == 0
+    capsys.readouterr()
+    msg, sig = tmp_path / "msg.txt", tmp_path / "sig.bin"
+    msg.write_bytes(b"signed under a stranger's key")
+    assert run("sign", "--sk", triple["sk"], "--vk", other["vk"], "--in", msg,
+               "--out", sig) == 2
+    assert capsys.readouterr().err == (
+        "error: verification key does not belong to this private key\n")
+    assert not sig.exists()
 
 
 def test_keygen_matches_library_under_same_seed(tmp_path, triple):
@@ -155,7 +177,8 @@ def mixed_files(tmp_path, triple):
     assert run("keygen", "--level", "III", "--sk", f["skIII"], "--pk", f["pkIII"],
                "--vk", f["vkIII"], *seed) == 0
     assert run("encaps", "--pk", f["pkIII"], "--out", f["ctIII"], "--ss", f["ssIII"], *seed) == 0
-    assert run("sign", "--sk", f["skIII"], "--in", f["msg"], "--out", f["sigIII"], *seed) == 0
+    assert run("sign", "--sk", f["skIII"], "--vk", f["vkIII"], "--in", f["msg"],
+               "--out", f["sigIII"], *seed) == 0
     assert run("qpp-keygen", "--n", 8, "--M", 1, "--out", f["pad"], *seed) == 0
     return {name: str(path) for name, path in f.items()}
 
@@ -444,7 +467,8 @@ def test_receiver_commands_load_no_kat_module(tmp_path, triple):
     msg.write_bytes(b"signed and sealed")
     seed = ("--seed-hex", "beef", "--unsafe-seed")
     assert run("encaps", "--pk", triple["pk"], "--out", ct, "--ss", tmp_path / "ss", *seed) == 0
-    assert run("sign", "--sk", triple["sk"], "--in", msg, "--out", sig, *seed) == 0
+    assert run("sign", "--sk", triple["sk"], "--vk", triple["vk"], "--in", msg, "--out", sig,
+               *seed) == 0
     codes, loaded = _run_fresh(
         ("decaps", "--sk", triple["sk"], "--in", ct, "--out", tmp_path / "ss2"),
         ("verify", "--vk", triple["vk"], "--in", msg, "--sig", sig),
@@ -468,7 +492,8 @@ def _fuzz_files(tmp_path):
     assert run("keygen", "--level", "I", "--sk", f["sk"], "--pk", f["pk"], "--vk", f["vk"],
                *seed) == 0
     assert run("encaps", "--pk", f["pk"], "--out", f["ct"], "--ss", f["ss"], *seed) == 0
-    assert run("sign", "--sk", f["sk"], "--in", f["msg"], "--out", f["sig"], *seed) == 0
+    assert run("sign", "--sk", f["sk"], "--vk", f["vk"], "--in", f["msg"], "--out", f["sig"],
+               *seed) == 0
     assert run("qpp-keygen", "--n", 4, "--M", 3, "--out", f["pad"], *seed) == 0
     assert run("qpp-encrypt", "--pad", f["pad"], "--key-hex", "c0ffee", "--in", f["msg"],
                "--out", f["stream"]) == 0

@@ -190,14 +190,27 @@ def test_self_check_redraws_a_signature_that_fails_verification(level):
     assert verify(vk, params, message, checked)
 
 
-def test_self_check_gives_up_against_another_keys_vk():
-    # No candidate verifies under a foreign vk; the 65th draw would be an IndexError.
+def test_sign_refuses_another_keys_vk_before_any_draw():
     params = ds_params("I")
     sk, _, _ = seeded_triple(params, b"self-check-signer")
     _, _, other_vk = seeded_triple(params, b"self-check-other")
+    rng = ScriptedEntropy([1])
+    with pytest.raises(ParameterError,
+                       match="verification key does not belong to this private key"):
+        sign(sk, params, b"foreign vk", rng, vk=other_vk)
+    assert rng.pos == 0
+
+
+def test_self_check_gives_up_after_64_draws():
+    # Doubling both ring residues keeps the vk's cross-check with sk but breaks
+    # every candidate's identity; the 65th draw would be an IndexError.
+    params = ds_params("I")
+    sk, _, vk = seeded_triple(params, b"self-check-signer")
+    p = params.prime
+    doubled = replace(vk, ring1_resid=2 * vk.ring1_resid % p, ring2_resid=2 * vk.ring2_resid % p)
     rng = ScriptedEntropy(range(1, 65))
     with pytest.raises(GenerationError, match="signer self-check kept failing"):
-        sign(sk, params, b"foreign vk", rng, vk=other_vk)
+        sign(sk, params, b"foreign vk", rng, vk=doubled)
     assert rng.pos == 64
 
 
