@@ -4,8 +4,9 @@ hidden-ring public-key schemes for key encapsulation and signatures.
 The package re-exports nothing; import each name from its own module:
 `qpp` and `keystream` (the pad cipher, its QPP1 files and bit padding),
 `ring_arith`, `hidden_ring`, `hppk_kem` and `hppk_ds` (the public-key
-schemes), `codec` (their HPK1 files; it re-exports qpp's file names),
-`kat`, `errors` and `cli`, whose commands each load only their own scheme.
+schemes), `codec` (their HPK1 files; it re-exports qpp's file names and
+loads qpp on first use), `kat`, `errors` and `cli`, whose commands each
+load only the modules they run.
 
 Prototype quality: no constant-time guarantees, no authenticated
 encryption, and lattice attacks on public data break the shipped HPPK

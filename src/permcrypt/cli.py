@@ -5,7 +5,7 @@ or a failed KAT run), 2 usage or format error.
 
 Each handler imports the modules it runs, so a QPP command never loads the
 HPPK schemes, their codec or the KAT module, and an HPPK command never
-loads the KAT module.
+loads `qpp` or the KAT module; `encaps` and `decaps` never load `hppk_ds`.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ import sys
 from pathlib import Path
 
 from .errors import FormatError, ParameterError, PermcryptError
-from .qpp import MODE_RANDOM, MODE_SEQUENTIAL
 
 _SEED_BYTES = 32
-# hppk_kem.LEVELS and ("all", *kat.KAT_CONFIGS), spelled out: importing them loads the HPPK stack.
+# hppk_kem.LEVELS, qpp._MODES and ("all", *kat.KAT_CONFIGS), spelled out: importing them
+# loads the HPPK stack or the pad cipher.
 _LEVELS = ("I", "III", "V")
+_MODES = ("random", "sequential")
 _KAT_LABELS = ("all", "KEM-I-m2", "KEM-I-m3", "KEM-III-m2", "KEM-III-m3", "KEM-V-m2",
                "KEM-V-m3", "DS-I", "DS-III", "DS-V")
 
@@ -86,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key-hex", required=True, metavar="HEX", help=key_help)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=(MODE_RANDOM, MODE_SEQUENTIAL), default=MODE_RANDOM)
+    p.add_argument("--mode", choices=_MODES, default=_MODES[0])
 
     p = leaf(sub, "qpp-decrypt", _cmd_qpp_decrypt, help="decrypt a pad-encrypted file")
     p.add_argument("--pad", required=True)

@@ -21,19 +21,21 @@ and an out-of-range field at its own offset.
 Pad and stream files use the `QPP1` envelope, which `permcrypt.qpp` defines
 with bit padding, beside the cipher whose limits its header shares; this
 module re-exports its six public names (`encode_pad`, `decode_pad`,
-`encode_qpp_stream`, `decode_qpp_stream`, `pad_bits`, `unpad_bits`).  The
-known-answer-test files, which run the schemes, live in `permcrypt.kat`.
+`encode_qpp_stream`, `decode_qpp_stream`, `pad_bits`, `unpad_bits`), and
+imports `qpp` the first time one of them is read.  Importing this module
+loads neither `qpp` nor `hppk_ds`: the two DS envelopes' classes come from
+`hppk_ds` on their first call.  The known-answer-test files, which run the
+schemes, live in `permcrypt.kat`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import (
     FormatError, ParameterError, _check_bytes, _check_length, _check_magic, _check_type,
     _unchecked,
 )
-from .hppk_ds import DsVerificationKey, Signature
 from .hppk_kem import (
     LEVELS,
     KemCiphertext,
@@ -44,14 +46,31 @@ from .hppk_kem import (
     shipped_params,
 )
 from .hidden_ring import RingOperator
-from .qpp import (  # the QPP1 envelope and bit padding, re-exported
-    decode_pad,
-    decode_qpp_stream,
-    encode_pad,
-    encode_qpp_stream,
-    pad_bits,
-    unpad_bits,
-)
+
+# The QPP1 envelope and bit padding of `permcrypt.qpp`, re-exported on first use.
+_QPP1_NAMES = frozenset((
+    "encode_pad", "decode_pad", "encode_qpp_stream", "decode_qpp_stream", "pad_bits",
+    "unpad_bits",
+))
+
+
+def __getattr__(name: str):
+    """Import `qpp` the first time a QPP1 name is read, and keep that name here."""
+    if name not in _QPP1_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import qpp
+
+    value = globals()[name] = getattr(qpp, name)
+    return value
+
+
+@cache
+def _ds_classes() -> tuple:
+    """`DsVerificationKey` and `Signature`, imported once: only the DS envelopes use them."""
+    from .hppk_ds import DsVerificationKey, Signature
+
+    return DsVerificationKey, Signature
+
 
 MAGIC_HPPK = b"HPK1"
 
@@ -266,7 +285,7 @@ def decode_kem_ciphertext(data: bytes):
 
 
 def encode_verification_key(vk: DsVerificationKey, params: KemParams) -> bytes:
-    _check_type(vk, DsVerificationKey, "vk")
+    _check_type(vk, _ds_classes()[0], "vk")
     _check_type(params, KemParams, "params")  # read here, for the radix shift
     return _encode(KIND_DS_VERIFICATION, params, (
         vk.numer_resid, vk.denom_resid, vk.numer_quot, vk.denom_quot,
@@ -277,17 +296,17 @@ def encode_verification_key(vk: DsVerificationKey, params: KemParams) -> bytes:
 def decode_verification_key(data: bytes):
     params, runs, _ = _decode(data, KIND_DS_VERIFICATION)
     *matrices, residues, _ = runs  # the radix shift is the set's own, by its range
-    return _unchecked(DsVerificationKey, *map(tuple, matrices), *residues), params
+    return _unchecked(_ds_classes()[0], *map(tuple, matrices), *residues), params
 
 
 def encode_signature(sig: Signature, params: KemParams) -> bytes:
-    _check_type(sig, Signature, "sig")
+    _check_type(sig, _ds_classes()[1], "sig")
     return _encode(KIND_DS_SIGNATURE, params, ((sig.numer_tag, sig.denom_tag),))
 
 
 def decode_signature(data: bytes):
     params, [(numer_tag, denom_tag)], _ = _decode(data, KIND_DS_SIGNATURE)
-    return _unchecked(Signature, numer_tag, denom_tag), params
+    return _unchecked(_ds_classes()[1], numer_tag, denom_tag), params
 
 
 def encode_secret(secret: int, params: KemParams) -> bytes:

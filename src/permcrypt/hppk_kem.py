@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import mul
-from typing import ClassVar
 
 from .errors import (
     DecapsulationError, FormatError, GenerationError, ParameterError, _check_ints, _check_type,
@@ -56,9 +55,9 @@ class KemParams:
     `level` names the shipped set equal to this one, if any.
     """
 
-    base_order: ClassVar[int] = 1
-    factor_order: ClassVar[int] = 1
-    rows: ClassVar[int] = 3
+    base_order = 1  # unannotated, so class constants and not dataclass fields
+    factor_order = 1
+    rows = 3
 
     prime: int
     noise_count: int

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from permcrypt import codec
+from permcrypt import cli, codec, qpp
 from permcrypt.cli import main
 from permcrypt.errors import DecapsulationError
 from permcrypt.hppk_ds import ds_keygen, ds_params
@@ -157,13 +157,19 @@ def test_a_command_group_without_its_subcommand_is_usage_error(capsys, argv, mis
 
 @pytest.mark.parametrize("argv,choices", [
     (["keygen"], LEVELS),
-    (["qpp-encrypt"], ("random", "sequential")),
+    (["qpp-encrypt"], qpp._MODES),
     (["kat", "emit"], ("all", *KAT_CONFIGS)),
 ], ids=["level", "mode", "kat-config"])
 def test_help_lists_each_choice_the_library_defines_in_order(capsys, argv, choices):
     # cli.py spells the levels and KAT labels out so parsing loads no HPPK module.
     assert main([*argv, "--help"]) == 0
     assert "{%s}" % ",".join(choices) in capsys.readouterr().out
+
+
+def test_each_spelled_out_choice_tuple_is_the_librarys_own():
+    assert cli._LEVELS == LEVELS
+    assert cli._MODES == qpp._MODES
+    assert cli._KAT_LABELS == ("all", *KAT_CONFIGS)
 
 
 @pytest.fixture
@@ -430,18 +436,19 @@ def test_info_complexity_prints_log2_operations(capsys):
 
 # --- modules each command loads -----------------------------------------------
 
-_LOADED = ("import json, sys; from permcrypt.cli import main; "
+_LOADED = ("import json, sys; bare = set(sys.modules); from permcrypt.cli import main; "
            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
-           "print(json.dumps([codes, sorted(m for m in sys.modules "
-           "if m.startswith('permcrypt.') or m == 'secrets')]))")
+           "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('permcrypt.') "
+           "or m in ('secrets', 'hashlib', 'typing') and m not in bare)]))")
 
 
-def _run_fresh(*commands):
+def _run_fresh(*commands, flags=()):
     """The exit code of each command, run in turn by main in one fresh interpreter,
-    and the permcrypt modules (and `secrets`, if any) that interpreter loaded."""
+    and the modules that interpreter loaded: the permcrypt ones, and any of
+    `secrets`, `hashlib` and `typing` that start-up had not already loaded."""
     argvs = json.dumps([[str(a) for a in argv] for argv in commands])
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run([sys.executable, "-c", _LOADED, argvs], env=env, check=True,
+    out = subprocess.run([sys.executable, *flags, "-c", _LOADED, argvs], env=env, check=True,
                          capture_output=True, text=True).stdout
     codes, loaded = json.loads(out.splitlines()[-1])
     return codes, set(loaded)
@@ -477,6 +484,58 @@ def test_receiver_commands_load_no_kat_module(tmp_path, triple):
     assert (tmp_path / "ss2").read_bytes() == (tmp_path / "ss").read_bytes()
     assert "permcrypt.kat" not in loaded and "secrets" not in loaded
     assert "permcrypt.codec" in loaded
+
+
+_KEM_MODULES = {"permcrypt." + name for name in (
+    "cli", "errors", "codec", "hppk_kem", "hidden_ring", "ring_arith")}
+_DS_MODULES = _KEM_MODULES | {"permcrypt.hppk_ds", "permcrypt.keystream"}
+
+
+@pytest.fixture
+def hppk_commands(tmp_path, triple):
+    """Each HPPK command's argv over the seeded level-I triple, its inputs written."""
+    msg, ct, sig = tmp_path / "msg", tmp_path / "ct", tmp_path / "sig"
+    msg.write_bytes(b"signed and sealed")
+    seed = ("--seed-hex", "beef", "--unsafe-seed")
+    assert run("encaps", "--pk", triple["pk"], "--out", ct, "--ss", tmp_path / "ss", *seed) == 0
+    assert run("sign", "--sk", triple["sk"], "--vk", triple["vk"], "--in", msg, "--out", sig,
+               *seed) == 0
+    return {
+        "keygen": ("keygen", "--level", "I", "--sk", tmp_path / "sk2", "--pk", tmp_path / "pk2",
+                   "--vk", tmp_path / "vk2", *seed),
+        "encaps": ("encaps", "--pk", triple["pk"], "--out", tmp_path / "ct2",
+                   "--ss", tmp_path / "ss2", *seed),
+        "decaps": ("decaps", "--sk", triple["sk"], "--in", ct, "--out", tmp_path / "ss3"),
+        "sign": ("sign", "--sk", triple["sk"], "--vk", triple["vk"], "--in", msg,
+                 "--out", tmp_path / "sig2", *seed),
+        "verify": ("verify", "--vk", triple["vk"], "--in", msg, "--sig", sig),
+    }
+
+
+@pytest.mark.parametrize("command,expected", [
+    ("decaps", _KEM_MODULES),
+    ("encaps", _KEM_MODULES | {"permcrypt.keystream"}),
+    ("keygen", _DS_MODULES),
+    ("sign", _DS_MODULES),
+    ("verify", _DS_MODULES),
+])
+def test_each_hppk_command_loads_only_the_modules_it_runs(hppk_commands, command, expected):
+    # No HPPK command loads qpp; encaps and decaps never load hppk_ds.
+    codes, loaded = _run_fresh(hppk_commands[command])
+    assert codes == [0]
+    assert {m for m in loaded if m.startswith("permcrypt.")} == expected
+
+
+def test_decaps_loads_no_hashlib(hppk_commands):
+    # hashlib comes in only with keystream, which decapsulation never calls.
+    codes, loaded = _run_fresh(hppk_commands["decaps"])
+    assert codes == [0] and "hashlib" not in loaded
+
+
+def test_decaps_loads_no_typing_without_site(hppk_commands):
+    # Without site, nothing else brings typing in: the HPPK modules must not either.
+    codes, loaded = _run_fresh(hppk_commands["decaps"], flags=("-S",))
+    assert codes == [0] and "typing" not in loaded
 
 
 # --- fuzzed argument and file vectors ----------------------------------------

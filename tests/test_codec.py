@@ -1,6 +1,11 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +39,8 @@ from permcrypt.qpp import (
     generate_pad,
     pad_entropy,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 HEADER = 11  # magic, kind, level, two field-bit bytes, three shape bytes
 
@@ -208,6 +215,61 @@ def test_stream_round_trip():
 def test_codec_reexports_the_qpp1_envelope_of_qpp(name):
     # One definition: the QPP1 envelope lives in qpp, beside the cipher's limits.
     assert getattr(codec, name) is getattr(qpp, name)
+
+
+def _fresh(code: str, *args: str):
+    """The JSON value that `code` prints last, run with `args` in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+_LAZY = ("import json, sys\nfrom permcrypt import codec\n"
+         "lazy = ('permcrypt.qpp', 'permcrypt.hppk_ds')\n")
+
+
+def test_importing_codec_loads_neither_qpp_nor_hppk_ds():
+    assert _fresh(_LAZY + "print(json.dumps([m for m in lazy if m in sys.modules]))") == []
+
+
+def test_a_qpp1_name_imports_qpp_on_first_use_and_stays():
+    assert _fresh(
+        "import json, sys; from permcrypt.codec import encode_pad; "
+        "from permcrypt import codec, qpp; "
+        "print(json.dumps([encode_pad is qpp.encode_pad, codec.encode_pad is qpp.encode_pad, "
+        "vars(codec).get('encode_pad') is qpp.encode_pad, 'decode_pad' in vars(codec)]))"
+    ) == [True, True, True, False]
+
+
+def test_an_unknown_codec_name_is_an_attribute_error_and_loads_nothing():
+    assert _fresh(_LAZY + (
+        "try:\n    codec.no_such_name\nexcept AttributeError as exc:\n"
+        "    print(json.dumps([str(exc), [m for m in lazy if m in sys.modules]]))"
+    )) == ["module 'permcrypt.codec' has no attribute 'no_such_name'", []]
+
+
+def test_ds_decoders_build_hppk_ds_objects_before_hppk_ds_is_imported():
+    params, _, _, vk, sig = ds_material()
+    vk_data = codec.encode_verification_key(vk, params)
+    sig_data = codec.encode_signature(sig, params)
+    assert _fresh(_LAZY + (
+        "loaded = [m for m in lazy if m in sys.modules]; "
+        "vk, _ = codec.decode_verification_key(bytes.fromhex(sys.argv[1])); "
+        "sig, params = codec.decode_signature(bytes.fromhex(sys.argv[2])); "
+        "from permcrypt.hppk_ds import DsVerificationKey, Signature; "
+        "print(json.dumps([loaded, type(vk) is DsVerificationKey, type(sig) is Signature, "
+        "codec.encode_verification_key(vk, params).hex(), "
+        "codec.encode_signature(sig, params).hex()]))"
+    ), vk_data.hex(), sig_data.hex()) == [[], True, True, vk_data.hex(), sig_data.hex()]
+
+
+def test_a_wrong_type_signature_is_refused_before_hppk_ds_is_imported():
+    assert _fresh(_LAZY + (
+        "from permcrypt.errors import ParameterError\n"
+        "try:\n    codec.encode_signature(None, codec.shipped_params('I', 1))\n"
+        "except ParameterError as exc:\n    print(json.dumps(str(exc)))"
+    )) == "sig must be Signature, not NoneType"
 
 
 # --- malformed input --------------------------------------------------------

@@ -1,5 +1,5 @@
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 import sympy
@@ -154,6 +154,19 @@ def test_polynomial_shape_is_fixed():
         replace(KemParams(7, 1), ring_bits=20)
     with pytest.raises(ParameterError, match="noise count"):
         KemParams(prime=7, noise_count=0)
+
+
+def test_shape_constants_are_not_fields():
+    # The constants are plain class attributes: no field, no part of == or hash.
+    assert [(f.name, f.init, f.compare) for f in fields(KemParams)] == [
+        ("prime", True, True), ("noise_count", True, True),
+        ("field_bits", False, False), ("ring_bits", False, False),
+        ("shift_bits", False, False), ("hash_bytes", False, False),
+        ("eval_bound", False, False),
+    ]
+    assert KemParams(7, 1) == KemParams(7, 1) != KemParams(7, 2)
+    assert hash(KemParams(7, 1)) == hash((7, 1))
+    assert hash(kem_params("III", 3)) == hash((PRIMES_BY_BITS[48], 3))
 
 
 def test_shipped_sets_are_shared_and_equal_to_a_fresh_build():
