@@ -1,6 +1,7 @@
 """Exception hierarchy and the argument checks shared by every permcrypt module."""
 
 from itertools import repeat
+from operator import attrgetter
 
 
 class PermcryptError(Exception):
@@ -75,16 +76,49 @@ def _check_length(data: bytes, size: int) -> None:
         raise FormatError("trailing bytes after payload", offset=size)
 
 
-_setattr = object.__setattr__  # what a frozen dataclass's own __init__ calls
+_setattr = object.__setattr__  # how a frozen object's own __init__ writes its fields
+
+
+class _Frozen:
+    """Base of the immutable value objects: `_fields` names the constructor's arguments in order.
+
+    Equality and hash cover those fields alone, as one tuple, so attributes
+    derived in `__init__` and cached properties in `__dict__` take no part.
+    Assignment and deletion raise AttributeError naming the field.
+    """
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)  # a tuple, for two or more fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
 
 
 def _unchecked(cls, *fields):
-    """A frozen dataclass `cls` from fields its caller has checked, without `__post_init__`.
+    """A `_Frozen` object of `cls` from fields its caller has checked, without `__init__`.
 
     Decoders and generators use it where their fields are already stricter
     than the constructor's own checks; public construction keeps them all.
     """
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields):
+    for name, value in zip(cls._fields, fields):
         _setattr(obj, name, value)
     return obj

@@ -10,36 +10,33 @@ public-modulus variant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .errors import GenerationError, ParameterError
+from .errors import GenerationError, ParameterError, _Frozen, _setattr
 from .ring_arith import inv_mod, mul_mod
 
 _COPRIME_RETRIES = 256
 
 
-@dataclass(frozen=True)
-class RingOperator:
+class RingOperator(_Frozen):
     """Coprime (multiplier, modulus) pair, checked when built; `multiplier_inv` and `bits` follow.
 
     The modulus is a true `bits`-bit value (top bit set), so the bit size
     quoted in security estimates is literal.
     """
 
-    multiplier: int
-    modulus: int
-    multiplier_inv: int = field(init=False, compare=False)
-    bits: int = field(init=False, compare=False)
+    _fields = ("multiplier", "modulus")
 
-    def __post_init__(self):
+    def __init__(self, multiplier: int, modulus: int):
+        _setattr(self, "multiplier", multiplier)
+        _setattr(self, "modulus", modulus)
         if not isinstance(self.modulus, int) or self.modulus < 2:
             raise ParameterError("modulus must exceed 1")
         if not isinstance(self.multiplier, int) or not 0 < self.multiplier < self.modulus:
             raise ParameterError("multiplier must lie in [1, modulus)")
         if math.gcd(self.multiplier, self.modulus) != 1:
             raise ParameterError("multiplier and modulus must be coprime")
-        object.__setattr__(self, "multiplier_inv", inv_mod(self.multiplier, self.modulus))
-        object.__setattr__(self, "bits", self.modulus.bit_length())
+        _setattr(self, "multiplier_inv", inv_mod(self.multiplier, self.modulus))
+        _setattr(self, "bits", self.modulus.bit_length())
 
     def apply(self, a: int) -> int:
         """multiplier * a mod modulus."""

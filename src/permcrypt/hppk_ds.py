@@ -10,10 +10,9 @@ secret; it never touches the private key or the rings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     FormatError, GenerationError, ParameterError, SigningError, _check_ints, _check_type,
+    _Frozen, _setattr,
 )
 from .hppk_kem import (
     KemParams, KemPrivateKey, KemPublicKey, _check_public_shape, keygen, shipped_params,
@@ -28,22 +27,21 @@ def ds_params(level: str) -> KemParams:
     return shipped_params(level, 1)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(_Frozen):
     """Blinded factor evaluations; both values are nonzero by construction."""
 
-    numer_tag: int
-    denom_tag: int
+    _fields = ("numer_tag", "denom_tag")
 
-    def __post_init__(self):
+    def __init__(self, numer_tag: int, denom_tag: int):
+        _setattr(self, "numer_tag", numer_tag)
+        _setattr(self, "denom_tag", denom_tag)
         _check_type(self.numer_tag, int, "numer_tag")
         _check_type(self.denom_tag, int, "denom_tag")
         if self.numer_tag == 0 or self.denom_tag == 0:
             raise ParameterError("signature values must be nonzero")
 
 
-@dataclass(frozen=True)
-class DsVerificationKey:
+class DsVerificationKey(_Frozen):
     """Ring-free image of the public key.
 
     For each public matrix entry: its residue times the blinding scalar mod
@@ -53,14 +51,20 @@ class DsVerificationKey:
     Each matrix is a flat tuple of `params.terms` entries, row by row as in `pk`.
     """
 
-    numer_resid: tuple
-    denom_resid: tuple
-    numer_quot: tuple
-    denom_quot: tuple
-    ring1_resid: int
-    ring2_resid: int
+    _fields = (
+        "numer_resid", "denom_resid", "numer_quot", "denom_quot", "ring1_resid", "ring2_resid",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self, numer_resid: tuple, denom_resid: tuple, numer_quot: tuple, denom_quot: tuple,
+        ring1_resid: int, ring2_resid: int,
+    ):
+        _setattr(self, "numer_resid", numer_resid)
+        _setattr(self, "denom_resid", denom_resid)
+        _setattr(self, "numer_quot", numer_quot)
+        _setattr(self, "denom_quot", denom_quot)
+        _setattr(self, "ring1_resid", ring1_resid)
+        _setattr(self, "ring2_resid", ring2_resid)
         for name in ("numer_resid", "denom_resid", "numer_quot", "denom_quot"):
             _check_ints(getattr(self, name), name)
         _check_type(self.ring1_resid, int, "ring1_resid")

@@ -11,11 +11,11 @@ secret.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import (
     DecapsulationError, FormatError, GenerationError, ParameterError, _check_ints, _check_type,
+    _Frozen, _setattr,
 )
 from .hidden_ring import RingOperator, encrypt_coefficients, new_operator
 
@@ -39,8 +39,7 @@ LEVELS = tuple(KEM_FIELD_BITS)
 _RESAMPLE_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class KemParams:
+class KemParams(_Frozen):
     """Parameter set shared by the KEM and signature schemes: a prime and a noise count.
 
     The polynomial shape is fixed: a base polynomial linear in the secret
@@ -55,19 +54,15 @@ class KemParams:
     `level` names the shipped set equal to this one, if any.
     """
 
-    base_order = 1  # unannotated, so class constants and not dataclass fields
+    base_order = 1  # class constants: no constructor argument, no part of == or hash
     factor_order = 1
     rows = 3
 
-    prime: int
-    noise_count: int
-    field_bits: int = field(init=False, compare=False)
-    ring_bits: int = field(init=False, compare=False)
-    shift_bits: int = field(init=False, compare=False)
-    hash_bytes: int = field(init=False, compare=False)
-    eval_bound: int = field(init=False, compare=False)
+    _fields = ("prime", "noise_count")
 
-    def __post_init__(self):
+    def __init__(self, prime: int, noise_count: int):
+        _setattr(self, "prime", prime)
+        _setattr(self, "noise_count", noise_count)
         if not isinstance(self.prime, int) or self.prime < 2:
             raise ParameterError("prime must be at least 2")
         if not isinstance(self.noise_count, int) or self.noise_count < 1:
@@ -79,11 +74,11 @@ class KemParams:
         ring_bits = 2 * bits + 8
         if (1 << ring_bits) < self.prime**2 * self.terms:
             raise ParameterError("noise count too large for decryptable evaluations")
-        object.__setattr__(self, "field_bits", bits)
-        object.__setattr__(self, "ring_bits", ring_bits)
-        object.__setattr__(self, "shift_bits", ring_bits + 32)
-        object.__setattr__(self, "hash_bytes", hash_bytes)
-        object.__setattr__(self, "eval_bound", self.terms * (1 << ring_bits) * self.prime)
+        _setattr(self, "field_bits", bits)
+        _setattr(self, "ring_bits", ring_bits)
+        _setattr(self, "shift_bits", ring_bits + 32)
+        _setattr(self, "hash_bytes", hash_bytes)
+        _setattr(self, "eval_bound", self.terms * (1 << ring_bits) * self.prime)
 
     @property
     def level(self) -> str | None:
@@ -121,16 +116,18 @@ _SHIPPED = {(level, m): _build(level, m) for level in LEVELS for m in (1, 2, 3)}
 _LEVEL_OF = {params: level for (level, _), params in _SHIPPED.items()}
 
 
-@dataclass(frozen=True)
-class KemPrivateKey:
+class KemPrivateKey(_Frozen):
     """Secret linear factors (constant, leading) and the two ring operators hiding the public key."""
 
-    numer_coeffs: tuple
-    denom_coeffs: tuple
-    ring1: RingOperator
-    ring2: RingOperator
+    _fields = ("numer_coeffs", "denom_coeffs", "ring1", "ring2")
 
-    def __post_init__(self):
+    def __init__(
+        self, numer_coeffs: tuple, denom_coeffs: tuple, ring1: RingOperator, ring2: RingOperator
+    ):
+        _setattr(self, "numer_coeffs", numer_coeffs)
+        _setattr(self, "denom_coeffs", denom_coeffs)
+        _setattr(self, "ring1", ring1)
+        _setattr(self, "ring2", ring2)
         _check_ints(self.numer_coeffs, "numer_coeffs")
         _check_ints(self.denom_coeffs, "denom_coeffs")
         _check_type(self.ring1, RingOperator, "ring1")
@@ -139,29 +136,29 @@ class KemPrivateKey:
             raise ParameterError("each secret factor must have two coefficients")
 
 
-@dataclass(frozen=True)
-class KemPublicKey:
+class KemPublicKey(_Frozen):
     """Encrypted coefficient matrices: flat tuples of `params.terms` entries < 2**ring_bits.
 
     Row by row, as the files store them: entry i * noise_count + j belongs to x**i * u_j.
     """
 
-    numer_matrix: tuple
-    denom_matrix: tuple
+    _fields = ("numer_matrix", "denom_matrix")
 
-    def __post_init__(self):
+    def __init__(self, numer_matrix: tuple, denom_matrix: tuple):
+        _setattr(self, "numer_matrix", numer_matrix)
+        _setattr(self, "denom_matrix", denom_matrix)
         _check_ints(self.numer_matrix, "numer_matrix")
         _check_ints(self.denom_matrix, "denom_matrix")
 
 
-@dataclass(frozen=True)
-class KemCiphertext:
+class KemCiphertext(_Frozen):
     """Plain-integer evaluations of the two public polynomials."""
 
-    numer_eval: int
-    denom_eval: int
+    _fields = ("numer_eval", "denom_eval")
 
-    def __post_init__(self):
+    def __init__(self, numer_eval: int, denom_eval: int):
+        _setattr(self, "numer_eval", numer_eval)
+        _setattr(self, "denom_eval", denom_eval)
         _check_type(self.numer_eval, int, "numer_eval")
         _check_type(self.denom_eval, int, "denom_eval")
 

@@ -7,7 +7,6 @@ its count and the field on its first differing line (CLI exit 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from . import codec
@@ -39,13 +38,13 @@ def kat_params(label: str) -> KemParams:
         raise FormatError(f"unknown KAT configuration {label!r}") from None
 
 
-@dataclass
 class KatReport:
     """Outcome of re-running a KAT file; failures are (count, field) pairs."""
 
-    label: str
-    total: int
-    failures: list = field(default_factory=list)
+    def __init__(self, label: str, total: int, failures: list | None = None):
+        self.label = label
+        self.total = total
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

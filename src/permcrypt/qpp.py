@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, cycle, islice, repeat
 from operator import getitem, itemgetter
 
 from .errors import (
     FormatError, ParameterError, _check_bytes, _check_length, _check_magic, _check_type,
-    _unchecked,
+    _Frozen, _setattr, _unchecked,
 )
 from .keystream import (
     TAG_QPP_DISPATCH,
@@ -67,18 +66,18 @@ def _granule(n: int) -> int:
     return math.lcm(n, 8) // 8
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Frozen):
     """Bijection on [0, 2**n) stored as a lookup table.
 
     The checked constructor stores the entries as the ints of the shared
     tuple(range(2**n)), so a decoded table of bools holds ints.
     """
 
-    n: int
-    table: tuple
+    _fields = ("n", "table")
 
-    def __post_init__(self):
+    def __init__(self, n: int, table: tuple):
+        _setattr(self, "n", n)
+        _setattr(self, "table", table)
         _check_block_bits(self.n)
         table = tuple(self.table)
         # 1.0 == 1, so the sort alone would pass a table of integral floats.
@@ -86,7 +85,7 @@ class Permutation:
         blocks = _ordered(1 << self.n)
         if not ints or sorted(table) != list(blocks):
             raise ParameterError("table is not a bijection on the block range")
-        object.__setattr__(self, "table", tuple(map(blocks.__getitem__, table)))
+        _setattr(self, "table", tuple(map(blocks.__getitem__, table)))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -117,21 +116,21 @@ class Permutation:
         return Permutation(self.n, tuple(self.table[v] for v in other.table))
 
 
-@dataclass(frozen=True)
-class PermutationPad:
+class PermutationPad(_Frozen):
     """Ordered list of permutations sharing one block size."""
 
-    n: int
-    perms: tuple
+    _fields = ("n", "perms")
 
-    def __post_init__(self):
+    def __init__(self, n: int, perms: tuple):
+        _setattr(self, "n", n)
+        _setattr(self, "perms", perms)
         _check_block_bits(self.n)
         perms = tuple(self.perms)
         if not perms:
             raise ParameterError("pad must hold at least one permutation")
         if any(not isinstance(p, Permutation) or p.n != self.n for p in perms):
             raise ParameterError("all pad members must be permutations of one block size")
-        object.__setattr__(self, "perms", perms)
+        _setattr(self, "perms", perms)
 
     @property
     def size(self) -> int:

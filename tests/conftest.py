@@ -3,6 +3,11 @@
 from permcrypt.keystream import KeystreamState
 
 
+def replace(obj, **changes):
+    """A copy of a value object with `changes`, rebuilt through its public, checked constructor."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
+
+
 class ScriptedEntropy:
     """Entropy stub replaying a fixed list of next_index results."""
 

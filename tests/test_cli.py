@@ -439,13 +439,14 @@ def test_info_complexity_prints_log2_operations(capsys):
 _LOADED = ("import json, sys; bare = set(sys.modules); from permcrypt.cli import main; "
            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('permcrypt.') "
-           "or m in ('secrets', 'hashlib', 'typing') and m not in bare)]))")
+           "or m in ('secrets', 'hashlib', 'typing', 'dataclasses', 'inspect') "
+           "and m not in bare)]))")
 
 
 def _run_fresh(*commands, flags=()):
     """The exit code of each command, run in turn by main in one fresh interpreter,
-    and the modules that interpreter loaded: the permcrypt ones, and any of
-    `secrets`, `hashlib` and `typing` that start-up had not already loaded."""
+    and the modules that interpreter loaded: the permcrypt ones, and any of `secrets`,
+    `hashlib`, `typing`, `dataclasses` and `inspect` that start-up had not already loaded."""
     argvs = json.dumps([[str(a) for a in argv] for argv in commands])
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, *flags, "-c", _LOADED, argvs], env=env, check=True,
@@ -530,6 +531,21 @@ def test_decaps_loads_no_hashlib(hppk_commands):
     # hashlib comes in only with keystream, which decapsulation never calls.
     codes, loaded = _run_fresh(hppk_commands["decaps"])
     assert codes == [0] and "hashlib" not in loaded
+
+
+def test_key_and_message_commands_load_no_dataclasses_or_inspect(tmp_path, hppk_commands):
+    # The value objects are plain classes, so no command pays for dataclasses and the
+    # inspect, ast and dis it imports.
+    pad, msg, enc = tmp_path / "pad", tmp_path / "msg", tmp_path / "enc"
+    codes, loaded = _run_fresh(
+        *hppk_commands.values(),
+        ("qpp-keygen", "--out", pad, "--seed-hex", "beef", "--unsafe-seed"),
+        ("qpp-encrypt", "--pad", pad, "--key-hex", "c0ffee", "--in", msg, "--out", enc),
+        ("qpp-decrypt", "--pad", pad, "--key-hex", "c0ffee", "--in", enc,
+         "--out", tmp_path / "dec"),
+    )
+    assert codes == [0] * 8 and (tmp_path / "dec").read_bytes() == msg.read_bytes()
+    assert loaded.isdisjoint({"dataclasses", "inspect"}), loaded
 
 
 def test_decaps_loads_no_typing_without_site(hppk_commands):

@@ -4,10 +4,10 @@ import random
 import subprocess
 import sys
 from array import array
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import replace
 from hypothesis import given, settings, strategies as st
 
 from permcrypt import codec, qpp

@@ -1,7 +1,5 @@
-from dataclasses import replace
-
 import pytest
-from conftest import ScriptedEntropy
+from conftest import ScriptedEntropy, replace
 
 from permcrypt.errors import FormatError, GenerationError, ParameterError, SigningError
 from permcrypt.hidden_ring import new_operator

@@ -1,6 +1,9 @@
+import copy
 import functools
+import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +12,14 @@ import pytest
 
 from permcrypt.errors import ParameterError
 from permcrypt.hidden_ring import RingOperator, count_coprime_pairs, new_operator
-from permcrypt.hppk_ds import ds_keygen, ds_params, sign, verify
-from permcrypt.hppk_kem import KemParams, attack_complexity
-from permcrypt.keystream import TAG_HPPK_HASH, TAG_HPPK_KEYGEN, KeystreamState, hash_to_field
+from permcrypt.hppk_ds import DsVerificationKey, Signature, ds_keygen, ds_params, sign, verify
+from permcrypt.hppk_kem import (
+    KemCiphertext, KemParams, KemPrivateKey, KemPublicKey, attack_complexity, encapsulate,
+)
+from permcrypt.keystream import (
+    TAG_HPPK_HASH, TAG_HPPK_KEYGEN, TAG_HPPK_U, KeystreamState, hash_to_field,
+)
+from permcrypt.qpp import Permutation, PermutationPad, generate_pad
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -82,3 +90,66 @@ def test_bytes_like_arguments_act_as_bytes(wrap):
     assert hash_to_field(wrap(b"m"), 2**61 - 1, 32) == hash_to_field(b"m", 2**61 - 1, 32)
     sk, vk, params, sig = _ds_session()
     assert verify(vk, params, wrap(b"m"), sig)
+
+
+# --- the value objects' contract ----------------------------------------------
+
+_VALUE_CLASSES = (KemParams, RingOperator, KemPrivateKey, KemPublicKey, KemCiphertext,
+                  Signature, DsVerificationKey, Permutation, PermutationPad)
+
+
+def _value_object(cls):
+    """A fresh seeded object of a value class: from a DS-I key set, or a 4-bit pad of three."""
+    params = ds_params("I")
+    sk, pk, vk = ds_keygen(params, KeystreamState(b"contract", TAG_HPPK_KEYGEN))
+    _, ct = encapsulate(pk, params, KeystreamState(b"contract", TAG_HPPK_U))
+    sig = sign(sk, params, b"m", KeystreamState(b"contract", TAG_HPPK_HASH), vk=vk)
+    pad = generate_pad(b"contract", 4, 3)
+    return {KemParams: params, RingOperator: sk.ring1, KemPrivateKey: sk, KemPublicKey: pk,
+            KemCiphertext: ct, Signature: sig, DsVerificationKey: vk,
+            Permutation: pad.perms[1], PermutationPad: pad}[cls]
+
+
+_each_class = pytest.mark.parametrize("cls", _VALUE_CLASSES, ids=lambda cls: cls.__name__)
+
+
+@_each_class
+def test_value_objects_compare_and_hash_as_their_constructor_arguments(cls):
+    obj = _value_object(cls)
+    names = list(inspect.signature(cls).parameters)
+    args = tuple(getattr(obj, name) for name in names)
+    assert obj == cls(*args) == cls(**dict(zip(names, args)))
+    assert hash(obj) == hash(args)
+
+
+def test_value_objects_of_different_classes_are_unequal():
+    assert KemCiphertext(3, 5) != Signature(3, 5)
+    assert KemCiphertext(3, 5) != (3, 5)
+
+
+@_each_class
+def test_value_objects_refuse_assignment_and_deletion(cls):
+    obj = _value_object(cls)
+    before = dict(vars(obj))
+    for name in before:  # the constructor's fields and every attribute derived from them
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(obj, name, 1)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(obj, name)
+    assert vars(obj) == before and obj == _value_object(cls)
+
+
+@_each_class
+def test_value_objects_survive_pickle_deepcopy_and_repr(cls):
+    obj = _value_object(cls)
+    for again in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj),
+                  eval(repr(obj), {c.__name__: c for c in _VALUE_CLASSES})):
+        assert type(again) is cls and again == obj and hash(again) == hash(obj)
+
+
+def test_cached_tables_take_no_part_in_equality_or_hash():
+    pad, fresh = _value_object(PermutationPad), _value_object(PermutationPad)
+    filled = pad._inverse, pad._flat_table, pad._phase_tables, pad.perms[0]._inverse
+    assert all(filled) and {"_inverse", "_flat_table", "_phase_tables"} <= set(vars(pad))
+    assert pad == fresh and hash(pad) == hash(fresh)
+    assert pad.perms[0] == fresh.perms[0] and hash(pad.perms[0]) == hash(fresh.perms[0])
