@@ -108,7 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="entropy and attack-complexity figures")
     info_sub = p.add_subparsers(dest="info_command", required=True)
-    pe = leaf(info_sub, "entropy", _cmd_info_entropy)
+    pe = leaf(info_sub, "entropy", _cmd_info_entropy,
+              help="bits of key space of the (n, M) pad family; a pad drawn from one "
+                   "32-byte seed, as qpp-keygen draws it, carries at most 256 bits")
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--M", type=int, required=True)
     pe.add_argument("--kind", choices=("matrix", "arithmetic"), default="matrix")

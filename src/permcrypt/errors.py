@@ -115,8 +115,8 @@ class _Frozen:
 def _unchecked(cls, *fields):
     """A `_Frozen` object of `cls` from fields its caller has checked, without `__init__`.
 
-    Decoders and generators use it where their fields are already stricter
-    than the constructor's own checks; public construction keeps them all.
+    Decoders use it on range-checked fields, the HPPK schemes on values they
+    compute that hold the checks by construction; public construction keeps them all.
     """
     obj = object.__new__(cls)
     for name, value in zip(cls._fields, fields):

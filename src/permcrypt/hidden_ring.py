@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import GenerationError, ParameterError, _Frozen, _setattr
+from .errors import GenerationError, ParameterError, _Frozen, _setattr, _unchecked
 from .ring_arith import inv_mod, mul_mod
 
 _COPRIME_RETRIES = 256
@@ -52,7 +52,7 @@ def new_operator(rng, bits: int) -> RingOperator:
 
     The modulus is uniform over the top half of the range (so its bit
     length is exact) and the multiplier uniform over [1, modulus) with
-    non-coprime draws rejected.
+    non-coprime draws rejected; the draws pass the constructor's checks.
     """
     if not isinstance(bits, int) or bits < 8:
         raise ParameterError("ring size below 8 bits is not supported")
@@ -61,7 +61,10 @@ def new_operator(rng, bits: int) -> RingOperator:
     for _ in range(_COPRIME_RETRIES):
         multiplier = 1 + rng.next_index(modulus - 1)
         if math.gcd(multiplier, modulus) == 1:
-            return RingOperator(multiplier, modulus)
+            op = _unchecked(RingOperator, multiplier, modulus)
+            _setattr(op, "multiplier_inv", pow(multiplier, -1, modulus))
+            _setattr(op, "bits", bits)  # the modulus lies in [2**(bits-1), 2**bits)
+            return op
     raise GenerationError("could not draw a coprime multiplier")
 
 

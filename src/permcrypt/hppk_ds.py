@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import (
     FormatError, GenerationError, ParameterError, SigningError, _check_ints, _check_type,
-    _Frozen, _setattr,
+    _Frozen, _setattr, _unchecked,
 )
 from .hppk_kem import (
     KemParams, KemPrivateKey, KemPublicKey, _check_public_shape, keygen, shipped_params,
@@ -84,11 +84,16 @@ def derive_verification_key(
     _check_type(blind, int, "blind")
     if not 0 < blind < params.prime:
         raise ParameterError("blinding scalar must be a nonzero field element")
+    return DsVerificationKey(*_fold(sk, pk, blind, params))
+
+
+def _fold(sk: KemPrivateKey, pk: KemPublicKey, blind: int, params: KemParams) -> tuple:
+    """The verification key's fields, in order, from arguments its caller has checked."""
     p = params.prime
     radix = 1 << params.shift_bits
     matrices = pk.numer_matrix, pk.denom_matrix
     moduli = sk.ring1.modulus, sk.ring2.modulus
-    return DsVerificationKey(
+    return (
         *(tuple(blind * v % p for v in matrix) for matrix in matrices),  # the residues
         *(tuple(radix * v // s for v in matrix) for matrix, s in zip(matrices, moduli)),
         *(blind * s % p for s in moduli),  # ring1_resid, ring2_resid
@@ -104,7 +109,7 @@ def ds_keygen(params: KemParams, rng):
     """
     sk, pk = keygen(params, rng)
     blind = 1 + rng.next_index(params.prime - 1)
-    return sk, pk, derive_verification_key(sk, pk, blind, params)
+    return sk, pk, _unchecked(DsVerificationKey, *_fold(sk, pk, blind, params))
 
 
 def sign(
@@ -136,10 +141,13 @@ def sign(
     _check_type(sk, KemPrivateKey, "sk")
     _check_type(params, KemParams, "params")
     p = params.prime
+    r1, r2 = sk.ring1, sk.ring2
+    if r1.modulus < p or r2.modulus < p:  # so each tag below is a nonzero value below s
+        raise ParameterError("ring moduli must be at least the prime")
     if vk is not None:
         _check_verification_key(vk, params)
         # Both sides are blind * s1 * s2 mod p when vk was derived from sk.
-        if vk.ring1_resid * sk.ring2.modulus % p != vk.ring2_resid * sk.ring1.modulus % p:
+        if vk.ring1_resid * r2.modulus % p != vk.ring2_resid * r1.modulus % p:
             raise ParameterError("verification key does not belong to this private key")
     x = hash_to_field(message, p, params.hash_bytes)
     f0, f1 = sk.numer_coeffs
@@ -152,10 +160,9 @@ def sign(
         raise SigningError("message hash is a root of a secret factor")
     for _ in range(_SELF_CHECK_LIMIT):
         alpha = 1 + rng.next_index(p - 1)
-        sig = Signature(
-            numer_tag=sk.ring2.invert(alpha * fx % p),
-            denom_tag=sk.ring1.invert(alpha * hx % p),
-        )
+        # RingOperator.invert of alpha * f(x) and alpha * h(x), nonzero and below p.
+        numer_tag = r2.multiplier_inv * (alpha * fx % p) % r2.modulus
+        sig = _unchecked(Signature, numer_tag, r1.multiplier_inv * (alpha * hx % p) % r1.modulus)
         if vk is None or _identity_holds(vk, params, x, sig):
             return sig
     raise GenerationError("signer self-check kept failing")

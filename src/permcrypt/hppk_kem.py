@@ -15,9 +15,9 @@ from operator import mul
 
 from .errors import (
     DecapsulationError, FormatError, GenerationError, ParameterError, _check_ints, _check_type,
-    _Frozen, _setattr,
+    _Frozen, _setattr, _unchecked,
 )
-from .hidden_ring import RingOperator, encrypt_coefficients, new_operator
+from .hidden_ring import RingOperator, new_operator
 
 # Largest prime below 2**bits for every shipped field width, pinned so key
 # material and test vectors stay stable across builds.  A regeneration test
@@ -214,11 +214,12 @@ def keygen(params: KemParams, rng):
     base = _sample_base(rng, params)
     ring1 = new_operator(rng, params.ring_bits)
     ring2 = new_operator(rng, params.ring_bits)
-    pk = KemPublicKey(*(
-        tuple(encrypt_coefficients(ring, _factor_times_base(factor, base, params), params.prime))
-        for ring, factor in ((ring1, numer), (ring2, denom))
+    # encrypt_coefficients' checks hold: entries are below the prime, KemParams fits the ring.
+    pk = _unchecked(KemPublicKey, *(
+        tuple([r.multiplier * c % r.modulus for c in _factor_times_base(f, base, params)])
+        for r, f in ((ring1, numer), (ring2, denom))
     ))
-    return KemPrivateKey(numer, denom, ring1, ring2), pk
+    return _unchecked(KemPrivateKey, numer, denom, ring1, ring2), pk
 
 
 def ciphertext_bound(params: KemParams) -> int:
@@ -235,9 +236,8 @@ def _evaluate(pk: KemPublicKey, params: KemParams, secret: int, noise) -> KemCip
     for _ in range(params.rows):
         monomials += [xpow * u % p for u in noise]
         xpow = xpow * secret % p
-    return KemCiphertext(
-        sum(map(mul, pk.numer_matrix, monomials)), sum(map(mul, pk.denom_matrix, monomials))
-    )
+    numer = sum(map(mul, pk.numer_matrix, monomials))
+    return _unchecked(KemCiphertext, numer, sum(map(mul, pk.denom_matrix, monomials)))
 
 
 def _check_public_shape(pk: KemPublicKey, params: KemParams) -> None:
@@ -280,8 +280,9 @@ def decapsulate(sk: KemPrivateKey, ct: KemCiphertext, params: KemParams) -> int:
         raise FormatError("ciphertext values out of range")
     p = params.prime
     r1, r2 = sk.ring1, sk.ring2
-    numer_lift = r1.invert(ct.numer_eval % r1.modulus) % p
-    denom_lift = r2.invert(ct.denom_eval % r2.modulus) % p
+    # RingOperator.invert on operands already reduced mod each modulus.
+    numer_lift = r1.multiplier_inv * (ct.numer_eval % r1.modulus) % r1.modulus % p
+    denom_lift = r2.multiplier_inv * (ct.denom_eval % r2.modulus) % r2.modulus % p
     f0, f1 = sk.numer_coeffs
     h0, h1 = sk.denom_coeffs
     denominator = (f1 * denom_lift - h1 * numer_lift) % p

@@ -7,7 +7,7 @@ from array import array
 from pathlib import Path
 
 import pytest
-from conftest import replace
+from conftest import assert_built_like_the_constructor, replace
 from hypothesis import given, settings, strategies as st
 
 from permcrypt import codec, qpp
@@ -148,15 +148,6 @@ _DECODED_KINDS = {
 }
 
 
-def _assert_built_like_the_constructor(decoded, built):
-    assert type(decoded) is type(built)
-    assert decoded == built and hash(decoded) == hash(built)
-    assert vars(decoded) == vars(built)
-    for value in vars(decoded).values():
-        values = value if isinstance(value, tuple) else (value,)
-        assert type(value) in (tuple, int) and all(type(v) is int for v in values)
-
-
 @pytest.mark.parametrize("level", LEVELS)
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_decoders_build_what_the_public_constructors_build(level, m):
@@ -175,7 +166,7 @@ def test_decoders_build_what_the_public_constructors_build(level, m):
         decode, construct = _DECODED_KINDS[kind]
         decoded, got = decode(data)
         assert got is params and decoded == value
-        _assert_built_like_the_constructor(decoded, construct(codec._decode(data, kind)[1]))
+        assert_built_like_the_constructor(decoded, construct(codec._decode(data, kind)[1]))
 
 
 @st.composite
@@ -195,7 +186,7 @@ def test_drawn_in_range_fields_decode_to_the_constructors_object(case):
     decode, construct = _DECODED_KINDS[kind]
     decoded, got = decode(codec._encode(kind, params, runs))
     assert got is params
-    _assert_built_like_the_constructor(decoded, construct(runs))
+    assert_built_like_the_constructor(decoded, construct(runs))
 
 
 def test_pad_round_trip():

@@ -3,6 +3,7 @@ import math
 import pytest
 import sympy
 from conftest import ScriptedEntropy
+from hypothesis import example, given, settings, strategies as st
 
 from permcrypt.errors import GenerationError, ParameterError
 from permcrypt.hidden_ring import (
@@ -11,6 +12,7 @@ from permcrypt.hidden_ring import (
     encrypt_coefficients,
     new_operator,
 )
+from permcrypt.hppk_kem import LEVELS, shipped_params
 from permcrypt.keystream import KeystreamState
 from permcrypt.ring_arith import inv_mod
 
@@ -28,6 +30,28 @@ def test_new_operator_ranges_and_coprimality():
     assert op.bits == 8
     assert math.gcd(op.multiplier, op.modulus) == 1
     assert op.multiplier * op.multiplier_inv % op.modulus == 1
+
+
+_SHIPPED_RING_BITS = sorted({shipped_params(l, m).ring_bits for l in LEVELS for m in (1, 2, 3)})
+
+
+def _with_shipped_ring_bits(test):
+    for bits in _SHIPPED_RING_BITS:
+        test = example(bits=bits, label=b"shipped")(test)
+    return test
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(bits=st.integers(8, 264), label=st.binary(max_size=8))
+@_with_shipped_ring_bits
+def test_new_operator_holds_the_constructors_invariants(bits, label):
+    # new_operator builds its operator without RingOperator's checks.
+    op = new_operator(KeystreamState(label, b"operator"), bits)
+    assert all(type(v) is int for v in vars(op).values())
+    assert 1 <= op.multiplier < op.modulus
+    assert math.gcd(op.multiplier, op.modulus) == 1
+    assert op.multiplier * op.multiplier_inv % op.modulus == 1
+    assert op.bits == op.modulus.bit_length() == bits
 
 
 def test_new_operator_deterministic_under_fixed_entropy():

@@ -1,8 +1,8 @@
 import pytest
-from conftest import ScriptedEntropy, replace
+from conftest import ScriptedEntropy, assert_built_like_the_constructor, replace
 
 from permcrypt.errors import FormatError, GenerationError, ParameterError, SigningError
-from permcrypt.hidden_ring import new_operator
+from permcrypt.hidden_ring import RingOperator, new_operator
 from permcrypt.hppk_ds import (
     DsVerificationKey,
     Signature,
@@ -12,10 +12,20 @@ from permcrypt.hppk_ds import (
     sign,
     verify,
 )
-from permcrypt.hppk_kem import DS_FIELD_BITS, KemParams, KemPrivateKey, kem_params, keygen
+from permcrypt.hppk_kem import (
+    DS_FIELD_BITS,
+    LEVELS,
+    KemParams,
+    KemPrivateKey,
+    encapsulate,
+    kem_params,
+    keygen,
+    shipped_params,
+)
 from permcrypt.keystream import (
     TAG_HPPK_HASH,
     TAG_HPPK_KEYGEN,
+    TAG_HPPK_U,
     KeystreamState,
     hash_to_field,
 )
@@ -101,6 +111,29 @@ def test_derive_verification_key_refuses_a_public_key_of_the_wrong_length():
                 replace(pk, denom_matrix=pk.denom_matrix + (1,))):
         with pytest.raises(FormatError, match="wrong shape"):
             derive_verification_key(sk, bad, 5, params)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_schemes_build_what_the_public_constructors_build(level, m):
+    # The schemes skip the constructors' checks; their objects must not differ
+    # from the checked ones in any field, derived attribute or hash.
+    params = shipped_params(level, m)
+    label = b"schemes-%s-%d" % (level.encode(), m)
+    sk, pk, vk = seeded_triple(params, label)
+    _, ct = encapsulate(pk, params, KeystreamState(label, TAG_HPPK_U))
+    sig = sign(sk, params, b"built", sign_rng(label), vk=vk)
+    # The helper recurses into each ring, against RingOperator(multiplier, modulus).
+    assert_built_like_the_constructor(
+        sk, replace(sk, ring1=replace(sk.ring1), ring2=replace(sk.ring2))
+    )
+    for built in (pk, vk, ct, sig):
+        assert_built_like_the_constructor(built, replace(built))
+    # keygen alone draws the same pair; the next draw is ds_keygen's blind.
+    rng = KeystreamState(label, TAG_HPPK_KEYGEN)
+    assert keygen(params, rng) == (sk, pk)
+    blind = 1 + rng.next_index(params.prime - 1)
+    assert_built_like_the_constructor(vk, derive_verification_key(sk, pk, blind, params))
 
 
 # --- signing ----------------------------------------------------------------
@@ -196,6 +229,17 @@ def test_sign_refuses_another_keys_vk_before_any_draw():
     with pytest.raises(ParameterError,
                        match="verification key does not belong to this private key"):
         sign(sk, params, b"foreign vk", rng, vk=other_vk)
+    assert rng.pos == 0
+
+
+def test_sign_refuses_rings_narrower_than_the_field_before_any_draw():
+    # Each tag is nonzero and below its modulus only when the modulus is at least the prime.
+    params = ds_params("I")
+    sk, _, _ = seeded_triple(params, b"narrow-rings")
+    rng = ScriptedEntropy([1])
+    for narrow in (replace(sk, ring1=RingOperator(3, 7)), replace(sk, ring2=RingOperator(3, 7))):
+        with pytest.raises(ParameterError, match="ring moduli must be at least the prime"):
+            sign(narrow, params, b"narrow", rng)
     assert rng.pos == 0
 
 
