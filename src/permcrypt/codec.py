@@ -6,14 +6,14 @@ Each HPPK kind's payload is described in `_payload` and placed once per
 (kind, shipped parameter set) by `_layout`: header bytes, field offsets
 and size, read by its encoder, its decoder and its size formula.  There
 each field's rule is stated once, as a [low, high) range, so an encoder
-refuses exactly what its decoder refuses.  Decoders build the public key,
-ciphertext, verification key and signature straight from those
+refuses exactly what its decoder refuses.  Decoders build each key,
+ciphertext and signature through `errors._unchecked` from those
 range-checked fields and do not re-run the constructors' checks.  The one
 cross-field rule, a ring multiplier below its modulus and coprime to it,
-is the `RingOperator` constructor, which the private-key decoder still
-calls.  A verification key holds no radix shift; its encoder writes the
-set's own.  Key matrices are flat tuples, row by row, and each is written
-as one run in that order.
+is the `RingOperator` constructor: the private-key decoder checks each
+ring with it, then builds the key around them.  A verification key holds
+no radix shift; its encoder writes the set's own.  Key matrices are flat
+tuples, row by row, and each is written as one run in that order.
 A decode reads the header first and reports a header byte that names no
 shipped set at its own offset.  It then checks the length once: truncation
 is reported at the first missing byte, trailing bytes at the expected end,
@@ -271,7 +271,8 @@ def decode_kem_private(data: bytes):
             rings.append(RingOperator(multiplier, modulus))
         except ParameterError as exc:
             raise FormatError(str(exc), offset=at[0]) from exc
-    return KemPrivateKey(tuple(runs[0] + runs[1]), tuple(runs[2] + runs[3]), *rings), params
+    numer, denom = tuple(runs[0] + runs[1]), tuple(runs[2] + runs[3])
+    return _unchecked(KemPrivateKey, numer, denom, *rings), params
 
 
 def encode_kem_ciphertext(ct: KemCiphertext, params: KemParams) -> bytes:

@@ -45,11 +45,12 @@ def _check_type(value, kind: type, name: str) -> None:
 
 
 def _check_bytes(value, name: str) -> None:
-    """Refuse anything but bytes, a bytearray or a flat memoryview of single bytes."""
+    """Refuse anything but bytes, a bytearray or a flat, contiguous memoryview of single bytes."""
     if not isinstance(value, (bytes, bytearray, memoryview)):
         raise ParameterError(f"{name} must be bytes, not {type(value).__name__}")
-    # len() of any other view counts items or rows, not bytes.
-    if isinstance(value, memoryview) and (value.itemsize != 1 or value.ndim != 1):
+    # len() of any other view counts items or rows, not bytes; a strided one has no flat buffer.
+    if isinstance(value, memoryview) and (
+            value.itemsize != 1 or value.ndim != 1 or not value.c_contiguous):
         raise ParameterError(f"{name} must be a flat memoryview of single bytes")
 
 
@@ -76,7 +77,8 @@ def _check_length(data: bytes, size: int) -> None:
         raise FormatError("trailing bytes after payload", offset=size)
 
 
-_setattr = object.__setattr__  # how a frozen object's own __init__ writes its fields
+_new = object.__new__
+_writer = object.__setattr__.__get__  # obj's own object.__setattr__, past _Frozen's refusal
 
 
 class _Frozen:
@@ -84,7 +86,7 @@ class _Frozen:
 
     Equality and hash cover those fields alone, as one tuple, so attributes
     derived in `__init__` and cached properties in `__dict__` take no part.
-    Assignment and deletion raise AttributeError naming the field.
+    Assignment and deletion raise AttributeError naming the field; only `_bind` writes fields.
     """
 
     _fields: tuple = ()
@@ -112,13 +114,23 @@ class _Frozen:
         return f"{self.__class__.__qualname__}({args})"
 
 
-def _unchecked(cls, *fields):
-    """A `_Frozen` object of `cls` from fields its caller has checked, without `__init__`.
+def _bind(obj, fields: tuple, derived: dict | None = None):
+    """Write `obj`'s attributes once: `fields` in `_fields` order, then `derived`.
 
-    Decoders use it on range-checked fields, the HPPK schemes on values they
-    compute that hold the checks by construction; public construction keeps them all.
-    """
-    obj = object.__new__(cls)
-    for name, value in zip(cls._fields, fields):
-        _setattr(obj, name, value)
+    `object.__setattr__` keeps them in the inline values that CPython reads fastest;
+    a bound writer and an index loop cost less than zip or unbound calls."""
+    write = _writer(obj)
+    i = 0
+    for name in type(obj)._fields:
+        write(name, fields[i])
+        i += 1
+    for name in derived or ():
+        write(name, derived[name])
     return obj
+
+
+def _unchecked(cls, *fields, **derived):
+    """A new `cls` bound without `__init__`: how the library builds what it decodes or computes.
+
+    A checked constructor runs only on the fields a caller hands in."""
+    return _bind(_new(cls), fields, derived)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import GenerationError, ParameterError, _Frozen, _setattr, _unchecked
+from .errors import GenerationError, ParameterError, _bind, _Frozen, _unchecked
 from .ring_arith import inv_mod, mul_mod
 
 _COPRIME_RETRIES = 256
@@ -27,16 +27,14 @@ class RingOperator(_Frozen):
     _fields = ("multiplier", "modulus")
 
     def __init__(self, multiplier: int, modulus: int):
-        _setattr(self, "multiplier", multiplier)
-        _setattr(self, "modulus", modulus)
-        if not isinstance(self.modulus, int) or self.modulus < 2:
+        if not isinstance(modulus, int) or modulus < 2:
             raise ParameterError("modulus must exceed 1")
-        if not isinstance(self.multiplier, int) or not 0 < self.multiplier < self.modulus:
+        if not isinstance(multiplier, int) or not 0 < multiplier < modulus:
             raise ParameterError("multiplier must lie in [1, modulus)")
-        if math.gcd(self.multiplier, self.modulus) != 1:
+        if math.gcd(multiplier, modulus) != 1:
             raise ParameterError("multiplier and modulus must be coprime")
-        _setattr(self, "multiplier_inv", inv_mod(self.multiplier, self.modulus))
-        _setattr(self, "bits", self.modulus.bit_length())
+        inverse, bits = inv_mod(multiplier, modulus), modulus.bit_length()
+        _bind(self, (multiplier, modulus), {"multiplier_inv": inverse, "bits": bits})
 
     def apply(self, a: int) -> int:
         """multiplier * a mod modulus."""
@@ -61,10 +59,8 @@ def new_operator(rng, bits: int) -> RingOperator:
     for _ in range(_COPRIME_RETRIES):
         multiplier = 1 + rng.next_index(modulus - 1)
         if math.gcd(multiplier, modulus) == 1:
-            op = _unchecked(RingOperator, multiplier, modulus)
-            _setattr(op, "multiplier_inv", pow(multiplier, -1, modulus))
-            _setattr(op, "bits", bits)  # the modulus lies in [2**(bits-1), 2**bits)
-            return op
+            inverse = pow(multiplier, -1, modulus)  # bits: the modulus is in [2**(bits-1), 2**bits)
+            return _unchecked(RingOperator, multiplier, modulus, multiplier_inv=inverse, bits=bits)
     raise GenerationError("could not draw a coprime multiplier")
 
 

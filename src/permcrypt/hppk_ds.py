@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import (
     FormatError, GenerationError, ParameterError, SigningError, _check_ints, _check_type,
-    _Frozen, _setattr, _unchecked,
+    _bind, _Frozen, _unchecked,
 )
 from .hppk_kem import (
     KemParams, KemPrivateKey, KemPublicKey, _check_public_shape, keygen, shipped_params,
@@ -33,12 +33,11 @@ class Signature(_Frozen):
     _fields = ("numer_tag", "denom_tag")
 
     def __init__(self, numer_tag: int, denom_tag: int):
-        _setattr(self, "numer_tag", numer_tag)
-        _setattr(self, "denom_tag", denom_tag)
-        _check_type(self.numer_tag, int, "numer_tag")
-        _check_type(self.denom_tag, int, "denom_tag")
-        if self.numer_tag == 0 or self.denom_tag == 0:
+        _check_type(numer_tag, int, "numer_tag")
+        _check_type(denom_tag, int, "denom_tag")
+        if numer_tag == 0 or denom_tag == 0:
             raise ParameterError("signature values must be nonzero")
+        _bind(self, (numer_tag, denom_tag))
 
 
 class DsVerificationKey(_Frozen):
@@ -59,16 +58,12 @@ class DsVerificationKey(_Frozen):
         self, numer_resid: tuple, denom_resid: tuple, numer_quot: tuple, denom_quot: tuple,
         ring1_resid: int, ring2_resid: int,
     ):
-        _setattr(self, "numer_resid", numer_resid)
-        _setattr(self, "denom_resid", denom_resid)
-        _setattr(self, "numer_quot", numer_quot)
-        _setattr(self, "denom_quot", denom_quot)
-        _setattr(self, "ring1_resid", ring1_resid)
-        _setattr(self, "ring2_resid", ring2_resid)
-        for name in ("numer_resid", "denom_resid", "numer_quot", "denom_quot"):
-            _check_ints(getattr(self, name), name)
-        _check_type(self.ring1_resid, int, "ring1_resid")
-        _check_type(self.ring2_resid, int, "ring2_resid")
+        fields = numer_resid, denom_resid, numer_quot, denom_quot, ring1_resid, ring2_resid
+        for name, value in zip(self._fields[:4], fields):
+            _check_ints(value, name)
+        _check_type(ring1_resid, int, "ring1_resid")
+        _check_type(ring2_resid, int, "ring2_resid")
+        _bind(self, fields)
 
 
 def derive_verification_key(
@@ -77,23 +72,24 @@ def derive_verification_key(
     """Fold the public matrices into the verification key with a known blind.
 
     A public key whose matrices are not `params.terms` long raises
-    FormatError, as in encapsulate.
+    FormatError, as in encapsulate.  The folded fields are not checked again.
     """
     _check_type(sk, KemPrivateKey, "sk")
     _check_public_shape(pk, params)
     _check_type(blind, int, "blind")
     if not 0 < blind < params.prime:
         raise ParameterError("blinding scalar must be a nonzero field element")
-    return DsVerificationKey(*_fold(sk, pk, blind, params))
+    return _fold(sk, pk, blind, params)
 
 
-def _fold(sk: KemPrivateKey, pk: KemPublicKey, blind: int, params: KemParams) -> tuple:
-    """The verification key's fields, in order, from arguments its caller has checked."""
+def _fold(sk: KemPrivateKey, pk: KemPublicKey, blind: int, params: KemParams) -> DsVerificationKey:
+    """The verification key, built unchecked from arguments its caller has checked."""
     p = params.prime
     radix = 1 << params.shift_bits
     matrices = pk.numer_matrix, pk.denom_matrix
     moduli = sk.ring1.modulus, sk.ring2.modulus
-    return (
+    return _unchecked(
+        DsVerificationKey,
         *(tuple(blind * v % p for v in matrix) for matrix in matrices),  # the residues
         *(tuple(radix * v // s for v in matrix) for matrix, s in zip(matrices, moduli)),
         *(blind * s % p for s in moduli),  # ring1_resid, ring2_resid
@@ -109,7 +105,7 @@ def ds_keygen(params: KemParams, rng):
     """
     sk, pk = keygen(params, rng)
     blind = 1 + rng.next_index(params.prime - 1)
-    return sk, pk, _unchecked(DsVerificationKey, *_fold(sk, pk, blind, params))
+    return sk, pk, _fold(sk, pk, blind, params)
 
 
 def sign(

@@ -15,7 +15,7 @@ from operator import mul
 
 from .errors import (
     DecapsulationError, FormatError, GenerationError, ParameterError, _check_ints, _check_type,
-    _Frozen, _setattr, _unchecked,
+    _bind, _Frozen, _unchecked,
 )
 from .hidden_ring import RingOperator, new_operator
 
@@ -61,24 +61,22 @@ class KemParams(_Frozen):
     _fields = ("prime", "noise_count")
 
     def __init__(self, prime: int, noise_count: int):
-        _setattr(self, "prime", prime)
-        _setattr(self, "noise_count", noise_count)
-        if not isinstance(self.prime, int) or self.prime < 2:
+        if not isinstance(prime, int) or prime < 2:
             raise ParameterError("prime must be at least 2")
-        if not isinstance(self.noise_count, int) or self.noise_count < 1:
+        if not isinstance(noise_count, int) or noise_count < 1:
             raise ParameterError("noise count must be >= 1")
-        bits = self.prime.bit_length()
+        bits = prime.bit_length()
         hash_bytes = next((w for w in (32, 48, 64) if 2 * w >= bits), None)
         if hash_bytes is None:
             raise ParameterError("no SHA3 digest covers a field wider than 128 bits")
         ring_bits = 2 * bits + 8
-        if (1 << ring_bits) < self.prime**2 * self.terms:
+        terms = self.rows * noise_count
+        if (1 << ring_bits) < prime**2 * terms:
             raise ParameterError("noise count too large for decryptable evaluations")
-        _setattr(self, "field_bits", bits)
-        _setattr(self, "ring_bits", ring_bits)
-        _setattr(self, "shift_bits", ring_bits + 32)
-        _setattr(self, "hash_bytes", hash_bytes)
-        _setattr(self, "eval_bound", self.terms * (1 << ring_bits) * self.prime)
+        _bind(self, (prime, noise_count), {
+            "field_bits": bits, "ring_bits": ring_bits, "shift_bits": ring_bits + 32,
+            "hash_bytes": hash_bytes, "eval_bound": terms * (1 << ring_bits) * prime,
+        })
 
     @property
     def level(self) -> str | None:
@@ -124,16 +122,13 @@ class KemPrivateKey(_Frozen):
     def __init__(
         self, numer_coeffs: tuple, denom_coeffs: tuple, ring1: RingOperator, ring2: RingOperator
     ):
-        _setattr(self, "numer_coeffs", numer_coeffs)
-        _setattr(self, "denom_coeffs", denom_coeffs)
-        _setattr(self, "ring1", ring1)
-        _setattr(self, "ring2", ring2)
-        _check_ints(self.numer_coeffs, "numer_coeffs")
-        _check_ints(self.denom_coeffs, "denom_coeffs")
-        _check_type(self.ring1, RingOperator, "ring1")
-        _check_type(self.ring2, RingOperator, "ring2")
-        if len(self.numer_coeffs) != 2 or len(self.denom_coeffs) != 2:
+        _check_ints(numer_coeffs, "numer_coeffs")
+        _check_ints(denom_coeffs, "denom_coeffs")
+        _check_type(ring1, RingOperator, "ring1")
+        _check_type(ring2, RingOperator, "ring2")
+        if len(numer_coeffs) != 2 or len(denom_coeffs) != 2:
             raise ParameterError("each secret factor must have two coefficients")
+        _bind(self, (numer_coeffs, denom_coeffs, ring1, ring2))
 
 
 class KemPublicKey(_Frozen):
@@ -145,10 +140,9 @@ class KemPublicKey(_Frozen):
     _fields = ("numer_matrix", "denom_matrix")
 
     def __init__(self, numer_matrix: tuple, denom_matrix: tuple):
-        _setattr(self, "numer_matrix", numer_matrix)
-        _setattr(self, "denom_matrix", denom_matrix)
-        _check_ints(self.numer_matrix, "numer_matrix")
-        _check_ints(self.denom_matrix, "denom_matrix")
+        _check_ints(numer_matrix, "numer_matrix")
+        _check_ints(denom_matrix, "denom_matrix")
+        _bind(self, (numer_matrix, denom_matrix))
 
 
 class KemCiphertext(_Frozen):
@@ -157,10 +151,9 @@ class KemCiphertext(_Frozen):
     _fields = ("numer_eval", "denom_eval")
 
     def __init__(self, numer_eval: int, denom_eval: int):
-        _setattr(self, "numer_eval", numer_eval)
-        _setattr(self, "denom_eval", denom_eval)
-        _check_type(self.numer_eval, int, "numer_eval")
-        _check_type(self.denom_eval, int, "denom_eval")
+        _check_type(numer_eval, int, "numer_eval")
+        _check_type(denom_eval, int, "denom_eval")
+        _bind(self, (numer_eval, denom_eval))
 
 
 def _sample_factor(rng, prime: int) -> tuple:

@@ -34,7 +34,7 @@ _HEADER_FIELDS = ("alg", "vectors", "seed")
 def kat_params(label: str) -> KemParams:
     try:
         return KAT_CONFIGS[label]
-    except KeyError:
+    except (KeyError, TypeError):  # an unhashable label names no configuration either
         raise FormatError(f"unknown KAT configuration {label!r}") from None
 
 

@@ -19,7 +19,7 @@ from operator import getitem, itemgetter
 
 from .errors import (
     FormatError, ParameterError, _check_bytes, _check_length, _check_magic, _check_type,
-    _Frozen, _setattr, _unchecked,
+    _bind, _Frozen, _unchecked,
 )
 from .keystream import (
     TAG_QPP_DISPATCH,
@@ -76,16 +76,14 @@ class Permutation(_Frozen):
     _fields = ("n", "table")
 
     def __init__(self, n: int, table: tuple):
-        _setattr(self, "n", n)
-        _setattr(self, "table", table)
-        _check_block_bits(self.n)
-        table = tuple(self.table)
+        _check_block_bits(n)
+        table = tuple(table)
         # 1.0 == 1, so the sort alone would pass a table of integral floats.
         ints = all(map(isinstance, table, repeat(int)))
-        blocks = _ordered(1 << self.n)
+        blocks = _ordered(1 << n)
         if not ints or sorted(table) != list(blocks):
             raise ParameterError("table is not a bijection on the block range")
-        _setattr(self, "table", tuple(map(blocks.__getitem__, table)))
+        _bind(self, (n, tuple(map(blocks.__getitem__, table))))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -122,15 +120,13 @@ class PermutationPad(_Frozen):
     _fields = ("n", "perms")
 
     def __init__(self, n: int, perms: tuple):
-        _setattr(self, "n", n)
-        _setattr(self, "perms", perms)
-        _check_block_bits(self.n)
-        perms = tuple(self.perms)
+        _check_block_bits(n)
+        perms = tuple(perms)
         if not perms:
             raise ParameterError("pad must hold at least one permutation")
-        if any(not isinstance(p, Permutation) or p.n != self.n for p in perms):
+        if any(not isinstance(p, Permutation) or p.n != n for p in perms):
             raise ParameterError("all pad members must be permutations of one block size")
-        _setattr(self, "perms", perms)
+        _bind(self, (n, perms))
 
     @property
     def size(self) -> int:
@@ -143,7 +139,7 @@ class PermutationPad(_Frozen):
     @cached_property
     def _inverse(self) -> "PermutationPad":
         """The pad of the members' inverses, in order: the decryption key."""
-        return PermutationPad(self.n, (p._inverse for p in self.perms))
+        return _unchecked(PermutationPad, self.n, tuple(p._inverse for p in self.perms))
 
     @cached_property
     def _flat_table(self):
@@ -165,8 +161,9 @@ def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
     block range, drawn by one KeystreamState.shuffle call on the pad-tagged
     keystream; the result is a pure function of the seed and equals one
     next_index call per swap.  The shuffled tables are bijections by
-    construction, so they are not checked again.  Every table, its inverse
-    and the flat table point into one shared set of ints per block size.
+    construction, so neither they nor the pad are checked again.  Every
+    table, its inverse and the flat table point into one shared set of ints
+    per block size.
     The stream is squeezed once, to 1.5 n-bit fields per table entry: the
     rate at which the shuffle reads ahead, which its draws seldom pass.
     """
@@ -175,8 +172,8 @@ def generate_pad(seed: bytes, n: int, size: int) -> PermutationPad:
         raise ParameterError(f"pad size must be in [1, {MAX_PAD_SIZE}]")
     state = KeystreamState(seed, TAG_QPP_PAD)
     state._squeeze(size * 3 * (n << n) // 16)
-    tables = (state.shuffle(1 << n) for _ in range(size))
-    return PermutationPad(n, (_unchecked(Permutation, n, tuple(t)) for t in tables))
+    tables = (tuple(state.shuffle(1 << n)) for _ in range(size))
+    return _unchecked(PermutationPad, n, tuple(_unchecked(Permutation, n, t) for t in tables))
 
 
 def blocks_from_bytes(data: bytes, n: int) -> list:
@@ -439,11 +436,11 @@ def decode_pad(data: bytes) -> PermutationPad:
             perms.append(Permutation(n, blocks_from_bytes(data[at:at + table_len], slot)))
         except ParameterError as exc:
             raise FormatError(str(exc), offset=at) from exc
-    return PermutationPad(n, perms)
+    return _unchecked(PermutationPad, n, tuple(perms))
 
 
 def encode_qpp_stream(body: bytes, n: int, pad_size: int, mode: str) -> bytes:
-    if mode not in _MODE_CODE:
+    if mode not in _MODES:  # a tuple, so an unhashable mode is refused like any other
         raise ParameterError(f"unknown dispatch mode {mode!r}")
     _check_bytes(body, "stream body")
     header = _qpp_header(QPP_VERSION_STREAM, n, pad_size)

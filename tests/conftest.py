@@ -22,6 +22,10 @@ def assert_built_like_the_constructor(got, built):
         if isinstance(value, _Frozen):
             assert_built_like_the_constructor(value, getattr(built, name))
             continue
+        if type(value) is tuple and value and isinstance(value[0], _Frozen):  # a pad's members
+            for member, built_member in zip(value, getattr(built, name), strict=True):
+                assert_built_like_the_constructor(member, built_member)
+            continue
         assert value == getattr(built, name)
         values = value if isinstance(value, tuple) else (value,)
         assert type(value) in (tuple, int) and all(type(v) is int for v in values)

@@ -187,6 +187,8 @@ def test_kat_rejects_unknown_label():
     with pytest.raises(FormatError):
         kat.kat_params("KEM-IX-m9")
     with pytest.raises(FormatError):
+        kat.emit_kat(b"s", ["x"], 1)  # an unhashable label
+    with pytest.raises(FormatError):
         kat.check_kat("alg = nope\nvectors = 0\nseed = 00\n")
 
 

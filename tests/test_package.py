@@ -75,8 +75,15 @@ def _ds_session():
     lambda: hash_to_field("m", 7, 32),
     lambda: sign(_ds_session()[0], _ds_session()[2], "m", KeystreamState(b"s", TAG_HPPK_HASH)),
     lambda: verify(_ds_session()[1], _ds_session()[2], "m", _ds_session()[3]),
+    lambda: KeystreamState(memoryview(b"seed")[::2], b"t"),
+    lambda: hash_to_field(memoryview(b"message")[::2], 7, 32),
+    lambda: sign(_ds_session()[0], _ds_session()[2], memoryview(b"message")[::2],
+                 KeystreamState(b"s", TAG_HPPK_HASH), vk=_ds_session()[1]),
+    lambda: verify(_ds_session()[1], _ds_session()[2], memoryview(b"message")[::2],
+                   _ds_session()[3]),
 ], ids=["str-seed", "str-tag", "int-tag", "str-hashed-message", "str-signed-message",
-        "str-verified-message"])
+        "str-verified-message", "strided-seed", "strided-hashed-message",
+        "strided-signed-message", "strided-verified-message"])
 def test_non_bytes_arguments_outside_qpp_are_parameter_errors(call):
     # The QPP counterparts are in test_qpp.
     with pytest.raises(ParameterError):

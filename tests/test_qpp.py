@@ -6,7 +6,7 @@ import random
 import struct
 
 import pytest
-from conftest import ZeroEntropy
+from conftest import ZeroEntropy, assert_built_like_the_constructor
 from hypothesis import given, settings, strategies as st
 
 from permcrypt import codec, keystream, qpp
@@ -93,6 +93,8 @@ def test_qpp_key_objects_are_frozen():
 # len() of these 16-byte views counts 8 items or 4 rows, not bytes.
 _WIDE_ITEMS = memoryview(array("H", range(8)))
 _ROWS = memoryview(bytes(16)).cast("B", (4, 4))
+# Every other byte of eight: one dimension of single bytes, but not contiguous.
+_STRIDED = memoryview(b"abcdefgh")[::2]
 
 
 @pytest.mark.parametrize("call", [
@@ -116,12 +118,21 @@ _ROWS = memoryview(bytes(16)).cast("B", (4, 4))
     lambda: encrypt_stream(generate_pad(b"mode", 8, 2), b"k", _WIDE_ITEMS),
     lambda: decrypt_stream(generate_pad(b"mode", 8, 2), b"k", _WIDE_ITEMS),
     lambda: decrypt_stream(generate_pad(b"mode", 8, 2), b"k", _ROWS),
+    lambda: codec.encode_qpp_stream(b"ab", 8, 1, {}),
+    lambda: generate_pad(_STRIDED, 8, 2),
+    lambda: encrypt_stream(generate_pad(b"mode", 8, 2), _STRIDED, b"ab"),
+    lambda: encrypt_stream(generate_pad(b"mode", 8, 2), b"k", _STRIDED),
+    lambda: decrypt_stream(generate_pad(b"mode", 8, 2), b"k", _STRIDED),
+    lambda: codec.decode_pad(_STRIDED),
+    lambda: codec.pad_bits(_STRIDED, 8),
 ], ids=["float-block-size", "non-permutation-member", "float-pad-block-size",
         "float-block-to-apply", "float-block-to-invert", "float-pad-size",
         "float-stream-pad-size", "float-entropy-pad-size", "empty-pad", "mixed-block-sizes",
         "unknown-decrypt-mode", "str-pad-seed", "str-session-key", "str-plaintext",
         "str-ciphertext", "str-pad", "none-pad", "wide-item-plaintext", "wide-item-ciphertext",
-        "two-dimensional-ciphertext"])
+        "two-dimensional-ciphertext", "unhashable-stream-mode", "strided-pad-seed",
+        "strided-session-key", "strided-plaintext", "strided-ciphertext", "strided-pad-file",
+        "strided-padded-message"])
 def test_qpp_refuses_bad_arguments_as_parameter_errors(call):
     with pytest.raises(ParameterError):
         call()
@@ -243,6 +254,20 @@ def test_generate_pad_tables_are_bijections(n, size):
     # generate_pad builds its tables without the constructor's check.
     pad = generate_pad(b"pad-pin-seed", n, size)
     assert all(sorted(p.table) == list(range(1 << n)) for p in pad.perms)
+
+
+def _constructed(pad):
+    """The same pad rebuilt through the checked Permutation and PermutationPad constructors."""
+    return PermutationPad(pad.n, [Permutation(pad.n, p.table) for p in pad.perms])
+
+
+@pytest.mark.parametrize("n,size", [(1, 1), (4, 3), (8, 2), (12, 2)])
+def test_pads_built_unchecked_match_the_constructor(n, size):
+    # Each pad is fresh, so no cached table or inverse is in its __dict__ yet.
+    built = [generate_pad(b"unchecked", n, size), generate_pad(b"unchecked", n, size)._inverse,
+             codec.decode_pad(codec.encode_pad(generate_pad(b"unchecked", n, size)))]
+    for pad in built:
+        assert_built_like_the_constructor(pad, _constructed(pad))
 
 
 def test_generate_pad_is_deterministic():
