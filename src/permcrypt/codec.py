@@ -17,7 +17,7 @@ tuples, row by row, and each is written as one run in that order.
 A decode reads the header first and reports a header byte that names no
 shipped set at its own offset.  It then checks the length once: truncation
 is reported at the first missing byte, trailing bytes at the expected end,
-and an out-of-range field at its own offset.
+and, after one pass reads every field, the first out of range at its offset.
 Pad and stream files use the `QPP1` envelope, which `permcrypt.qpp` defines
 with bit padding, beside the cipher whose limits its header shares; this
 module re-exports its six public names (`encode_pad`, `decode_pad`,
@@ -31,6 +31,8 @@ schemes, live in `permcrypt.kat`.
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from itertools import accumulate, repeat
+from operator import itemgetter, le, lt
 
 from .errors import (
     FormatError, ParameterError, _check_bytes, _check_length, _check_magic, _check_type,
@@ -123,13 +125,18 @@ def _payload(kind: int, params: KemParams) -> tuple:
 
 @lru_cache(maxsize=64)  # five kinds over the nine shipped parameter sets
 def _layout(kind: int, params: KemParams) -> tuple:
-    """Header, (name, width, low, high, field offsets) runs, size, and the runs'
-    field offsets alone, as `_decode` returns them; shipped sets only."""
+    """Header, (name, width, low, high, field offsets) runs and size, then for `_decode`
+    a getter of every field's bytes, their lows (empty if all are 0) and highs, and each
+    run's slice of the fields.  No payload has one field, so the getter gives a tuple."""
     header, runs, at = _params_header(kind, params), [], HEADER_LEN
     for what, count, width, low, high in _payload(kind, params):
         runs.append((what, width, low, high, range(at, at + count * width, width)))
         at += count * width
-    return header, tuple(runs), at, tuple(where for *_, where in runs)
+    cuts, lows, highs = zip(*((slice(i, i + width), low, high)
+                              for _, width, low, high, where in runs for i in where))
+    ends = tuple(accumulate(len(where) for *_, where in runs))
+    return (header, tuple(runs), at, itemgetter(*cuts), lows if any(lows) else (), highs,
+            tuple(map(slice, (0, *ends), ends)))
 
 
 def _size(kind: int, params: KemParams) -> int:
@@ -226,22 +233,19 @@ def _encode(kind: int, params: KemParams, runs) -> bytes:
 
 
 def _decode(data: bytes, kind: int):
-    """The parameters, each run's values and each run's field offsets.
-
-    The header fixes the payload's length, which is checked once before
-    any field is read; each field is then sliced out and range-checked.
-    """
+    """The parameters, each run's values as a tuple, and the layout's runs.  All fields
+    are read in one pass and range-checked in two, once the header has fixed the length;
+    only a failure walks the runs, to name the first bad field at its own offset."""
     _check_bytes(data, "envelope")
-    params, (_, layout, size, offsets) = _read_params_header(bytes(data[:HEADER_LEN]), kind)
+    params, (_, runs, size, fields, lows, highs, spans) = _read_params_header(
+        bytes(data[:HEADER_LEN]), kind)
     _check_length(data, size)
-    values = []
-    for what, width, low, high, where in layout:
-        run = [int.from_bytes(data[i:i + width], "big") for i in where]
-        if max(run) >= high or low and min(run) < low:  # a field is never negative
-            bad = next(i for i, v in zip(where, run) if not low <= v < high)
-            raise FormatError(f"{what} out of range", offset=bad)
-        values.append(run)
-    return params, values, offsets
+    values = tuple(map(int.from_bytes, fields(data), repeat("big")))
+    if not (all(map(le, lows, values)) and all(map(lt, values, highs))):
+        what, at = next((what, at) for (what, _, low, high, where), span in zip(runs, spans)
+                        for at, v in zip(where, values[span]) if not low <= v < high)
+        raise FormatError(f"{what} out of range", offset=at)
+    return params, [values[span] for span in spans] if spans[1:] else [values], runs
 
 
 def encode_kem_public(pk: KemPublicKey, params: KemParams) -> bytes:
@@ -251,7 +255,7 @@ def encode_kem_public(pk: KemPublicKey, params: KemParams) -> bytes:
 
 def decode_kem_public(data: bytes):
     params, (numer, denom), _ = _decode(data, KIND_KEM_PUBLIC)
-    return _unchecked(KemPublicKey, tuple(numer), tuple(denom)), params
+    return _unchecked(KemPublicKey, numer, denom), params
 
 
 def encode_kem_private(sk: KemPrivateKey, params: KemParams) -> bytes:
@@ -264,15 +268,14 @@ def encode_kem_private(sk: KemPrivateKey, params: KemParams) -> bytes:
 
 
 def decode_kem_private(data: bytes):
-    params, runs, offsets = _decode(data, KIND_KEM_PRIVATE)
+    params, runs, layout = _decode(data, KIND_KEM_PRIVATE)
     rings = []
-    for (multiplier,), (modulus,), at in zip(runs[4::2], runs[5::2], offsets[4::2]):
+    for (multiplier,), (modulus,), (*_, where) in zip(runs[4::2], runs[5::2], layout[4::2]):
         try:
             rings.append(RingOperator(multiplier, modulus))
         except ParameterError as exc:
-            raise FormatError(str(exc), offset=at[0]) from exc
-    numer, denom = tuple(runs[0] + runs[1]), tuple(runs[2] + runs[3])
-    return _unchecked(KemPrivateKey, numer, denom, *rings), params
+            raise FormatError(str(exc), offset=where[0]) from exc
+    return _unchecked(KemPrivateKey, runs[0] + runs[1], runs[2] + runs[3], *rings), params
 
 
 def encode_kem_ciphertext(ct: KemCiphertext, params: KemParams) -> bytes:
@@ -295,9 +298,8 @@ def encode_verification_key(vk: DsVerificationKey, params: KemParams) -> bytes:
 
 
 def decode_verification_key(data: bytes):
-    params, runs, _ = _decode(data, KIND_DS_VERIFICATION)
-    *matrices, residues, _ = runs  # the radix shift is the set's own, by its range
-    return _unchecked(_ds_classes()[0], *map(tuple, matrices), *residues), params
+    params, (*matrices, residues, _set_shift), _ = _decode(data, KIND_DS_VERIFICATION)
+    return _unchecked(_ds_classes()[0], *matrices, *residues), params
 
 
 def encode_signature(sig: Signature, params: KemParams) -> bytes:

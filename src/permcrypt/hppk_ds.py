@@ -172,23 +172,19 @@ def _check_verification_key(vk: DsVerificationKey, params: KemParams):
 
 
 def _identity_holds(vk: DsVerificationKey, params: KemParams, x: int, sig: Signature) -> bool:
-    """The cross-multiplied identity at the message hash x, on a checked vk."""
-    p = params.prime
-    shift = params.shift_bits
-    f_tag, h_tag = sig.numer_tag, sig.denom_tag
-    for j in range(params.noise_count):
-        lhs = 0
-        rhs = 0
-        xpow = 1
-        for t in range(j, params.terms, params.noise_count):  # column j, row by row
-            v = (f_tag * vk.denom_resid[t]
-                 - vk.ring2_resid * (f_tag * vk.denom_quot[t] >> shift)) % p
-            u = (h_tag * vk.numer_resid[t]
-                 - vk.ring1_resid * (h_tag * vk.numer_quot[t] >> shift)) % p
-            lhs = (lhs + v * xpow) % p
-            rhs = (rhs + u * xpow) % p
-            xpow = xpow * x % p
-        if lhs != rhs:
+    """The cross-multiplied identity at x on a checked vk: each column's sum over its rows of
+    x**row * (f*dr - r2*(f*dq >> shift) - h*nr + r1*(h*nq >> shift)) is 0 mod p.  The sum
+    is exact, by Horner's rule, and reduced once."""
+    m, shift = params.noise_count, params.shift_bits
+    f, h = sig.numer_tag, sig.denom_tag
+    nr, dr, nq, dq = vk.numer_resid, vk.denom_resid, vk.numer_quot, vk.denom_quot
+    r1, r2 = vk.ring1_resid, vk.ring2_resid
+    for j in range(m):
+        diff = 0
+        for t in range(params.terms - m + j, -1, -m):  # column j, top row first
+            diff = (diff * x + f * dr[t] - r2 * (f * dq[t] >> shift)
+                    - h * nr[t] + r1 * (h * nq[t] >> shift))
+        if diff % params.prime:
             return False
     return True
 

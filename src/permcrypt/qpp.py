@@ -109,6 +109,7 @@ class Permutation(_Frozen):
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Permutation applying `other` first, then self."""
+        _check_type(other, Permutation, "other")
         if self.n != other.n:
             raise ParameterError("cannot compose permutations of different sizes")
         return Permutation(self.n, tuple(self.table[v] for v in other.table))

@@ -11,7 +11,7 @@ from conftest import assert_built_like_the_constructor, replace
 from hypothesis import given, settings, strategies as st
 
 from permcrypt import codec, qpp
-from permcrypt.errors import FormatError, ParameterError
+from permcrypt.errors import FormatError, ParameterError, _check_length
 from permcrypt.hidden_ring import RingOperator
 from permcrypt.hppk_ds import DsVerificationKey, Signature, ds_keygen, ds_params, sign
 from permcrypt.hppk_kem import (
@@ -691,8 +691,18 @@ def test_codec_takes_bytes_like_input_as_bytes(wrap):
     stream = codec.encode_qpp_stream(wrap(b"body"), 8, 3, MODE_RANDOM)
     body, *shape = codec.decode_qpp_stream(wrap(stream))
     assert type(body) is bytes and (body, *shape) == (b"body", 8, 3, MODE_RANDOM)
-    params, *_, vk, sig = ds_material()
-    assert codec.decode_signature(wrap(codec.encode_signature(sig, params))) == (sig, params)
+    params, sk, pk, vk, sig = ds_material()
+    _, ct = encapsulate(pk, params, KeystreamState(b"bytes-like", TAG_HPPK_U))
+    for value, encode, decode in (
+        (pk, codec.encode_kem_public, codec.decode_kem_public),
+        (sk, codec.encode_kem_private, codec.decode_kem_private),
+        (ct, codec.encode_kem_ciphertext, codec.decode_kem_ciphertext),
+        (vk, codec.encode_verification_key, codec.decode_verification_key),
+        (sig, codec.encode_signature, codec.decode_signature),
+    ):
+        decoded, got = decode(wrap(encode(value, params)))
+        assert got is params
+        assert_built_like_the_constructor(decoded, value)
 
 
 def test_toy_parameters_are_not_serializable():
@@ -825,3 +835,127 @@ def test_every_decoder_takes_a_mutation_as_a_format_error_or_its_own_encoding():
                 assert again == data, data.hex()
                 decoded += 1
     assert decoded > 0 and refused > 0
+
+
+# --- the one-pass envelope decoder against the per-run loop it replaced -------
+
+
+def _decode_per_run(data: bytes, kind: int):
+    """`codec._decode` as a loop over runs, each range-checked on its own: the reference."""
+    params, (_, layout, size, *_) = codec._read_params_header(bytes(data[:HEADER]), kind)
+    _check_length(data, size)
+    values = []
+    for what, width, low, high, where in layout:
+        run = [int.from_bytes(data[i:i + width], "big") for i in where]
+        if max(run) >= high or low and min(run) < low:  # a field is never negative
+            bad = next(i for i, v in zip(where, run) if not low <= v < high)
+            raise FormatError(f"{what} out of range", offset=bad)
+        values.append(run)
+    return params, values, layout
+
+
+def _outcome(call):
+    """A call's result, or its FormatError's message and offset."""
+    try:
+        return call()
+    except FormatError as exc:
+        return str(exc), exc.offset
+
+
+def _reference_object(kind, runs, layout):
+    """The key the per-run values make through the public constructors, or the
+    FormatError's message and offset that the decoder reports for them."""
+    if kind == codec.KIND_KEM_PUBLIC:
+        return KemPublicKey(*map(tuple, runs))
+    if kind == codec.KIND_DS_VERIFICATION:
+        return DsVerificationKey(*map(tuple, runs[:4]), *runs[4])
+    rings = []
+    for (multiplier,), (modulus,), (*_, where) in zip(runs[4::2], runs[5::2], layout[4::2]):
+        try:
+            rings.append(RingOperator(multiplier, modulus))
+        except ParameterError as exc:
+            return f"{exc} (offset {where[0]})", where[0]
+    return KemPrivateKey(tuple(runs[0] + runs[1]), tuple(runs[2] + runs[3]), *rings)
+
+
+def _mutate_fields(rng: random.Random, data: bytes, kind: int, params) -> bytes:
+    """One to three payload fields set to all ones, zero, random bytes, one bit flipped,
+    or the value just past either end of the field's range."""
+    fields = [(width, low, high, at)
+              for _, width, low, high, where in codec._layout(kind, params)[1] for at in where]
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        width, low, high, at = rng.choice(fields)
+        value = int.from_bytes(out[at:at + width], "big")
+        value = rng.choice((256 ** width - 1, 0, rng.randrange(256 ** width), high, low - 1,
+                            value ^ 1 << rng.randrange(8 * width)))
+        out[at:at + width] = (value % 256 ** width).to_bytes(width, "big")
+    return bytes(out)
+
+
+@pytest.mark.parametrize("level", ["I", "III", "V"])
+def test_one_pass_decoder_agrees_with_the_per_run_loop_on_mutated_envelopes(level):
+    rng = random.Random(b"one-pass-" + level.encode())
+    counts = {"decoded": 0, "out of range": 0, "other": 0, "ring refused": 0}
+    for m in (1, 2, 3):
+        params = shipped_params(level, m)
+        sk, pk, vk = ds_keygen(params, KeystreamState(b"one-pass-%d" % m, TAG_HPPK_KEYGEN))
+        for kind, valid, decode in (
+            (codec.KIND_KEM_PUBLIC, codec.encode_kem_public(pk, params), codec.decode_kem_public),
+            (codec.KIND_KEM_PRIVATE, codec.encode_kem_private(sk, params),
+             codec.decode_kem_private),
+            (codec.KIND_DS_VERIFICATION, codec.encode_verification_key(vk, params),
+             codec.decode_verification_key),
+        ):
+            for _ in range(134):
+                data = (_mutate(rng, valid) if rng.random() < 0.25
+                        else _mutate_fields(rng, valid, kind, params))
+                want = _outcome(lambda: _decode_per_run(data, kind))
+                got = _outcome(lambda: codec._decode(data, kind))
+                if isinstance(want, tuple) and isinstance(want[0], str):  # a FormatError
+                    assert got == want, data.hex()
+                    counts["out of range" if " out of range " in want[0] else "other"] += 1
+                    continue
+                got_params, got_runs, got_layout = got
+                want_params, want_runs, want_layout = want
+                assert got_params is want_params and got_layout is want_layout
+                assert [list(run) for run in got_runs] == want_runs
+                built = _reference_object(kind, want_runs, want_layout)
+                decoded = _outcome(lambda: decode(data))
+                if isinstance(built, tuple):  # the private key's ring constructor refused
+                    assert (str(decoded[0]), decoded[1]) == built
+                    counts["ring refused"] += 1
+                    continue
+                assert decoded[1] is params
+                assert_built_like_the_constructor(decoded[0], built)
+                counts["decoded"] += 1
+    assert min(counts.values()) >= 10, counts
+
+
+@pytest.mark.parametrize("kind", [codec.KIND_KEM_PRIVATE, codec.KIND_DS_VERIFICATION,
+                                  codec.KIND_DS_SIGNATURE],
+                         ids=["kem-private", "ds-verification", "ds-signature"])
+def test_bad_fields_in_two_places_report_the_earlier_one(kind):
+    params, sk, _, vk, sig = ds_material("III", b"two-bad")
+    value, encode = {codec.KIND_KEM_PRIVATE: (sk, codec.encode_kem_private),
+                     codec.KIND_DS_VERIFICATION: (vk, codec.encode_verification_key),
+                     codec.KIND_DS_SIGNATURE: (sig, codec.encode_signature)}[kind]
+    valid = encode(value, params)
+    # Each field that a value of its width can put out of range, with one such value.
+    fields = []
+    for what, width, low, high, where in codec._layout(kind, params)[1]:
+        bad = high if high < 256 ** width else low - 1
+        if bad >= 0:
+            fields += [(what, at, bad.to_bytes(width, "big")) for at in where]
+    pairs = 0
+    for first in range(len(fields)):
+        for second in range(first + 1, len(fields)):
+            data = bytearray(valid)
+            for _, at, raw in (fields[first], fields[second]):
+                data[at:at + len(raw)] = raw
+            what, at, _ = fields[first]
+            with pytest.raises(FormatError, match=f"^{what} out of range") as err:
+                codec._decode(bytes(data), kind)
+            assert err.value.offset == at
+            pairs += 1
+    assert pairs >= 1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from conftest import ScriptedEntropy, assert_built_like_the_constructor, replace
 
@@ -6,6 +8,7 @@ from permcrypt.hidden_ring import RingOperator, new_operator
 from permcrypt.hppk_ds import (
     DsVerificationKey,
     Signature,
+    _identity_holds,
     derive_verification_key,
     ds_keygen,
     ds_params,
@@ -345,3 +348,58 @@ def test_barrett_split_matches_secret_side():
             if split != secret_side:
                 mismatches += 1
     assert mismatches == 0
+
+
+def _identity_holds_per_term(vk, params, x, sig) -> bool:
+    """The identity with every term, sum and power of x reduced mod p: the reference."""
+    p = params.prime
+    shift = params.shift_bits
+    f_tag, h_tag = sig.numer_tag, sig.denom_tag
+    for j in range(params.noise_count):
+        lhs = 0
+        rhs = 0
+        xpow = 1
+        for t in range(j, params.terms, params.noise_count):  # column j, row by row
+            v = (f_tag * vk.denom_resid[t]
+                 - vk.ring2_resid * (f_tag * vk.denom_quot[t] >> shift)) % p
+            u = (h_tag * vk.numer_resid[t]
+                 - vk.ring1_resid * (h_tag * vk.numer_quot[t] >> shift)) % p
+            lhs = (lhs + v * xpow) % p
+            rhs = (rhs + u * xpow) % p
+            xpow = xpow * x % p
+        if lhs != rhs:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("params", [
+    ds_params("I"), ds_params("III"), ds_params("V"), KemParams(251, 2), KemParams(65521, 3),
+], ids=["DS-I", "DS-III", "DS-V", "p251-m2", "p65521-m3"])
+def test_identity_check_agrees_with_the_per_term_reduced_reference(params):
+    # Valid signatures, each tag with one bit flipped, random in-range tags, and
+    # a valid signature at another message's hash, over seeded keys and messages.
+    rng = random.Random(params.prime * 10 + params.noise_count)
+    limit = 1 << params.ring_bits
+    outcomes = {True: 0, False: 0}
+    for k in range(10):
+        sk, _, vk = seeded_triple(params, b"oracle-%d" % k)
+        for n in range(30):
+            message = b"oracle message %d" % n
+            x = hash_to_field(message, params.prime, params.hash_bytes)
+            try:
+                sig = sign(sk, params, message, sign_rng(message), vk=vk)
+            except SigningError:  # a toy field's hash can be a root of a factor
+                continue
+            flips = [1 << rng.randrange(params.ring_bits) for _ in range(2)]
+            candidates = [
+                (x, sig),
+                (x, Signature(sig.numer_tag ^ flips[0] or 1, sig.denom_tag)),
+                (x, Signature(sig.numer_tag, sig.denom_tag ^ flips[1] or 1)),
+                (x, Signature(1 + rng.randrange(limit - 1), 1 + rng.randrange(limit - 1))),
+                ((x + 1 + rng.randrange(params.prime - 1)) % params.prime, sig),
+            ]
+            for at, candidate in candidates:
+                want = _identity_holds_per_term(vk, params, at, candidate)
+                assert _identity_holds(vk, params, at, candidate) is want
+                outcomes[want] += 1
+    assert outcomes[True] >= 250 and outcomes[False] >= 1000, outcomes

@@ -169,6 +169,12 @@ def test_compose_rejects_mismatched_sizes():
         Permutation.identity(2).compose(Permutation.identity(3))
 
 
+@pytest.mark.parametrize("other", [(0, 1, 2, 3), None], ids=["table-tuple", "none"])
+def test_compose_refuses_a_non_permutation_naming_it(other):
+    with pytest.raises(ParameterError, match="^other must be Permutation, not "):
+        Permutation.identity(2).compose(other)
+
+
 def test_tables_of_one_block_size_share_one_set_of_ints():
     # The forward, inverse and flat tables of a generated pad, a second pad
     # and a decoded copy all point into one set of 4096 int objects.
